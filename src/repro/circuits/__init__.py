@@ -11,8 +11,8 @@ tool chain for circuits whose structure *is* available:
 * :mod:`~repro.circuits.simulator` -- two- and three-valued logic simulation,
   including 64-pattern-parallel bit-packed simulation.
 * :mod:`~repro.circuits.backends` -- the engine-backend registry: every
-  simulator, the fault simulator and PODEM take ``engine="reference" |
-  "packed" | "events" | "compiled"`` and dispatch through it.
+  ternary simulator, the fault simulator and PODEM take
+  ``engine="reference" | "packed" | "events"`` and dispatch through it.
 * :mod:`~repro.circuits.faults` -- single stuck-at fault model with
   structural equivalence collapsing.
 * :mod:`~repro.circuits.fault_sim` -- parallel-pattern fault simulation with
@@ -27,7 +27,7 @@ tool chain for circuits whose structure *is* available:
 """
 
 from repro.circuits.netlist import Gate, GateType, Netlist
-from repro.circuits.backends import backend_names, get_backend, resolve_engine
+from repro.circuits.backends import backend_names, get_backend
 from repro.circuits.bench import parse_bench, write_bench
 from repro.circuits.simulator import simulate, simulate_parallel, simulate_ternary
 from repro.circuits.faults import StuckAtFault, all_faults, collapse_faults
@@ -42,7 +42,6 @@ __all__ = [
     "Netlist",
     "backend_names",
     "get_backend",
-    "resolve_engine",
     "parse_bench",
     "write_bench",
     "simulate",

@@ -18,7 +18,7 @@ The PODEM implementation is the standard objective/backtrace/implication loop
 over three-valued simulation, with a backtrack limit to bound the effort on
 redundant faults.
 
-Four engines drive the loop, selected through the backend registry
+Three engines drive the loop, selected through the backend registry
 (:mod:`repro.circuits.backends`) via ``engine=``:
 
 * ``engine="events"`` (the default) keeps one persistent packed
@@ -35,15 +35,8 @@ Four engines drive the loop, selected through the backend registry
   (:mod:`repro.circuits.ternary`), recomputed once per PODEM decision node
   and shared by the evaluation, the objective search, the backtrace and
   the X-path check;
-* ``engine="compiled"`` runs the same full-pass decision loop, but each
-  pass calls the netlist's generated straight-line ternary function
-  (:mod:`repro.circuits.backends.compiled`) instead of the interpreted
-  plan walk;
 * ``engine="reference"`` selects the original dict-based engine
   (:func:`~repro.circuits.simulator.simulate_ternary_reference` semantics).
-
-The old boolean flags (``use_packed=False`` -> reference,
-``use_events=False`` -> packed) survive as deprecated shims.
 
 All engines take identical decisions at every node, so the produced cubes,
 the detected/redundant/aborted partitions and the coverage figures are
@@ -57,11 +50,10 @@ backends' default, keeps the per-pattern reference -- again bit-identical).
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.circuits.backends import compiled_evaluator, get_backend, resolve_engine
+from repro.circuits.backends import get_backend
 from repro.circuits.faults import StuckAtFault, collapse_faults
 from repro.circuits.netlist import GateType, Netlist
 from repro.circuits.simulator import X, simulate_ternary_reference
@@ -120,28 +112,18 @@ class PodemAtpg:
 
     ``engine=`` selects the backend driving the decision loop (see the
     module docstring); every backend produces identical cubes for every
-    fault.  ``use_packed``/``use_events`` are deprecated shims resolving
-    to a backend name.
+    fault.
     """
 
     def __init__(
         self,
         netlist: Netlist,
         backtrack_limit: int = 200,
-        use_packed: Optional[bool] = None,
-        use_events: Optional[bool] = None,
         engine: Optional[str] = None,
     ):
         self._netlist = netlist
         self._backtrack_limit = backtrack_limit
-        self._engine_name = resolve_engine(
-            engine, use_packed=use_packed, use_events=use_events
-        )
-        self._backend = get_backend(self._engine_name)
-        self._podem_mode = self._backend.podem_mode
-        self._compiled = (
-            compiled_evaluator(netlist) if self._podem_mode == "compiled" else None
-        )
+        self._backend = get_backend(engine)
         self._fanout = netlist.fanout()
         self._plan: PackedPlan = packed_plan(netlist)
         # Gate row lookup by output index for the packed backtrace.
@@ -179,7 +161,7 @@ class PodemAtpg:
     @property
     def engine(self) -> str:
         """Name of the backend driving the decision loop."""
-        return self._engine_name
+        return self._backend.name
 
     def generate_cube(self, fault: StuckAtFault) -> Optional[Dict[str, int]]:
         """A partial input assignment detecting ``fault``, or None.
@@ -197,8 +179,7 @@ class PodemAtpg:
         self._engine_passes = 0
         self._engine_undo_depth = 0
         self._engine_reused = False
-        mode = self._podem_mode
-        if mode == "events":
+        if self._backend.name == "events":
             engine, token = self._event_engine(fault)
             events_before = engine.events_processed
             passes_before = engine.propagate_passes
@@ -215,11 +196,9 @@ class PodemAtpg:
             self._engine_events = engine.events_processed - events_before
             self._engine_passes = engine.propagate_passes - passes_before
             self._engine_undo_depth = engine.max_undo_depth
-        elif mode == "reference":
+        elif self._backend.name == "reference":
             found = self._podem(fault, assignment)
         else:
-            # "packed" and "compiled" share the full-pass decision loop;
-            # _dual_state picks the evaluator.
             found = self._podem_packed(fault, assignment)
         if found:
             return dict(assignment)
@@ -231,11 +210,10 @@ class PodemAtpg:
         fill_seed: int = 1,
         fault_dropping: bool = True,
         fills: Optional[str] = None,
-        batch_fills: Optional[bool] = None,
     ) -> AtpgResult:
         """Full ATPG with fault dropping; returns cubes plus statistics.
 
-        ``fills="batched"`` (the events/compiled backends' default) collects
+        ``fills="batched"`` (the events backend's default) collects
         the random fills of pending cubes into one word-packed block and
         hands the whole block to the fault simulator at once, amortising the
         fault-free evaluation the same way campaign fault simulation does.
@@ -245,21 +223,13 @@ class PodemAtpg:
         the per-pattern reference (``fills="per-pattern"``, the reference
         and packed backends' default) would have dropped it -- cubes,
         statistics and coverage are bit-identical either way.
-        ``batch_fills=`` is the deprecated boolean spelling of the same
-        choice.
+
+        The three fault lists of the result are disjoint and sum to
+        ``total_faults``: a fault PODEM aborted on that a later random fill
+        detects counts as detected only.
         """
         from repro.circuits.fault_sim import FaultSimulator
 
-        if batch_fills is not None:
-            replacement = "batched" if batch_fills else "per-pattern"
-            warnings.warn(
-                f"batch_fills={batch_fills!r} is deprecated; "
-                f"use fills={replacement!r} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if fills is None:
-                fills = replacement
         if fills is None:
             fills = self._backend.fills
         elif fills not in ("batched", "per-pattern"):
@@ -269,7 +239,7 @@ class PodemAtpg:
         recorder = get_recorder()
         universe = list(faults if faults is not None else collapse_faults(self._netlist))
         simulator = FaultSimulator(
-            self._netlist, universe, engine=self._engine_name
+            self._netlist, universe, engine=self._backend.name
         )
         rng = random.Random(fill_seed)
         cubes: List[TestCube] = []
@@ -277,9 +247,7 @@ class PodemAtpg:
         redundant: List[StuckAtFault] = []
         aborted: List[StuckAtFault] = []
         block = (
-            _PendingFills(
-                self._plan, simulator.word_width, evaluate=self._fill_evaluator()
-            )
+            _PendingFills(self._plan, simulator.word_width)
             if fills == "batched"
             else None
         )
@@ -344,6 +312,9 @@ class PodemAtpg:
                 "ATPG bookkeeping diverged from the fault simulator: "
                 f"{len(detected_faults)} vs {len(simulator.detected_faults)} detected"
             )
+            # An aborted fault stays in the simulator's remaining set, so a
+            # later fill can still detect it: keep it in one list only.
+            aborted = [fault for fault in aborted if simulator.is_remaining(fault)]
             if recorder.enabled:
                 span.set("detected", len(detected_faults))
                 span.set("redundant", len(redundant))
@@ -384,13 +355,6 @@ class PodemAtpg:
         if self._frontier_sizes:
             for size in self._frontier_sizes:
                 recorder.observe("atpg.d_frontier", size)
-
-    def _fill_evaluator(self) -> Optional[Callable[[List[int]], None]]:
-        """Width-1 fault-free evaluator for pending fills (None = interpreted)."""
-        if self._compiled is None:
-            return None
-        binary_full = self._compiled.binary_full()
-        return lambda values: binary_full(values, 1)
 
     def _flush_fills(
         self, simulator, block: "_PendingFills"
@@ -574,12 +538,7 @@ class PodemAtpg:
     def _dual_state(
         self, fault: StuckAtFault, assignment: Dict[str, int]
     ) -> Tuple[List[int], List[int]]:
-        """Packed 2-bit state of the good (bit 0) and faulty (bit 1) machine.
-
-        The compiled backend substitutes the netlist's generated ternary
-        full pass for the interpreted plan walk; the emitted algebra is the
-        same, so the decision loop above sees bit-identical state.
-        """
+        """Packed 2-bit state of the good (bit 0) and faulty (bit 1) machine."""
         plan = self._plan
         values = [0] * plan.num_nets
         cares = [0] * plan.num_nets
@@ -592,19 +551,11 @@ class PodemAtpg:
                     values[i] = _BOTH
         fault_index = plan.index[fault.net]
         stuck = _FAULTY if fault.stuck_value else 0
-        compiled = self._compiled
         if fault_index < plan.num_inputs:
             # Input-site fault: force before evaluation (inputs have no row).
             cares[fault_index] |= _FAULTY
             values[fault_index] = (values[fault_index] & _GOOD) | stuck
-            if compiled is not None:
-                compiled.ternary_full()(values, cares, _BOTH)
-            else:
-                eval_ternary(plan, values, cares, _BOTH)
-        elif compiled is not None:
-            compiled.ternary_full()(
-                values, cares, _BOTH, fault_index, _FAULTY, stuck
-            )
+            eval_ternary(plan, values, cares, _BOTH)
         else:
             eval_ternary(
                 plan,
@@ -996,19 +947,11 @@ class _PendingFills:
     once.
     """
 
-    __slots__ = ("plan", "capacity", "patterns", "good_words", "_evaluate")
+    __slots__ = ("plan", "capacity", "patterns", "good_words")
 
-    def __init__(
-        self,
-        plan: PackedPlan,
-        capacity: int,
-        evaluate: Optional[Callable[[List[int]], None]] = None,
-    ):
+    def __init__(self, plan: PackedPlan, capacity: int):
         self.plan = plan
         self.capacity = capacity
-        # Width-1 in-place evaluator override (the compiled backend's
-        # generated full pass); None keeps the interpreted core.
-        self._evaluate = evaluate
         self.reset()
 
     def reset(self) -> None:
@@ -1025,10 +968,7 @@ class _PendingFills:
         nets = plan.nets
         for i in range(plan.num_inputs):
             values[i] = filled[nets[i]]
-        if self._evaluate is not None:
-            self._evaluate(values)
-        else:
-            eval_binary(plan, values, 1)
+        eval_binary(plan, values, 1)
         position = len(self.patterns)
         good = self.good_words
         for net, value in zip(nets, values):
@@ -1041,19 +981,13 @@ def generate_test_set_for_netlist(
     netlist: Netlist,
     backtrack_limit: int = 200,
     fill_seed: int = 1,
-    use_packed: Optional[bool] = None,
-    use_events: Optional[bool] = None,
-    batch_fills: Optional[bool] = None,
     engine: Optional[str] = None,
     fills: Optional[str] = None,
 ) -> AtpgResult:
     """Convenience wrapper: collapsed faults, PODEM, fault dropping.
 
-    ``engine=``/``fills=`` select the backend and the fill handling;
-    the boolean flags are deprecated shims (one warning per flag passed).
+    ``engine=``/``fills=`` select the backend and the fill handling.
     """
     return PodemAtpg(
-        netlist,
-        backtrack_limit=backtrack_limit,
-        engine=resolve_engine(engine, use_packed=use_packed, use_events=use_events),
-    ).run(fill_seed=fill_seed, fills=fills, batch_fills=batch_fills)
+        netlist, backtrack_limit=backtrack_limit, engine=engine
+    ).run(fill_seed=fill_seed, fills=fills)

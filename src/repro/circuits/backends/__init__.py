@@ -1,7 +1,7 @@
 """Pluggable engine backends (see :mod:`repro.circuits.backends.base`).
 
-Importing the package registers the four built-in backends:
-``reference``, ``packed``, ``events`` (the default) and ``compiled``.
+Importing the package registers the three built-in backends:
+``reference``, ``packed`` and ``events`` (the default).
 """
 
 from repro.circuits.backends.base import (
@@ -12,43 +12,26 @@ from repro.circuits.backends.base import (
     default_backend_name,
     get_backend,
     register_backend,
-    resolve_engine,
 )
 from repro.circuits.backends.builtin import (
     EventsBackend,
     PackedBackend,
     ReferenceBackend,
 )
-from repro.circuits.backends.compiled import (
-    EVALUATOR_CACHE_SIZE,
-    CompiledBackend,
-    CompiledEvaluator,
-    clear_evaluator_cache,
-    compiled_evaluator,
-    evaluator_cache_stats,
-)
 
 register_backend(ReferenceBackend())
 register_backend(PackedBackend())
 register_backend(EventsBackend())
-register_backend(CompiledBackend())
 
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
-    "EVALUATOR_CACHE_SIZE",
-    "CompiledBackend",
-    "CompiledEvaluator",
     "EngineBackend",
     "EventsBackend",
     "PackedBackend",
     "ReferenceBackend",
     "backend_names",
-    "clear_evaluator_cache",
-    "compiled_evaluator",
     "default_backend_name",
-    "evaluator_cache_stats",
     "get_backend",
     "register_backend",
-    "resolve_engine",
 ]

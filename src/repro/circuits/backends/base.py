@@ -1,15 +1,13 @@
 """Engine-backend registry: named, interchangeable simulation engines.
 
-The package grew four ways to evaluate the same netlist -- the original
-dict evaluator, the packed two-word core, the incremental event engine and
-the per-netlist compiled evaluators -- and they used to be selected through
-ad-hoc boolean flags (``use_packed``/``use_events``/``use_cones``/
-``batched``) scattered over every constructor.  This module replaces the
-flag combinatorics with one registry: an :class:`EngineBackend` bundles a
-coherent family of implementations (ternary simulation, pattern-parallel
-block evaluation, per-fault propagation, a PODEM dispatch mode and the
-batching defaults that go with them) under a single name, and every entry
-point takes ``engine="reference" | "packed" | "events" | "compiled"``.
+The package has three ways to evaluate the same netlist -- the original
+dict evaluator, the packed two-word full-pass core and the incremental
+event engine.  An :class:`EngineBackend` bundles one coherent family of
+implementations (ternary simulation, per-fault propagation, the PODEM
+decision loop and the batching defaults that go with them) under a single
+name, and every entry point takes
+``engine="reference" | "packed" | "events"``.  :class:`PodemAtpg
+<repro.circuits.atpg.PodemAtpg>` dispatches its decision loop on that name.
 
 All registered backends are bit-identical by contract: the parametrized
 conformance suite (``tests/test_backends.py``) and the differential fuzz
@@ -20,19 +18,15 @@ keys unless explicitly pinned.
 
 The default backend is ``events``; the ``REPRO_ENGINE`` environment
 variable overrides it process-wide (CI uses ``REPRO_ENGINE=reference`` to
-keep the slow golden path green).  The legacy boolean flags still work as
-thin shims: :func:`resolve_engine` maps them to a backend name and emits
-one :class:`DeprecationWarning` per flag passed.
+keep the slow golden path green).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.circuits.netlist import Netlist
-from repro.circuits.ternary import PackedPlan
 
 #: Fallback backend when neither ``engine=`` nor the environment selects one.
 DEFAULT_ENGINE = "events"
@@ -44,21 +38,17 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 class EngineBackend:
     """One named family of simulation/ATPG/fault-sim implementations.
 
-    Subclasses provide the three evaluation primitives every consumer
-    needs -- a ternary single-vector simulation, an in-place binary block
-    evaluation and a per-fault block detector -- plus the dispatch hints
-    (:attr:`podem_mode`, :attr:`fills`, :attr:`batched_decompressor`) that
-    the higher layers read instead of carrying their own engine flags.
+    Subclasses provide the two evaluation primitives the engines differ
+    in -- a ternary single-vector simulation and a per-fault block
+    detector -- plus the dispatch hints (:attr:`fills`,
+    :attr:`batched_decompressor`) that the higher layers read instead of
+    carrying their own engine flags.  Binary block evaluation is the same
+    packed core (:func:`repro.circuits.ternary.eval_binary`) for every
+    backend.
     """
 
     #: Registry key and the value of every ``engine=`` parameter.
     name: str = ""
-    #: One-line summary used by docs and error messages.
-    description: str = ""
-    #: Decision-loop engine of :class:`repro.circuits.atpg.PodemAtpg`:
-    #: ``"reference"`` (dict), ``"packed"`` (full-pass), ``"events"``
-    #: (incremental) or ``"compiled"`` (full-pass on codegen).
-    podem_mode: str = "packed"
     #: Default fill handling of ``PodemAtpg.run``: ``"batched"`` packs
     #: pending random fills into one fault-sim block, ``"per-pattern"``
     #: keeps the original drop-per-fill reference behaviour.
@@ -75,15 +65,6 @@ class EngineBackend:
         """Three-valued (0/1/X) simulation of one partial input assignment."""
         raise NotImplementedError
 
-    def eval_block(self, plan: PackedPlan, values: List[int], mask: int) -> None:
-        """In-place binary pattern-parallel evaluation over a seeded state list.
-
-        Same contract as :func:`repro.circuits.ternary.eval_binary`:
-        ``values[0:num_inputs]`` holds the packed (pre-masked) input words,
-        gate entries are written in place.
-        """
-        raise NotImplementedError
-
     def block_detector(
         self, simulator, good: Dict[str, int], mask: int
     ) -> Callable:
@@ -91,8 +72,7 @@ class EngineBackend:
 
         Returns ``detect(fault) -> int``: the packed detection word of one
         stuck-at fault against the block (``good`` maps every net to its
-        fault-free word).  Binding per block lets a backend amortise any
-        per-block preparation over all faults it screens.
+        fault-free word).
         """
         raise NotImplementedError
 
@@ -103,11 +83,11 @@ class EngineBackend:
 _REGISTRY: "Dict[str, EngineBackend]" = {}
 
 
-def register_backend(backend: EngineBackend, replace: bool = False) -> EngineBackend:
+def register_backend(backend: EngineBackend) -> EngineBackend:
     """Add a backend to the registry under ``backend.name``."""
     if not backend.name:
         raise ValueError("backend needs a non-empty name")
-    if backend.name in _REGISTRY and not replace:
+    if backend.name in _REGISTRY:
         raise ValueError(f"backend {backend.name!r} is already registered")
     _REGISTRY[backend.name] = backend
     return backend
@@ -147,63 +127,3 @@ def get_backend(engine: Optional[str] = None) -> EngineBackend:
             f"registered backends: {', '.join(_REGISTRY)}"
         )
     return backend
-
-
-#: Legacy boolean flags and the backend each selects when passed as False.
-#: ``True`` was always the optimised default, so a True value keeps the
-#: resolution at the caller's default engine.
-_LEGACY_FALSE_ENGINE = {
-    "use_packed": "reference",
-    "use_events": "packed",
-    "use_cones": "packed",
-    "batched": "reference",
-}
-
-#: Resolution strength: when several legacy flags are passed, the slowest
-#: (most conservative) engine they imply wins -- ``use_packed=False`` beats
-#: ``use_events=False``, matching the old flag precedence.
-_LEGACY_RANK = {"reference": 0, "packed": 1, "events": 2, "compiled": 3}
-
-
-def resolve_engine(
-    engine: Optional[str] = None,
-    default: Optional[str] = None,
-    stacklevel: int = 3,
-    **legacy_flags,
-) -> str:
-    """Resolve an ``engine=`` value plus legacy boolean flags to a backend name.
-
-    ``engine`` wins when given (unknown names raise, listing the registered
-    backends).  Otherwise any legacy flag explicitly passed (not None) is
-    mapped -- ``use_packed=False`` -> ``"reference"``, ``use_events=False`` /
-    ``use_cones=False`` -> ``"packed"``, ``batched=False`` ->
-    ``"reference"`` -- with one :class:`DeprecationWarning` per flag.  When
-    nothing selects a backend the ``default`` (or the process default) is
-    returned.
-    """
-    passed = {
-        flag: value for flag, value in legacy_flags.items() if value is not None
-    }
-    for flag in passed:
-        if flag not in _LEGACY_FALSE_ENGINE:
-            raise TypeError(f"unknown legacy engine flag {flag!r}")
-    if engine is not None:
-        get_backend(engine)  # validate; raises on unknown names
-        resolved = engine
-    else:
-        resolved = default if default is not None else default_backend_name()
-        rank = _LEGACY_RANK.get(resolved, len(_LEGACY_RANK))
-        for flag, value in passed.items():
-            if value:
-                continue
-            implied = _LEGACY_FALSE_ENGINE[flag]
-            if _LEGACY_RANK[implied] < rank:
-                resolved, rank = implied, _LEGACY_RANK[implied]
-    for flag, value in passed.items():
-        warnings.warn(
-            f"{flag}={value!r} is deprecated; "
-            f"select the backend with engine={resolved!r} instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return resolved

@@ -1,4 +1,4 @@
-"""The three interpreter backends: ``reference``, ``packed`` and ``events``.
+"""The three backends: ``reference``, ``packed`` and ``events``.
 
 All three run on the shared packed two-word core for block evaluation (the
 dict evaluator never had a pattern-parallel variant), and differ in the
@@ -11,6 +11,7 @@ they select:
   by design; this is the golden path everything else is tested against.
 * ``packed`` -- the packed full-pass engines: two-word ternary evaluation
   and the dual-machine PODEM full pass, still dense per-fault propagation.
+  Kept as the full-pass reference the event engine is checked against.
 * ``events`` -- the default: incremental event-driven PODEM, fanout-cone
   fault propagation with activation screening, batched fills and the
   segment-batched decompressor.
@@ -18,13 +19,11 @@ they select:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.circuits.backends.base import EngineBackend
 from repro.circuits.netlist import Netlist
 from repro.circuits.ternary import (
-    PackedPlan,
-    eval_binary,
     eval_ternary,
     packed_plan,
     seed_ternary_inputs,
@@ -33,7 +32,7 @@ from repro.circuits.ternary import (
 
 
 class _PackedCoreBackend(EngineBackend):
-    """Shared primitives of every interpreter backend (the packed core)."""
+    """Shared primitives of every backend (the packed core)."""
 
     def simulate_ternary(
         self, netlist: Netlist, input_values: Dict[str, Optional[int]]
@@ -43,9 +42,6 @@ class _PackedCoreBackend(EngineBackend):
         eval_ternary(plan, values, cares, 1)
         return ternary_state_to_dict(plan, values, cares)
 
-    def eval_block(self, plan: PackedPlan, values: List[int], mask: int) -> None:
-        eval_binary(plan, values, mask)
-
     def block_detector(self, simulator, good: Dict[str, int], mask: int):
         return lambda fault: simulator._dense_diff(good, mask, fault)
 
@@ -54,8 +50,6 @@ class ReferenceBackend(_PackedCoreBackend):
     """Dict evaluators and dense propagation; the frozen golden path."""
 
     name = "reference"
-    description = "dict-based ternary/PODEM reference, dense fault propagation"
-    podem_mode = "reference"
     fills = "per-pattern"
     batched_decompressor = False
 
@@ -74,8 +68,6 @@ class PackedBackend(_PackedCoreBackend):
     """Packed full-pass engines with dense per-fault propagation."""
 
     name = "packed"
-    description = "packed two-word full-pass engines, dense fault propagation"
-    podem_mode = "packed"
     fills = "per-pattern"
 
 
@@ -83,8 +75,6 @@ class EventsBackend(_PackedCoreBackend):
     """Incremental event engines and cone propagation (the default)."""
 
     name = "events"
-    description = "event-driven PODEM, fanout-cone fault propagation, batched fills"
-    podem_mode = "events"
     fills = "batched"
 
     def block_detector(self, simulator, good: Dict[str, int], mask: int):

@@ -18,12 +18,10 @@ back to the good ones.
 
 The per-fault strategy is an engine-backend choice
 (:mod:`repro.circuits.backends`): ``engine="events"`` (the default) runs the
-fanout-cone propagation above, ``engine="compiled"`` evaluates each fault
-through the netlist's generated straight-line diff function,
-``engine="packed"`` / ``engine="reference"`` restore the original dense
-full-circuit re-evaluation per fault.  All backends report identical
-detections (the golden-equivalence tests and the ``faultsim-compiled`` fuzz
-check rely on this); ``use_cones=`` survives as a deprecated shim.
+fanout-cone propagation above, ``engine="packed"`` / ``engine="reference"``
+restore the original dense full-circuit re-evaluation per fault.  All
+backends report identical detections (the golden-equivalence tests and the
+conformance suite rely on this).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.circuits.backends import get_backend, resolve_engine
+from repro.circuits.backends import get_backend
 from repro.circuits.faults import StuckAtFault, collapse_faults
 from repro.circuits.netlist import Netlist
 from repro.circuits.simulator import evaluation_plan, pack_patterns, simulate_parallel
@@ -69,22 +67,20 @@ class FaultSimulator:
         netlist: Netlist,
         faults: Optional[Sequence[StuckAtFault]] = None,
         word_width: int = 256,
-        use_cones: Optional[bool] = None,
         engine: Optional[str] = None,
     ):
         if word_width < 1:
             raise ValueError("word_width must be positive")
         self._netlist = netlist
         self._word_width = word_width
-        self._engine_name = resolve_engine(engine, use_cones=use_cones)
-        self._backend = get_backend(self._engine_name)
+        self._backend = get_backend(engine)
         self._remaining: Set[StuckAtFault] = set(
             faults if faults is not None else collapse_faults(netlist)
         )
         self._detected: Set[StuckAtFault] = set()
         self._initial_count = len(self._remaining)
         # Cone-evaluation state, all built lazily on the first cone query so
-        # the dense and compiled configurations pay nothing for it.
+        # the dense configurations pay nothing for it.
         self._output_set: Optional[frozenset] = None
         self._fanout: Optional[Dict[str, List[str]]] = None
         self._cones: Dict[str, List[PlanRow]] = {}
@@ -100,17 +96,13 @@ class FaultSimulator:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def netlist(self) -> Netlist:
-        return self._netlist
-
-    @property
     def word_width(self) -> int:
         return self._word_width
 
     @property
     def engine(self) -> str:
         """Name of the backend driving per-fault propagation."""
-        return self._engine_name
+        return self._backend.name
 
     @property
     def remaining_faults(self) -> List[StuckAtFault]:
@@ -215,9 +207,7 @@ class FaultSimulator:
         words = pack_patterns(self._netlist, block)
         # The fault-free evaluation is computed once and shared by every
         # fault of the block (each fault only overlays its fanout cone).
-        good = simulate_parallel(
-            self._netlist, words, num_patterns, engine=self._engine_name
-        )
+        good = simulate_parallel(self._netlist, words, num_patterns)
         detected = self._detect_block(good, num_patterns)
         self._flush_block_telemetry(num_patterns, len(detected))
         return detected
@@ -247,9 +237,6 @@ class FaultSimulator:
     ) -> Dict[StuckAtFault, int]:
         mask = (1 << num_patterns) - 1
         detected: Dict[StuckAtFault, int] = {}
-        # One detector per block: the backend amortises any per-block
-        # preparation (e.g. flattening ``good`` into plan order for the
-        # compiled diff function) over every fault screened below.
         detect = self._backend.block_detector(self, good, mask)
         for fault in list(self._remaining):
             diff = detect(fault)
@@ -263,8 +250,7 @@ class FaultSimulator:
         """Output difference word via dense full-circuit re-evaluation.
 
         The original per-fault strategy, kept as the ``reference`` /
-        ``packed`` backends' detector (and as the baseline the compiled
-        diff function is benchmarked against).
+        ``packed`` backends' detector.
         """
         num_patterns = mask.bit_length()
         faulty = self._simulate_with_fault(good, num_patterns, fault)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class GateType(Enum):
@@ -88,7 +88,6 @@ class Netlist:
         self._validate()
         self._topo_order = self._topological_order()
         self._gates_in_order = tuple(self._gates[net] for net in self._topo_order)
-        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Validation
@@ -206,26 +205,6 @@ class Netlist:
             "nets": len(self.nets()),
             "depth": self.depth(),
         }
-
-    def fingerprint(self) -> str:
-        """Content hash of the circuit structure (name excluded).
-
-        Two netlists with the same inputs, outputs and gates -- regardless of
-        how they were constructed or what they are called -- share a
-        fingerprint, which is what lets compiled evaluators be reused across
-        structurally identical instances.  Computed once and memoised.
-        """
-        if self._fingerprint is None:
-            import hashlib
-
-            parts = ["in:" + ",".join(self._inputs), "out:" + ",".join(self._outputs)]
-            for gate in self._gates_in_order:
-                parts.append(
-                    f"{gate.output}={gate.gate_type.value}({','.join(gate.inputs)})"
-                )
-            digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-            self._fingerprint = digest[:32]
-        return self._fingerprint
 
     def __repr__(self) -> str:
         return (

@@ -11,15 +11,16 @@ Three entry points cover the needs of the package:
   bit ``p`` is the value under pattern ``p``); this is what makes fault
   simulation of thousands of patterns practical in pure Python.
 
-All three dispatch through the engine-backend registry
+The two binary entry points run the shared packed core
+(:func:`~repro.circuits.ternary.eval_binary`) directly.  Ternary
+simulation dispatches through the engine-backend registry
 (:mod:`repro.circuits.backends`): ``engine=`` selects the implementation
-family (``"reference"``, ``"packed"``, ``"events"`` or ``"compiled"``), the
-default honours ``REPRO_ENGINE``, and every backend returns bit-identical
-results -- only the speed differs.  The original dict-based three-valued
-evaluator is kept as :func:`simulate_ternary_reference` -- the
-golden-equivalence tests check every other backend against it on randomized
-netlists, and ``engine="reference"`` selects it wherever bit-level
-archaeology is needed.
+family (``"reference"``, ``"packed"`` or ``"events"``), the default
+honours ``REPRO_ENGINE``, and every backend returns bit-identical results
+-- only the speed differs.  The original dict-based three-valued evaluator
+is kept as :func:`simulate_ternary_reference` -- the golden-equivalence
+tests check every other backend against it on randomized netlists, and
+``engine="reference"`` selects it wherever bit-level archaeology is needed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.circuits.backends import get_backend
 from repro.circuits.netlist import Gate, GateType, Netlist
-from repro.circuits.ternary import evaluation_plan, packed_plan
+from repro.circuits.ternary import eval_binary, evaluation_plan, packed_plan
 
 __all__ = [
     "X",
@@ -44,11 +45,7 @@ __all__ = [
 X = None
 
 
-def simulate(
-    netlist: Netlist,
-    input_values: Dict[str, int],
-    engine: Optional[str] = None,
-) -> Dict[str, int]:
+def simulate(netlist: Netlist, input_values: Dict[str, int]) -> Dict[str, int]:
     """Two-valued simulation of a single fully specified input vector."""
     plan = packed_plan(netlist)
     values = [0] * plan.num_nets
@@ -61,7 +58,7 @@ def simulate(
         if bit not in (0, 1):
             raise ValueError(f"input {net!r} must be 0 or 1, got {bit!r}")
         values[i] = bit
-    get_backend(engine).eval_block(plan, values, 1)
+    eval_binary(plan, values, 1)
     return dict(zip(nets, values))
 
 
@@ -75,10 +72,7 @@ def simulate_ternary(
 
 
 def simulate_parallel(
-    netlist: Netlist,
-    input_words: Dict[str, int],
-    num_patterns: int,
-    engine: Optional[str] = None,
+    netlist: Netlist, input_words: Dict[str, int], num_patterns: int
 ) -> Dict[str, int]:
     """Bit-parallel simulation of ``num_patterns`` patterns at once.
 
@@ -97,7 +91,7 @@ def simulate_parallel(
         if net not in input_words:
             raise ValueError(f"missing packed value for primary input {net!r}")
         values[i] = input_words[net] & mask
-    get_backend(engine).eval_block(plan, values, mask)
+    eval_binary(plan, values, mask)
     return dict(zip(nets, values))
 
 

@@ -35,12 +35,10 @@ Python:
     written as a self-contained repro directory (``--replay`` re-runs
     one).  ``--chaos`` adds fault injection: SIGKILLed campaign workers
     and corrupted store tails, asserting nothing is ever lost.
-    ``--verify-codegen`` AST-verifies every generated evaluator of the
-    compiled backend before it is ``exec()``-ed.
 
 ``lint``
     Run the static verification subsystem (:mod:`repro.staticcheck`) over
-    ``src/`` and ``tests/``: IR/codegen verifiers, repo-specific AST lint
+    ``src/`` and ``tests/``: IR verifiers, repo-specific AST lint
     rules and concurrency-hazard checks.  One ``path:line: rule-id
     message`` per violation; exits 0 clean, 1 on violations, 2 on an
     analyzer internal error.  ``--rules`` selects a subset,
@@ -51,10 +49,8 @@ Python:
     Run the built-in PODEM ATPG on a ``.bench`` netlist (or on a generated
     random circuit) and write the resulting test-cube file.  ``--engine``
     selects the backend from the engine registry (``reference``,
-    ``packed``, ``events`` -- the default -- or ``compiled``); every
-    engine produces identical cubes, so the slower ones exist for
-    cross-checks.  ``--reference`` and ``--no-events`` are kept as
-    deprecated aliases.
+    ``packed`` or ``events`` -- the default); every engine produces
+    identical cubes, so the slower ones exist for cross-checks.
 
 ``bench``
     Benchmark the hot kernels (encoding solvability scan, parallel-pattern
@@ -469,16 +465,6 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
         netlist = random_netlist(
             "generated", num_inputs=args.inputs, num_gates=args.gates, seed=args.seed
         )
-    # --reference / --no-events predate --engine; map them to engine names
-    # (explicit --engine wins).
-    if args.engine:
-        engine = args.engine
-    elif args.reference:
-        engine = "reference"
-    elif args.no_events:
-        engine = "packed"
-    else:
-        engine = None
     recorder = None
     if args.trace:
         from repro.telemetry import Recorder, use_recorder
@@ -486,11 +472,11 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
         recorder = Recorder()
         with use_recorder(recorder):
             result = generate_test_set_for_netlist(
-                netlist, fill_seed=args.seed, engine=engine
+                netlist, fill_seed=args.seed, engine=args.engine
             )
     else:
         result = generate_test_set_for_netlist(
-            netlist, fill_seed=args.seed, engine=engine
+            netlist, fill_seed=args.seed, engine=args.engine
         )
     stats = result.test_set.stats()
     print(
@@ -686,11 +672,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import load_case, replay_case, resolve_checks, run_fuzz
 
-    if args.verify_codegen:
-        from repro.circuits.backends.compiled import set_codegen_verify
-
-        set_codegen_verify(True)
-
     if args.replay:
         try:
             case = load_case(args.replay)
@@ -834,16 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="PODEM / fault-sim engine backend (default: REPRO_ENGINE or "
              "'events'; all engines produce identical cubes)",
     )
-    atpg_parser.add_argument(
-        "--reference", action="store_true",
-        help="deprecated alias for --engine reference (the original "
-             "dict-based PODEM engine; identical cubes, ~10x slower)",
-    )
-    atpg_parser.add_argument(
-        "--no-events", action="store_true",
-        help="deprecated alias for --engine packed (full-pass packed "
-             "engine, per-pattern fills; identical cubes, for cross-checks)",
-    )
     _add_trace_options(atpg_parser, trace_dir="results")
     atpg_parser.set_defaults(func=_cmd_atpg)
 
@@ -942,16 +913,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute one stored case (a repro directory or its "
              "case.json) instead of fuzzing",
     )
-    fuzz_parser.add_argument(
-        "--verify-codegen", action="store_true",
-        help="AST-verify every generated compiled-backend evaluator before "
-             "exec() (cache misses only; see repro.staticcheck.ir)",
-    )
     fuzz_parser.set_defaults(func=_cmd_fuzz)
 
     lint_parser = sub.add_parser(
         "lint",
-        help="static verification: IR/codegen verifiers, repo lint rules "
+        help="static verification: IR verifiers, repo lint rules "
              "and concurrency-hazard checks (exit 0/1/2)",
     )
     lint_parser.add_argument(

@@ -42,8 +42,8 @@ class CompressionConfig:
         How many alternative phase shifters to try when a cube hits a
         structural linear dependency.
     engine:
-        Simulation engine backend (``"reference"``, ``"packed"``,
-        ``"events"``, ``"compiled"``) used wherever the pipeline simulates
+        Simulation engine backend (``"reference"``, ``"packed"`` or
+        ``"events"``) used wherever the pipeline simulates
         circuits or replays the decompressor.  ``None`` (the default)
         follows the process default (``REPRO_ENGINE`` or ``events``) and is
         omitted from serialisation and cache keys -- backends are

@@ -27,8 +27,7 @@ Two datapath models replay the schedule:
   segment are one BLAS product, and captured vectors / scan-chain contents
   are numpy gathers -- this is what makes ``simulate`` usable inside large
   campaigns;
-* ``engine="reference"`` (or the deprecated ``batched=False``) selects the
-  original clock-by-clock reference (:meth:`Decompressor.shift_clock` per
+* ``engine="reference"`` selects the original clock-by-clock reference (:meth:`Decompressor.shift_clock` per
   cycle), kept as the golden reference -- both produce identical
   :class:`SimulationOutcome`\\ s, vector for vector.
 """
@@ -407,7 +406,6 @@ def simulate_decompression(
     transition: GF2Matrix,
     phase_shifter: PhaseShifter,
     architecture: ScanArchitecture,
-    batched: Optional[bool] = None,
     engine: Optional[str] = None,
 ) -> SimulationOutcome:
     """Convenience wrapper: build the datapath and replay a schedule.
@@ -415,16 +413,14 @@ def simulate_decompression(
     The datapath model follows the selected engine backend:
     ``engine="reference"`` replays clock by clock, every other backend uses
     the segment-batched numpy datapath; the outcomes are identical (the
-    golden-equivalence tests enforce this).  ``batched=`` is the deprecated
-    boolean spelling of the same choice.
+    golden-equivalence tests enforce this).
     """
-    from repro.circuits.backends import get_backend, resolve_engine
+    from repro.circuits.backends import get_backend
 
-    resolved = resolve_engine(engine, batched=batched)
     decompressor = Decompressor(
         transition, phase_shifter, architecture, reduction.config.speedup
     )
     controller = DecompressionController(
-        decompressor, batched=get_backend(resolved).batched_decompressor
+        decompressor, batched=get_backend(engine).batched_decompressor
     )
     return controller.run(encoding, reduction)

@@ -2,8 +2,7 @@
 
 The repo accumulated engine variants behind the backend registry (packed vs
 dict simulation, the persistent bucket-queue event engine vs from-scratch
-evaluation, event-driven vs full-pass PODEM, codegen-compiled simulation
-and fault simulation vs the packed/dict engines, batched vs per-pattern
+evaluation, event-driven vs full-pass PODEM, batched vs per-pattern
 drop simulation, batched-trials vs scan GF(2) solving, numpy vs reference
 embedding matching, batched vs per-clock decompressor replay).  The golden
 tests pin each pair on a handful of fixed seeds; this module turns the same
@@ -206,55 +205,6 @@ def _check_podem_packed(case: FuzzCase) -> Optional[str]:
         return (
             "packed PODEM diverges from the dict reference engine: "
             + _diff_dicts(a, b, "packed", "dict")
-        )
-    return None
-
-
-def _check_sim_compiled(case: FuzzCase) -> Optional[str]:
-    """Codegen-compiled ternary simulation vs the dict reference."""
-    netlist = case_netlist(case)
-    for index, assignment in enumerate(case_assignments(case, netlist)):
-        compiled = _simulator.simulate_ternary(netlist, assignment, engine="compiled")
-        reference = _simulator.simulate_ternary_reference(netlist, assignment)
-        if compiled != reference:
-            diffs = sorted(
-                net
-                for net in reference
-                if compiled.get(net, "missing") != reference[net]
-            )
-            return (
-                f"assignment {index}: compiled ternary simulation diverges "
-                f"from the dict reference on {len(diffs)} net(s), first "
-                f"{diffs[0]!r}: compiled={compiled.get(diffs[0])!r} "
-                f"reference={reference[diffs[0]]!r}"
-            )
-    return None
-
-
-def _check_faultsim_compiled(case: FuzzCase) -> Optional[str]:
-    """Codegen-compiled fault simulation vs the packed full-pass engine."""
-    netlist = case_netlist(case)
-    patterns = case_patterns(case, netlist)
-    compiled = _fault_sim.FaultSimulator(
-        netlist, word_width=len(patterns), engine="compiled"
-    ).simulate_patterns(patterns, drop=False)
-    packed = _fault_sim.FaultSimulator(
-        netlist, word_width=len(patterns), engine="packed"
-    ).simulate_patterns(patterns, drop=False)
-    if compiled.detected != packed.detected:
-        keys = set(compiled.detected) | set(packed.detected)
-        diffs = sorted(
-            str(fault)
-            for fault in keys
-            if compiled.detected.get(fault) != packed.detected.get(fault)
-        )
-        first = diffs[0]
-        a = {str(f): w for f, w in compiled.detected.items()}.get(first)
-        b = {str(f): w for f, w in packed.detected.items()}.get(first)
-        return (
-            f"compiled fault simulation diverges from the packed engine on "
-            f"{len(diffs)} fault(s), first {first}: compiled-word={a!r} "
-            f"packed-word={b!r}"
         )
     return None
 
@@ -570,22 +520,6 @@ register(
         description="packed dual-machine PODEM vs dict reference engine",
         space={"num_inputs": (6, 14, 2), "num_gates": (20, 70, 1)},
         run=_check_podem_packed,
-    )
-)
-register(
-    Check(
-        name="sim-compiled",
-        description="codegen-compiled ternary simulation vs dict reference",
-        space=dict(_NETLIST_SPACE),
-        run=_check_sim_compiled,
-    )
-)
-register(
-    Check(
-        name="faultsim-compiled",
-        description="codegen-compiled fault simulation vs packed engine",
-        space=dict(_NETLIST_SPACE),
-        run=_check_faultsim_compiled,
     )
 )
 register(

@@ -14,16 +14,12 @@ without import cycles.
 
 Every module-level cache of the package must be an instance of this class
 (or a ``weakref`` dictionary): the ``bounded-cache`` rule of
-:mod:`repro.staticcheck` enforces the discipline statically, which is why
-the class also keeps lifetime hit/miss/eviction counters -- callers that
-used to maintain their own stats dict next to a hand-rolled ``OrderedDict``
-LRU read them from here instead.
+:mod:`repro.staticcheck` enforces the discipline statically.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
 
 
 class LRUCache:
@@ -34,9 +30,6 @@ class LRUCache:
 
     def __init__(self, bound: int):
         self._bound = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.bound = bound  # validated by the setter
         self._data: OrderedDict = OrderedDict()
 
@@ -62,10 +55,7 @@ class LRUCache:
         """The cached value of ``key`` (refreshes recency) or ``None``."""
         value = self._data.get(key)
         if value is not None:
-            self.hits += 1
             self._data.move_to_end(key)
-        else:
-            self.misses += 1
         return value
 
     def put(self, key, value) -> None:
@@ -74,26 +64,9 @@ class LRUCache:
         self._data.move_to_end(key)
         self._evict()
 
-    def stats(self) -> Dict[str, int]:
-        """Lifetime counters plus the current size and capacity."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._data),
-            "capacity": self._bound,
-        }
-
-    def reset_stats(self) -> None:
-        """Zero the lifetime counters (contents are kept)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     def _evict(self) -> None:
         while len(self._data) > self._bound:
             self._data.popitem(last=False)
-            self.evictions += 1
 
     def clear(self) -> None:
         self._data.clear()

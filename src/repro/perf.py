@@ -1,6 +1,6 @@
 """Hot-kernel benchmarks and the regression harness behind ``repro bench``.
 
-Seven kernels dominate campaign wall time and are measured here, plus one
+Six kernels dominate campaign wall time and are measured here, plus one
 overhead gate for the telemetry subsystem:
 
 ``encoding``
@@ -14,14 +14,6 @@ overhead gate for the telemetry subsystem:
     on generated benchmark circuits -- timed against the in-repo reference
     simulator (``engine="packed"``, 64-bit words) and checked for identical
     detected-fault sets.
-
-``faultsim-compiled``
-    The codegen-compiled backend in isolation: full-block fault simulation
-    through the per-netlist compiled evaluator (one local per net, fused
-    word ops, inversion folded in; see
-    :mod:`repro.circuits.backends.compiled`) against the full-pass packed
-    engine at the *same* word width, so the ratio isolates exactly what
-    compilation buys.  Detected-fault sets are checked for identity.
 
 ``atpg``
     PODEM test generation on the packed two-word ternary core (event-driven
@@ -98,7 +90,6 @@ from repro.testdata.synthetic import generate_test_set
 KERNELS = (
     "encoding",
     "faultsim",
-    "faultsim-compiled",
     "atpg",
     "atpg-events",
     "embedding",
@@ -377,53 +368,6 @@ def bench_faultsim(quick: bool = False, repeat: int = 2) -> KernelReport:
             )
         )
     return KernelReport(kernel="faultsim", mode=mode, cases=cases)
-
-
-def bench_faultsim_compiled(quick: bool = False, repeat: int = 2) -> KernelReport:
-    """Measure the codegen-compiled backend vs the packed full-pass engine.
-
-    Both sides run full-block fault simulation at the same word width, so
-    the ratio isolates what compiling the netlist to straight-line Python
-    buys over the interpreted row loop: no per-row tuple unpacking, no list
-    indexing, intermediate values living in locals, and the single-fault
-    diff evaluated without materializing a faulty copy of the block.
-    """
-    mode = "quick" if quick else "full"
-    cases: List[KernelCase] = []
-    for name, num_inputs, num_gates, num_patterns in _FAULTSIM_CASES[mode]:
-        wall, (detected, total_faults) = _best_of(
-            repeat,
-            lambda: _faultsim_timed(
-                num_inputs, num_gates, num_patterns, "compiled", 256
-            ),
-        )
-        ref_wall, (ref_detected, _) = _best_of(
-            repeat,
-            lambda: _faultsim_timed(
-                num_inputs, num_gates, num_patterns, "packed", 256
-            ),
-        )
-        evaluations = total_faults * num_patterns
-        cases.append(
-            KernelCase(
-                name=name,
-                wall_s=wall,
-                throughput=evaluations / wall if wall > 0 else 0.0,
-                unit="fault-patterns/s",
-                reference_wall_s=ref_wall,
-                speedup=ref_wall / wall if wall > 0 else 0.0,
-                verified=detected == ref_detected,
-                detail={
-                    "num_inputs": num_inputs,
-                    "num_gates": num_gates,
-                    "num_patterns": num_patterns,
-                    "total_faults": total_faults,
-                    "detected": len(detected),
-                    "word_width": 256,
-                },
-            )
-        )
-    return KernelReport(kernel="faultsim-compiled", mode=mode, cases=cases)
 
 
 # ----------------------------------------------------------------------
@@ -930,7 +874,6 @@ def bench_telemetry_overhead(quick: bool = False, repeat: int = 2) -> KernelRepo
 _BENCHES = {
     "encoding": bench_encoding,
     "faultsim": bench_faultsim,
-    "faultsim-compiled": bench_faultsim_compiled,
     "atpg": bench_atpg,
     "atpg-events": bench_atpg_events,
     "embedding": bench_embedding,

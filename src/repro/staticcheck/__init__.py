@@ -1,7 +1,6 @@
 """Static verification subsystem: find whole bug classes before running.
 
-The reproduction spans four interchangeable simulation backends (one of
-which ``compile()``/``exec()``s generated Python per netlist), several
+The reproduction spans three interchangeable simulation backends, several
 fingerprint/cache-key-driven caches and an fcntl-locked concurrent result
 store.  Every invariant holding that together used to be checked only
 dynamically -- when a test or fuzz run happened to hit it.  This package is
@@ -16,17 +15,12 @@ registry (mirroring the fuzz ``Check`` registry):
   :class:`~repro.circuits.netlist.Netlist` and
   :class:`~repro.circuits.ternary.PackedPlan` (acyclicity, levelization,
   ``fused_rows``/``table_rows``/``reader_rows`` cross-coherence, operand
-  bounds, library-op arity) and AST validation of the compiled backend's
-  generated source before it is ever ``exec()``-ed (single-assignment
-  locals, def-before-use ordering, template-scope name hygiene, output-word
-  completeness).  The compiled backend calls these on every cache miss when
-  codegen verification is enabled (``REPRO_VERIFY_CODEGEN`` or
-  ``set_codegen_verify``).
+  bounds, library-op arity).
 * :mod:`repro.staticcheck.source_rules` -- **repo-specific AST lint rules**
-  over ``src/`` and ``tests/``: deprecated legacy engine flags, direct
-  dict-reference-engine calls in hot-path modules, bare ``open()`` on store
-  paths, unordered-set iteration feeding fingerprints/cache keys/codegen,
-  unpaired manual telemetry spans and unbounded module-level caches.
+  over ``src/`` and ``tests/``: direct dict-reference-engine calls in
+  hot-path modules, bare ``open()`` on store paths, unordered-set
+  iteration feeding fingerprints/cache keys, unpaired manual telemetry
+  spans and unbounded module-level caches.
 * :mod:`repro.staticcheck.concurrency` -- **concurrency-hazard checks**:
   mutable module-level state reachable from campaign worker entry points
   without lock/queue mediation.
@@ -38,12 +32,7 @@ rules, prints one ``path:line: rule-id message`` per violation, exits 0/1/2
 ``# repro-lint: disable=<rule>``.
 """
 
-from repro.staticcheck.ir import (
-    IrVerificationError,
-    verify_generated_source,
-    verify_netlist,
-    verify_packed_plan,
-)
+from repro.staticcheck.ir import verify_netlist, verify_packed_plan
 from repro.staticcheck.registry import (
     RULES,
     LintContext,
@@ -59,7 +48,6 @@ from repro.staticcheck import source_rules as _source_rules  # noqa: E402,F401
 from repro.staticcheck import concurrency as _concurrency  # noqa: E402,F401
 
 __all__ = [
-    "IrVerificationError",
     "LintContext",
     "LintReport",
     "RULES",
@@ -70,7 +58,6 @@ __all__ = [
     "register_rule",
     "rule_names",
     "run_lint",
-    "verify_generated_source",
     "verify_netlist",
     "verify_packed_plan",
 ]

@@ -1,8 +1,7 @@
-"""IR verifiers: structural validation of netlists, plans and codegen.
+"""IR verifiers: structural validation of netlists and packed plans.
 
-Three static validators, each returning a list of human-readable problems
-(empty = valid) so callers can aggregate, and a raising wrapper for the
-hot hook in the compiled backend:
+Two static validators, each returning a list of human-readable problems
+(empty = valid) so callers can aggregate:
 
 * :func:`verify_netlist` -- the :class:`~repro.circuits.netlist.Netlist`
   invariants re-checked from scratch (no trust in the cached topo order):
@@ -18,21 +17,15 @@ hot hook in the compiled backend:
   and fanout index bounds, and exact coherence of the ``fused_rows``,
   ``table_rows`` and ``reader_rows`` mirrors that the event engine's hot
   loops trust blindly.
-* :func:`verify_generated_source` -- the compiled backend's generated
-  Python AST-parsed and validated *before* ``exec()``: single-assignment
-  net locals, def-before-use operand ordering, no name collisions with the
-  template scope, per-net overlay targeting and output-word completeness.
 
-The ``ir-verify`` lint rule runs all three over representative circuits on
-every ``repro lint`` invocation, so a broken generator or plan builder
-fails CI without any simulation running.
+The ``ir-verify`` lint rule runs both over representative circuits on
+every ``repro lint`` invocation, so a broken netlist or plan builder fails
+CI without any simulation running.
 """
 
 from __future__ import annotations
 
-import ast
-import re
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Set
 
 from repro.circuits.netlist import UNARY_GATES, Netlist
 from repro.circuits.ternary import (
@@ -48,17 +41,6 @@ from repro.circuits.ternary import (
     _OPCODE,
 )
 from repro.staticcheck.registry import Rule, Violation, register_rule
-
-
-class IrVerificationError(ValueError):
-    """A verifier found problems; ``problems`` holds one message each."""
-
-    def __init__(self, subject: str, problems: Sequence[str]):
-        self.subject = subject
-        self.problems = list(problems)
-        summary = "; ".join(self.problems[:3])
-        more = f" (+{len(self.problems) - 3} more)" if len(self.problems) > 3 else ""
-        super().__init__(f"{subject}: {summary}{more}")
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +132,7 @@ def verify_netlist(netlist: Netlist) -> List[str]:
 # PackedPlan
 # ----------------------------------------------------------------------
 def verify_packed_plan(plan: PackedPlan) -> List[str]:
-    """Cross-coherence problems of a compiled plan (empty list = valid)."""
+    """Cross-coherence problems of a packed plan (empty list = valid)."""
     problems: List[str] = []
     netlist = plan.netlist
     num_nets = plan.num_nets
@@ -372,278 +354,18 @@ def _verify_readers_and_fanout(plan: PackedPlan) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Generated source
-# ----------------------------------------------------------------------
-#: Parameters of each generated function, in order (the template scope --
-#: the only non-``v``/``c`` names the body may touch).
-_GENERATED_PARAMS = {
-    "binary_full": ("V", "mask"),
-    "binary_diff": ("V", "mask", "fi", "fw"),
-    "ternary_full": ("V", "C", "mask", "fi", "fm", "fv"),
-}
-
-_NET_LOCAL_RE = re.compile(r"^([vc])(\d+)$")
-
-
-def verify_generated_source(
-    source: str, plan: PackedPlan, name: str
-) -> List[str]:
-    """Problems of one generated evaluator function (empty list = valid).
-
-    Validates, before any ``exec()``:
-
-    * the module holds exactly one function, named ``name``, with the
-      template's parameter list;
-    * **single-assignment locals**: every ``v<i>``/``c<i>`` net local is
-      defined by exactly one top-level assignment (fault overlays may
-      conditionally rewrite a net, but only under an ``if fi == <i>``
-      guard targeting that same net);
-    * **def-before-use ordering**: the defining expression of a net local
-      only reads parameters and already-defined locals -- i.e. the emitted
-      rows respect the plan's topological order;
-    * **no template-scope collisions**: nothing assigns to a parameter and
-      no name outside parameters + net locals is referenced (an injected
-      builtin call or stray global is a verification failure, which also
-      makes the check a cheap guard against template injection);
-    * **output-word completeness**: full passes write every gate net back
-      into ``V`` (and ``C``), the diff function's return expression XORs
-      every plan output against the good block.
-    """
-    expected_params = _GENERATED_PARAMS.get(name)
-    if expected_params is None:
-        return [f"unknown generated function {name!r}"]
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as error:
-        return [f"{name}: generated source does not parse: {error}"]
-    if len(tree.body) != 1 or not isinstance(tree.body[0], ast.FunctionDef):
-        return [f"{name}: generated module must hold exactly one function"]
-    fn = tree.body[0]
-    problems: List[str] = []
-    if fn.name != name:
-        problems.append(f"{name}: function is named {fn.name!r}")
-    params = tuple(a.arg for a in fn.args.args)
-    if params != expected_params:
-        problems.append(
-            f"{name}: parameters {params!r} != template {expected_params!r}"
-        )
-    param_set = set(expected_params)
-    defined: Set[str] = set()
-    written_back: Dict[str, Set[int]] = {"V": set(), "C": set()}
-    returned: Optional[ast.Return] = None
-
-    def check_loads(node: ast.AST, lineno: int, context: str) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                ident = sub.id
-                if ident in param_set:
-                    continue
-                match = _NET_LOCAL_RE.match(ident)
-                if match is None:
-                    problems.append(
-                        f"{name}:{lineno}: {context} references "
-                        f"{ident!r}, outside the template scope"
-                    )
-                elif ident not in defined:
-                    problems.append(
-                        f"{name}:{lineno}: {context} reads {ident!r} "
-                        f"before its definition (def-before-use violated)"
-                    )
-
-    def overlay_net(test: ast.expr) -> Optional[int]:
-        """The net index of an ``fi == <k>`` overlay guard, else None."""
-        if (
-            isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name)
-            and test.left.id == "fi"
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Eq)
-            and isinstance(test.comparators[0], ast.Constant)
-            and isinstance(test.comparators[0].value, int)
-        ):
-            return test.comparators[0].value
-        return None
-
-    for stmt in fn.body:
-        lineno = stmt.lineno
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                ident = target.id
-                if ident in param_set:
-                    problems.append(
-                        f"{name}:{lineno}: assignment to parameter "
-                        f"{ident!r} collides with the template scope"
-                    )
-                    continue
-                if _NET_LOCAL_RE.match(ident) is None:
-                    problems.append(
-                        f"{name}:{lineno}: assignment to {ident!r}, "
-                        f"outside the net-local namespace"
-                    )
-                    continue
-                if ident in defined:
-                    problems.append(
-                        f"{name}:{lineno}: net local {ident!r} assigned "
-                        f"twice (single-assignment violated)"
-                    )
-                check_loads(stmt.value, lineno, f"definition of {ident!r}")
-                defined.add(ident)
-            elif (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and target.value.id in written_back
-                and isinstance(target.slice, ast.Constant)
-                and isinstance(target.slice.value, int)
-            ):
-                index = target.slice.value
-                word = target.value.id
-                check_loads(stmt.value, lineno, f"write-back {word}[{index}]")
-                expected_local = f"{'v' if word == 'V' else 'c'}{index}"
-                if not (
-                    isinstance(stmt.value, ast.Name)
-                    and stmt.value.id == expected_local
-                ):
-                    problems.append(
-                        f"{name}:{lineno}: {word}[{index}] must be written "
-                        f"from {expected_local!r}"
-                    )
-                written_back[word].add(index)
-            else:
-                problems.append(
-                    f"{name}:{lineno}: unexpected assignment target"
-                )
-        elif isinstance(stmt, ast.If):
-            net = overlay_net(stmt.test)
-            if net is None or stmt.orelse:
-                problems.append(
-                    f"{name}:{lineno}: only 'if fi == <net>' fault "
-                    f"overlays are allowed as conditionals"
-                )
-                continue
-            for inner in stmt.body:
-                target = getattr(inner, "target", None) or (
-                    inner.targets[0]
-                    if isinstance(inner, ast.Assign) and len(inner.targets) == 1
-                    else None
-                )
-                if not isinstance(
-                    inner, (ast.Assign, ast.AugAssign)
-                ) or not isinstance(target, ast.Name):
-                    problems.append(
-                        f"{name}:{inner.lineno}: overlay body must assign "
-                        f"a net local"
-                    )
-                    continue
-                match = _NET_LOCAL_RE.match(target.id)
-                if match is None or int(match.group(2)) != net:
-                    problems.append(
-                        f"{name}:{inner.lineno}: overlay guarded by "
-                        f"fi == {net} writes {target.id!r}"
-                    )
-                elif target.id not in defined:
-                    problems.append(
-                        f"{name}:{inner.lineno}: overlay rewrites "
-                        f"{target.id!r} before its definition"
-                    )
-                check_loads(inner.value, inner.lineno, "overlay expression")
-        elif isinstance(stmt, ast.Return):
-            if name != "binary_diff":
-                problems.append(
-                    f"{name}:{lineno}: unexpected return (full passes "
-                    f"write in place)"
-                )
-            elif stmt.value is None:
-                problems.append(f"{name}:{lineno}: bare return")
-            else:
-                returned = stmt
-                check_loads(stmt.value, lineno, "return expression")
-        else:
-            problems.append(
-                f"{name}:{lineno}: unexpected "
-                f"{type(stmt).__name__} statement"
-            )
-
-    problems.extend(
-        _verify_completeness(name, plan, defined, written_back, returned)
-    )
-    return problems
-
-
-def _verify_completeness(
-    name: str,
-    plan: PackedPlan,
-    defined: Set[str],
-    written_back: Dict[str, Set[int]],
-    returned: Optional[ast.Return],
-) -> List[str]:
-    """Output-word completeness of one generated function."""
-    problems: List[str] = []
-    prefixes = ("v", "c") if name == "ternary_full" else ("v",)
-    for i in range(plan.num_inputs):
-        for prefix in prefixes:
-            if f"{prefix}{i}" not in defined:
-                problems.append(
-                    f"{name}: input {plan.nets[i]!r} (index {i}) is never "
-                    f"seeded into {prefix}{i}"
-                )
-    gate_indices = [row[0] for row in plan.rows]
-    for output in gate_indices:
-        for prefix in prefixes:
-            if f"{prefix}{output}" not in defined:
-                problems.append(
-                    f"{name}: gate net {plan.nets[output]!r} (index "
-                    f"{output}) is never evaluated into {prefix}{output}"
-                )
-    if name in ("binary_full", "ternary_full"):
-        words = ("V", "C") if name == "ternary_full" else ("V",)
-        for word in words:
-            missing = [i for i in gate_indices if i not in written_back[word]]
-            if missing:
-                nets = ", ".join(plan.nets[i] for i in missing[:4])
-                problems.append(
-                    f"{name}: {len(missing)} gate word(s) never written "
-                    f"back into {word} (output-word completeness): {nets}"
-                )
-    else:  # binary_diff: the return expression must cover every output
-        covered: Set[int] = set()
-        if returned is not None and returned.value is not None:
-            for sub in ast.walk(returned.value):
-                if isinstance(sub, ast.Name):
-                    match = _NET_LOCAL_RE.match(sub.id)
-                    if match and match.group(1) == "v":
-                        covered.add(int(match.group(2)))
-            missing = [o for o in plan.output_indices if o not in covered]
-            if missing:
-                nets = ", ".join(plan.nets[o] for o in missing[:4])
-                problems.append(
-                    f"{name}: detection word ignores "
-                    f"{len(missing)} primary output(s): {nets}"
-                )
-        else:
-            problems.append(f"{name}: missing detection-word return")
-    return problems
-
-
-# ----------------------------------------------------------------------
 # The ir-verify rule: self-check over representative circuits
 # ----------------------------------------------------------------------
 def _run_ir_verify(context) -> List[Violation]:
-    """Verify netlist/plan/codegen invariants on representative circuits.
+    """Verify netlist/plan invariants on representative circuits.
 
     ``repro lint`` has no runtime artifacts to inspect, so the rule builds
     a spread of circuits (every gate arity class, both table and generic
-    rows, fixed seeds) and runs all three verifiers over each -- the same
-    functions the compiled backend and the mutation tests call.  Any
-    violation means the *builders* (netlist construction, plan compilation,
-    codegen) emit broken IR for some shape, caught here before a simulation
-    or a fuzz case ever runs one.
+    rows, fixed seeds) and runs both verifiers over each -- the same
+    functions the mutation tests call.  Any violation means the *builders*
+    (netlist construction, plan compilation) emit broken IR for some shape,
+    caught here before a simulation or a fuzz case ever runs one.
     """
-    from repro.circuits.backends.compiled import (
-        gen_binary_diff,
-        gen_binary_full,
-        gen_ternary_full,
-    )
     from repro.circuits.generator import random_netlist
     from repro.circuits.netlist import Gate, GateType
     from repro.circuits.ternary import packed_plan
@@ -673,16 +395,6 @@ def _run_ir_verify(context) -> List[Violation]:
         plan = packed_plan(netlist)
         for problem in verify_packed_plan(plan):
             violations.append(rule.violation(pseudo, 1, problem))
-        for generator, fn_name in (
-            (gen_binary_full, "binary_full"),
-            (gen_binary_diff, "binary_diff"),
-            (gen_ternary_full, "ternary_full"),
-        ):
-            source = generator(plan)
-            for problem in verify_generated_source(source, plan, fn_name):
-                violations.append(
-                    rule.violation(f"<codegen:{netlist.name}>", 1, problem)
-                )
     return violations
 
 
@@ -690,13 +402,13 @@ RULE_IR_VERIFY = register_rule(
     Rule(
         name="ir-verify",
         description=(
-            "netlist/PackedPlan structural invariants and compiled-backend "
-            "codegen validity over representative circuits"
+            "netlist/PackedPlan structural invariants over representative "
+            "circuits"
         ),
         run=_run_ir_verify,
         fix_hint=(
             "the IR builders emit inconsistent structures; fix the builder "
-            "(Netlist/PackedPlan/gen_*) rather than the verifier"
+            "(Netlist/PackedPlan) rather than the verifier"
         ),
     )
 )

@@ -1,17 +1,14 @@
 """Repo-specific AST lint rules over first-party ``src/`` and ``tests/``.
 
-Each rule encodes one discipline the codebase converged on over PRs 1-9
-and that used to be enforced only by review or by dynamic failure:
+Each rule encodes one discipline the codebase converged on and that used
+to be enforced only by review or by dynamic failure:
 
-* ``deprecated-flags`` -- the engine-backend registry (PR 9) replaced the
-  legacy boolean flags with ``engine=``/``fills=``; new call sites must
-  not reintroduce them.
 * ``dict-engine-hotpath`` -- the dict-based reference engine exists for
   differential checking; hot-path modules must go through the backend
   registry instead of calling it directly.
 * ``store-open`` -- ``results.jsonl`` and its writer lock are only safe
   under the fcntl discipline of :class:`repro.campaign.store.ResultStore`.
-* ``unordered-iteration`` -- fingerprints, cache keys and codegen must be
+* ``unordered-iteration`` -- fingerprints and cache keys must be
   bit-stable across processes; iterating a ``set`` there is a
   nondeterminism bug even when it happens to pass locally.
 * ``span-pairing`` -- telemetry spans must use the context-manager form so
@@ -22,8 +19,7 @@ and that used to be enforced only by review or by dynamic failure:
   grow without bound under campaign workloads.
 
 Rules only *report*; whether a finding is acceptable in context is a
-per-line ``# repro-lint: disable=<rule>`` decision at the call site (the
-deprecation tests do exactly that).
+per-line ``# repro-lint: disable=<rule>`` decision at the call site.
 """
 
 from __future__ import annotations
@@ -50,73 +46,8 @@ def _callee_name(call: ast.Call) -> str:
     return ""
 
 
-def _is_forwarding(keyword: ast.keyword) -> bool:
-    """``f(flag=flag)`` -- a shim passing a flag through under its own name."""
-    return (
-        isinstance(keyword.value, ast.Name)
-        and keyword.value.id == keyword.arg
-    )
-
-
 def _in_src(sf: SourceFile) -> bool:
     return sf.rel_path.startswith("src/")
-
-
-# ----------------------------------------------------------------------
-# deprecated-flags
-# ----------------------------------------------------------------------
-#: Legacy booleans flagged on any call; ``resolve_engine`` itself (the
-#: compatibility shim that maps them) is the one legitimate consumer.
-_LEGACY_FLAGS = frozenset({"use_packed", "use_events", "use_cones", "batch_fills"})
-#: ``batched=`` only ever meant a legacy engine toggle on this entry point;
-#: elsewhere the name is an ordinary parameter (e.g. the controller's
-#: batched-decompressor strategy).
-_BATCHED_CALLEES = frozenset({"simulate_decompression"})
-
-
-def _run_deprecated_flags(context: LintContext) -> List[Violation]:
-    violations: List[Violation] = []
-    for sf in context.files:
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _callee_name(node)
-            for keyword in node.keywords:
-                if keyword.arg is None:
-                    continue
-                legacy = keyword.arg in _LEGACY_FLAGS or (
-                    keyword.arg == "batched" and callee in _BATCHED_CALLEES
-                )
-                if not legacy:
-                    continue
-                if callee == "resolve_engine" or _is_forwarding(keyword):
-                    continue
-                line = keyword.value.lineno
-                violations.append(
-                    RULE_DEPRECATED_FLAGS.violation(
-                        sf.rel_path,
-                        line,
-                        f"legacy engine flag {keyword.arg}= passed to "
-                        f"{callee or 'a call'}()",
-                    )
-                )
-    return violations
-
-
-RULE_DEPRECATED_FLAGS = register_rule(
-    Rule(
-        name="deprecated-flags",
-        description=(
-            "legacy boolean engine flags (use_packed/use_events/use_cones/"
-            "batched/batch_fills) at first-party call sites"
-        ),
-        run=_run_deprecated_flags,
-        fix_hint=(
-            "select backends with engine='reference'|'packed'|'events'|"
-            "'compiled' and fills='batched'|'per-pattern'"
-        ),
-    )
-)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +112,7 @@ RULE_DICT_ENGINE_HOTPATH = register_rule(
         ),
         run=_run_dict_engine_hotpath,
         fix_hint=(
-            "go through the backend registry (get_backend/resolve_engine or "
+            "go through the backend registry (get_backend or "
             "engine='reference') so engine selection stays uniform"
         ),
     )
@@ -244,19 +175,10 @@ RULE_STORE_OPEN = register_rule(
 # ----------------------------------------------------------------------
 # unordered-iteration
 # ----------------------------------------------------------------------
-#: Functions whose output must be bit-stable across processes: hash-feeding
-#: (fingerprint/cache-key) and source-emitting (codegen ``gen_*``).
-_CODEGEN_MODULE = "src/repro/circuits/backends/compiled.py"
-
-
-def _is_determinism_sensitive(fn: ast.FunctionDef, sf: SourceFile) -> bool:
+def _is_determinism_sensitive(fn: ast.FunctionDef) -> bool:
+    """Hash-feeding functions, whose output must be stable across processes."""
     name = fn.name.lower()
-    return (
-        "fingerprint" in name
-        or "cache_key" in name
-        or name.startswith("gen_")
-        or sf.rel_path == _CODEGEN_MODULE
-    )
+    return "fingerprint" in name or "cache_key" in name
 
 
 def _is_set_expression(node: ast.expr) -> bool:
@@ -287,7 +209,7 @@ def _run_unordered_iteration(context: LintContext) -> List[Violation]:
         for node in ast.walk(sf.tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
-            if not _is_determinism_sensitive(node, sf):
+            if not _is_determinism_sensitive(node):
                 continue
             for iter_expr, lineno in _iter_sites(node):
                 if _is_set_expression(iter_expr):
@@ -306,8 +228,8 @@ RULE_UNORDERED_ITERATION = register_rule(
     Rule(
         name="unordered-iteration",
         description=(
-            "set iteration feeding fingerprint()/cache_key()/codegen "
-            "emission (cross-process nondeterminism)"
+            "set iteration feeding fingerprint()/cache_key() "
+            "(cross-process nondeterminism)"
         ),
         run=_run_unordered_iteration,
         fix_hint="wrap the iterable in sorted(...) to pin the order",
@@ -433,7 +355,7 @@ RULE_BOUNDED_CACHE = register_rule(
         ),
         run=_run_bounded_cache,
         fix_hint=(
-            "use repro.lru.LRUCache(bound) (stats included) or a "
+            "use repro.lru.LRUCache(bound) or a "
             "weakref.WeakKeyDictionary for identity-keyed plans"
         ),
     )

@@ -1,4 +1,4 @@
-"""Engine-backend registry: conformance, shims, env default, compiled LRU.
+"""Engine-backend registry: conformance, dispatch hints, env default.
 
 The conformance classes are parametrized over every registered backend and
 compare against ``engine="reference"`` (the frozen pre-registry golden
@@ -6,21 +6,14 @@ path) on randomized netlists -- the executable form of the registry's
 bit-identical-by-contract promise.
 """
 
-import warnings
-
 import pytest
 
 from repro.circuits.atpg import PodemAtpg
 from repro.circuits.backends import (
     DEFAULT_ENGINE,
-    EVALUATOR_CACHE_SIZE,
     backend_names,
-    clear_evaluator_cache,
-    compiled_evaluator,
     default_backend_name,
-    evaluator_cache_stats,
     get_backend,
-    resolve_engine,
 )
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
@@ -78,13 +71,16 @@ class TestConformance:
                 ) == simulate_ternary_reference(netlist, assignment)
 
     def test_parallel_simulation_matches_single(self, engine):
+        # Binary evaluation is the shared packed core; on fully specified
+        # inputs it must agree with every backend's ternary simulation.
         netlist = random_netlist("conf", num_inputs=9, num_gates=40, seed=21)
         patterns = _random_patterns(netlist, 21, count=12)
         words = simulate_parallel(
-            netlist, pack_patterns(netlist, patterns), len(patterns), engine=engine
+            netlist, pack_patterns(netlist, patterns), len(patterns)
         )
         for position, pattern in enumerate(patterns):
-            single = simulate(netlist, pattern, engine=engine)
+            single = simulate(netlist, pattern)
+            assert simulate_ternary(netlist, pattern, engine=engine) == single
             for net, value in single.items():
                 assert (words[net] >> position) & 1 == value
 
@@ -127,17 +123,36 @@ class TestConformance:
         assert block.detected == reference.detected
 
     def test_podem_run_matches_reference(self, engine):
-        for seed in (61, 62):
+        for num_inputs, num_gates, seed, backtrack_limit in (
+            (8, 35, 61, 200),
+            (8, 35, 62, 200),
+            # PODEM aborts g15/sa1 and g55/sa0 here and a later random
+            # fill detects both: they must be listed as detected only.
+            (10, 60, 1, 5),
+        ):
             netlist = random_netlist(
-                "conf", num_inputs=8, num_gates=35, seed=seed
+                "conf", num_inputs=num_inputs, num_gates=num_gates, seed=seed
             )
-            result = PodemAtpg(netlist, engine=engine).run(fill_seed=seed)
-            reference = PodemAtpg(netlist, engine="reference").run(fill_seed=seed)
+            result = PodemAtpg(
+                netlist, backtrack_limit=backtrack_limit, engine=engine
+            ).run(fill_seed=seed)
+            reference = PodemAtpg(
+                netlist, backtrack_limit=backtrack_limit, engine="reference"
+            ).run(fill_seed=seed)
             assert result.test_set.cubes == reference.test_set.cubes
             assert result.detected == reference.detected
             assert result.redundant == reference.redundant
             assert result.aborted == reference.aborted
             assert result.total_faults == reference.total_faults
+            detected = set(result.detected)
+            redundant = set(result.redundant)
+            aborted = set(result.aborted)
+            assert not detected & redundant
+            assert not detected & aborted
+            assert not redundant & aborted
+            assert len(detected) + len(redundant) + len(aborted) == (
+                result.total_faults
+            )
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +160,7 @@ class TestConformance:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_builtin_backends_registered(self):
-        assert backend_names() == ("reference", "packed", "events", "compiled")
+        assert backend_names() == ("reference", "packed", "events")
 
     def test_unknown_engine_lists_registered_backends(self):
         with pytest.raises(ValueError, match="registered backends: reference"):
@@ -157,7 +172,6 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         assert default_backend_name() == "reference"
         assert get_backend().name == "reference"
-        assert resolve_engine() == "reference"
 
     def test_unknown_environment_engine_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "turbo")
@@ -168,7 +182,6 @@ class TestRegistry:
         assert get_backend("reference").fills == "per-pattern"
         assert get_backend("packed").fills == "per-pattern"
         assert get_backend("events").fills == "batched"
-        assert get_backend("compiled").fills == "batched"
         assert not get_backend("reference").batched_decompressor
         assert get_backend("events").batched_decompressor
 
@@ -177,139 +190,10 @@ class TestRegistry:
             CompressionConfig(engine="turbo")
         default = CompressionConfig()
         assert "engine" not in default.to_dict()
-        pinned = CompressionConfig(engine="compiled")
-        assert pinned.to_dict()["engine"] == "compiled"
+        pinned = CompressionConfig(engine="packed")
+        assert pinned.to_dict()["engine"] == "packed"
         # The engine can never change an encoding, so the encode key
         # ignores it and old stored cache keys stay valid.
         assert "engine" not in pinned.encode_dict()
         assert default.cache_key() != pinned.cache_key()
         assert default.encode_cache_key() == pinned.encode_cache_key()
-
-
-# ----------------------------------------------------------------------
-# Deprecated boolean-flag shims
-# ----------------------------------------------------------------------
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _default_engine(self, monkeypatch):
-        # Flag resolution picks the slowest of {process default, implied
-        # engine}, so pin the documented default: a REPRO_ENGINE=reference
-        # run would legitimately outrank every flag.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-
-    def test_use_packed_false_selects_reference(self):
-        netlist = random_netlist("shim", num_inputs=6, num_gates=20, seed=1)
-        with pytest.warns(DeprecationWarning, match="use_packed=False"):
-            # repro-lint: disable=deprecated-flags
-            atpg = PodemAtpg(netlist, use_packed=False)
-        assert atpg.engine == "reference"
-
-    def test_use_events_false_selects_packed(self):
-        netlist = random_netlist("shim", num_inputs=6, num_gates=20, seed=1)
-        with pytest.warns(DeprecationWarning, match="engine='packed'"):
-            # repro-lint: disable=deprecated-flags
-            atpg = PodemAtpg(netlist, use_events=False)
-        assert atpg.engine == "packed"
-
-    def test_use_cones_shim_on_fault_simulator(self):
-        netlist = random_netlist("shim", num_inputs=6, num_gates=20, seed=1)
-        with pytest.warns(DeprecationWarning, match="use_cones=False"):
-            # repro-lint: disable=deprecated-flags
-            simulator = FaultSimulator(netlist, use_cones=False)
-        assert simulator.engine == "packed"
-        with pytest.warns(DeprecationWarning, match="use_cones=True"):
-            # repro-lint: disable=deprecated-flags
-            simulator = FaultSimulator(netlist, use_cones=True)
-        assert simulator.engine == "events"
-
-    def test_one_warning_per_flag(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolved = resolve_engine(use_packed=False, use_events=False)
-        assert resolved == "reference"
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-
-    def test_engine_wins_over_legacy_flags(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_engine("compiled", use_packed=False) == "compiled"
-
-    def test_batched_flag_maps_to_reference(self):
-        with pytest.warns(DeprecationWarning, match="batched=False"):
-            assert resolve_engine(batched=False) == "reference"
-
-    def test_unknown_legacy_flag_raises(self):
-        with pytest.raises(TypeError, match="unknown legacy engine flag"):
-            resolve_engine(use_warp=False)
-
-    def test_batch_fills_shim_on_run(self):
-        netlist = random_netlist("shim", num_inputs=6, num_gates=20, seed=2)
-        with pytest.warns(DeprecationWarning, match="batch_fills"):
-            # repro-lint: disable=deprecated-flags
-            shimmed = PodemAtpg(netlist).run(fill_seed=3, batch_fills=False)
-        plain = PodemAtpg(netlist).run(fill_seed=3, fills="per-pattern")
-        assert shimmed.test_set.cubes == plain.test_set.cubes
-
-    def test_no_warning_without_flags(self):
-        netlist = random_netlist("shim", num_inputs=6, num_gates=20, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            PodemAtpg(netlist, engine="events").run(fill_seed=1)
-            FaultSimulator(netlist, engine="compiled")
-            resolve_engine("packed")
-
-
-# ----------------------------------------------------------------------
-# Compiled-evaluator LRU
-# ----------------------------------------------------------------------
-class TestCompiledCache:
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        clear_evaluator_cache()
-        yield
-        clear_evaluator_cache()
-
-    def test_same_structure_hits_any_name_or_identity(self):
-        a = random_netlist("one", num_inputs=6, num_gates=20, seed=5)
-        b = random_netlist("two", num_inputs=6, num_gates=20, seed=5)
-        assert a.fingerprint() == b.fingerprint()
-        first = compiled_evaluator(a)
-        assert compiled_evaluator(b) is first
-        stats = evaluator_cache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_different_structure_misses(self):
-        a = random_netlist("one", num_inputs=6, num_gates=20, seed=5)
-        b = random_netlist("one", num_inputs=6, num_gates=20, seed=6)
-        assert a.fingerprint() != b.fingerprint()
-        assert compiled_evaluator(a) is not compiled_evaluator(b)
-        stats = evaluator_cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 2
-
-    def test_cache_is_bounded_and_evicts_lru(self):
-        netlists = [
-            random_netlist("n", num_inputs=5, num_gates=12, seed=seed)
-            for seed in range(EVALUATOR_CACHE_SIZE + 3)
-        ]
-        for netlist in netlists:
-            compiled_evaluator(netlist)
-        stats = evaluator_cache_stats()
-        assert stats["size"] == EVALUATOR_CACHE_SIZE == stats["capacity"]
-        assert stats["evictions"] == 3
-        # The oldest entries were evicted: re-requesting the first netlist
-        # is a miss, the most recent one a hit.
-        before = evaluator_cache_stats()["misses"]
-        compiled_evaluator(netlists[0])
-        assert evaluator_cache_stats()["misses"] == before + 1
-        before_hits = evaluator_cache_stats()["hits"]
-        compiled_evaluator(netlists[-1])
-        assert evaluator_cache_stats()["hits"] == before_hits + 1
-
-    def test_compiled_functions_are_reused(self):
-        netlist = random_netlist("n", num_inputs=6, num_gates=20, seed=9)
-        evaluator = compiled_evaluator(netlist)
-        assert evaluator.binary_full() is evaluator.binary_full()
-        assert evaluator.ternary_full() is evaluator.ternary_full()
-        assert evaluator.binary_diff() is evaluator.binary_diff()

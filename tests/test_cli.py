@@ -133,21 +133,21 @@ class TestAtpgCommand:
         assert "collapsed faults" in capsys.readouterr().out
 
     def test_atpg_engine_flags_agree(self, tmp_path, capsys):
-        """--no-events and --reference produce the default engine's cubes."""
+        """--engine packed and --engine reference produce the default's cubes."""
         outputs = {}
-        for flag in ("default", "--no-events", "--reference"):
-            out_path = tmp_path / f"{flag.strip('-')}.tests"
+        for engine in ("default", "packed", "reference"):
+            out_path = tmp_path / f"{engine}.tests"
             argv = [
                 "atpg", "--inputs", "10", "--gates", "40", "--seed", "4",
                 "--output", str(out_path),
             ]
-            if flag != "default":
-                argv.append(flag)
+            if engine != "default":
+                argv += ["--engine", engine]
             assert main(argv) == 0
-            outputs[flag] = out_path.read_text()
+            outputs[engine] = out_path.read_text()
         capsys.readouterr()
-        assert outputs["default"] == outputs["--no-events"]
-        assert outputs["default"] == outputs["--reference"]
+        assert outputs["default"] == outputs["packed"]
+        assert outputs["default"] == outputs["reference"]
 
 
 class TestProfileStats:
@@ -205,9 +205,6 @@ class TestBenchCommand:
 
         encoding = json.loads((out_dir / "BENCH_encoding.json").read_text())
         faultsim = json.loads((out_dir / "BENCH_faultsim.json").read_text())
-        faultsim_compiled = json.loads(
-            (out_dir / "BENCH_faultsim-compiled.json").read_text()
-        )
         atpg = json.loads((out_dir / "BENCH_atpg.json").read_text())
         atpg_events = json.loads((out_dir / "BENCH_atpg-events.json").read_text())
         embedding = json.loads((out_dir / "BENCH_embedding.json").read_text())
@@ -217,10 +214,6 @@ class TestBenchCommand:
         )
         assert encoding["kernel"] == "encoding" and encoding["cases"]
         assert faultsim["kernel"] == "faultsim" and faultsim["cases"]
-        assert (
-            faultsim_compiled["kernel"] == "faultsim-compiled"
-            and faultsim_compiled["cases"]
-        )
         assert atpg["kernel"] == "atpg" and atpg["cases"]
         assert atpg_events["kernel"] == "atpg-events" and atpg_events["cases"]
         assert embedding["kernel"] == "embedding" and embedding["cases"]
@@ -229,7 +222,6 @@ class TestBenchCommand:
         all_cases = (
             encoding["cases"]
             + faultsim["cases"]
-            + faultsim_compiled["cases"]
             + atpg["cases"]
             + atpg_events["cases"]
             + embedding["cases"]
@@ -243,7 +235,7 @@ class TestBenchCommand:
         # The optimized engines must beat their in-repo references.
         # (telemetry-overhead is excluded: its "speedup" is the
         # enabled/disabled recorder ratio, expected to hover near 1.)
-        for report in (faultsim_compiled, atpg, atpg_events, embedding, context):
+        for report in (atpg, atpg_events, embedding, context):
             for case in report["cases"]:
                 assert case["speedup"] > 1.0
         # Results land in the campaign store with elapsed_s populated.

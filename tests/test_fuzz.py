@@ -38,8 +38,6 @@ class TestRegistry:
             "event-propagate",
             "podem-events",
             "podem-packed",
-            "sim-compiled",
-            "faultsim-compiled",
             "drop-batch",
             "solver-batch",
             "embedding",

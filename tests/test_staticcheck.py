@@ -2,10 +2,10 @@
 
 Three groups, mirroring the analyzer layers:
 
-* **IR/codegen mutation tests** -- plant known corruption classes into a
-  netlist, its :class:`PackedPlan` and the compiled backend's generated
-  source, and assert each is caught with a precise, actionable message
-  (a verifier that only says "invalid" is useless at 20k gates).
+* **IR mutation tests** -- plant known corruption classes into a netlist
+  and its :class:`PackedPlan`, and assert each is caught with a precise,
+  actionable message (a verifier that only says "invalid" is useless at
+  20k gates).
 * **Source-rule tests** -- plant one violation per rule into a throwaway
   mini-repo and assert the rule reports it with rule-id and file:line,
   plus the suppression-comment and clean-HEAD contracts.
@@ -16,24 +16,13 @@ Three groups, mirroring the analyzer layers:
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.circuits.backends.compiled import (
-    CompiledEvaluator,
-    gen_binary_diff,
-    gen_binary_full,
-    gen_ternary_full,
-    set_codegen_verify,
-)
 from repro.circuits.generator import random_netlist
 from repro.circuits.netlist import Gate, GateType, Netlist
 from repro.circuits.ternary import PackedPlan
 from repro.cli import main
 from repro.staticcheck import (
-    IrVerificationError,
     RULES,
     run_lint,
-    verify_generated_source,
     verify_netlist,
     verify_packed_plan,
 )
@@ -67,18 +56,9 @@ class TestVerifiersPassOnValidIr:
         assert verify_netlist(netlist) == []
         assert verify_packed_plan(PackedPlan(netlist)) == []
 
-    def test_generated_sources_clean(self):
-        plan = PackedPlan(_fresh_netlist())
-        for generator, name in (
-            (gen_binary_full, "binary_full"),
-            (gen_binary_diff, "binary_diff"),
-            (gen_ternary_full, "ternary_full"),
-        ):
-            assert verify_generated_source(generator(plan), plan, name) == []
-
 
 # ----------------------------------------------------------------------
-# IR/codegen mutation classes (>= 6, each with a precise message)
+# IR mutation classes (>= 6, each with a precise message)
 # ----------------------------------------------------------------------
 class TestIrCorruptionClasses:
     def test_cycle_detected(self):
@@ -139,105 +119,13 @@ class TestIrCorruptionClasses:
             for p in problems
         )
 
-    def test_duplicate_codegen_local_detected(self):
-        plan = PackedPlan(_tiny_netlist())
-        lines = gen_binary_full(plan).splitlines()
-        gate_line = next(
-            i for i, line in enumerate(lines)
-            if line.startswith(f"    v{plan.num_inputs} = ")
-        )
-        lines.insert(gate_line + 1, lines[gate_line])
-        problems = verify_generated_source(
-            "\n".join(lines), plan, "binary_full"
-        )
-        assert any(
-            f"'v{plan.num_inputs}' assigned twice" in p for p in problems
-        )
-
     def test_missing_output_assignment_detected(self):
         plan = PackedPlan(_tiny_netlist())
-        lines = gen_binary_full(plan).splitlines()
-        dropped = [line for line in lines if not line.startswith("    V[")]
-        problems = verify_generated_source(
-            "\n".join(dropped), plan, "binary_full"
+        plan.output_indices = plan.output_indices[:-1]
+        problems = verify_packed_plan(plan)
+        assert any(
+            "0 output indices for 1 netlist outputs" in p for p in problems
         )
-        assert any("never written back into V" in p for p in problems)
-
-    def test_def_before_use_in_codegen_detected(self):
-        plan = PackedPlan(_tiny_netlist())
-        lines = gen_binary_full(plan).splitlines()
-        # Hoist the last gate assignment above the first: it reads a local
-        # that is no longer defined yet.
-        assigns = [
-            i for i, line in enumerate(lines)
-            if line.startswith("    v") and "=" in line
-        ]
-        lines.insert(assigns[0], lines.pop(assigns[-1]))
-        problems = verify_generated_source(
-            "\n".join(lines), plan, "binary_full"
-        )
-        assert any("def-before-use" in p for p in problems)
-
-    def test_template_scope_collision_detected(self):
-        plan = PackedPlan(_tiny_netlist())
-        source = gen_binary_full(plan) + "\n    mask = 0"
-        problems = verify_generated_source(source, plan, "binary_full")
-        assert any("collides with the template scope" in p for p in problems)
-
-    def test_foreign_name_reference_detected(self):
-        plan = PackedPlan(_tiny_netlist())
-        source = gen_binary_full(plan).replace(
-            "    v0 = V[0]", "    v0 = __import__('os') and V[0]", 1
-        )
-        problems = verify_generated_source(source, plan, "binary_full")
-        assert any("outside the template scope" in p for p in problems)
-
-    def test_diff_return_must_cover_outputs(self):
-        plan = PackedPlan(_tiny_netlist())
-        lines = gen_binary_diff(plan).splitlines()
-        lines[-1] = "    return 0 & mask"
-        problems = verify_generated_source(
-            "\n".join(lines), plan, "binary_diff"
-        )
-        assert any("detection word ignores" in p for p in problems)
-
-
-# ----------------------------------------------------------------------
-# The verify=True hook in the compiled backend
-# ----------------------------------------------------------------------
-class TestCodegenVerifyHook:
-    def test_valid_codegen_builds_under_verify(self):
-        evaluator = CompiledEvaluator(_fresh_netlist(), verify=True)
-        evaluator.binary_full()
-        evaluator.binary_diff()
-        evaluator.ternary_full()
-
-    def test_corrupted_codegen_raises_before_exec(self, monkeypatch):
-        import repro.circuits.backends.compiled as compiled_module
-
-        netlist = _tiny_netlist()
-        plan = PackedPlan(netlist)
-        broken = "\n".join(gen_binary_full(plan).splitlines()[:-1])
-        monkeypatch.setattr(
-            compiled_module, "gen_binary_full", lambda plan: broken
-        )
-        evaluator = CompiledEvaluator(netlist, verify=True)
-        with pytest.raises(IrVerificationError) as excinfo:
-            evaluator.binary_full()
-        assert "never written back" in str(excinfo.value)
-        assert excinfo.value.problems
-
-    def test_env_toggle(self, monkeypatch):
-        from repro.circuits.backends.compiled import codegen_verify_enabled
-
-        set_codegen_verify(None)
-        monkeypatch.setenv("REPRO_VERIFY_CODEGEN", "1")
-        assert codegen_verify_enabled() is True
-        monkeypatch.setenv("REPRO_VERIFY_CODEGEN", "0")
-        assert codegen_verify_enabled() is False
-        set_codegen_verify(True)
-        assert codegen_verify_enabled() is True
-        set_codegen_verify(None)
 
 
 # ----------------------------------------------------------------------
@@ -250,30 +138,6 @@ def _write(root: Path, rel: str, text: str) -> None:
 
 
 class TestSourceRules:
-    def test_deprecated_flag_reported_with_location(self, tmp_path):
-        _write(
-            tmp_path, "src/bad_flags.py",
-            "def f(atpg):\n"
-            "    atpg.run(batch_fills=True)\n"
-            "    sim = FaultSimulator(n, use_cones=False)\n",
-        )
-        report = run_lint(tmp_path, paths=[tmp_path / "src"])
-        found = {(v.path, v.line) for v in report.violations
-                 if v.rule == "deprecated-flags"}
-        assert ("src/bad_flags.py", 2) in found
-        assert ("src/bad_flags.py", 3) in found
-
-    def test_forwarding_shim_not_flagged(self, tmp_path):
-        _write(
-            tmp_path, "src/shim.py",
-            "def run(batch_fills=None):\n"
-            "    inner.run(batch_fills=batch_fills)\n"
-            "    resolve_engine(use_packed=False)\n",
-        )
-        report = run_lint(tmp_path, paths=[tmp_path / "src"])
-        assert not [v for v in report.violations
-                    if v.rule == "deprecated-flags"]
-
     def test_bare_store_open_reported(self, tmp_path):
         _write(
             tmp_path, "src/peek.py",
@@ -364,10 +228,9 @@ class TestSourceRules:
     def test_suppression_comment_honored(self, tmp_path):
         _write(
             tmp_path, "src/sup.py",
-            "def f(atpg):\n"
-            "    atpg.run(batch_fills=True)  # repro-lint: disable=deprecated-flags\n"
-            "    # repro-lint: disable=deprecated-flags\n"
-            "    atpg.run(batch_fills=False)\n",
+            "_A_CACHE = {}  # repro-lint: disable=bounded-cache\n"
+            "# repro-lint: disable=bounded-cache\n"
+            "_B_CACHE = {}\n",
         )
         report = run_lint(tmp_path, paths=[tmp_path / "src"])
         assert not report.violations
@@ -399,14 +262,14 @@ class TestRepoContracts:
         recorder = Recorder(run_id="lint-test")
         with use_recorder(recorder):
             run_lint(tmp_path, paths=[tmp_path / "src"],
-                     rules=["deprecated-flags"])
+                     rules=["bounded-cache"])
         counters = recorder.metrics.counters
         assert counters.get("lint.files") == 1
         assert counters.get("lint.violations") == 0
 
     def test_rule_registry_complete(self):
         assert {
-            "ir-verify", "deprecated-flags", "dict-engine-hotpath",
+            "ir-verify", "dict-engine-hotpath",
             "store-open", "unordered-iteration", "span-pairing",
             "bounded-cache", "worker-shared-state",
         } <= set(RULES)
@@ -427,12 +290,12 @@ class TestLintCli:
     ):
         _write(
             tmp_path, "src/bad.py",
-            "def f(atpg):\n    atpg.run(batch_fills=True)\n",
+            "import os\n_X_CACHE = {}\n",
         )
         code = main(["lint", "--root", str(tmp_path), str(tmp_path / "src")])
         out = capsys.readouterr().out
         assert code == 1
-        assert "src/bad.py:2: deprecated-flags " in out
+        assert "src/bad.py:2: bounded-cache " in out
 
     def test_exit_two_on_unknown_rule(self, tmp_path, capsys):
         _write(tmp_path, "src/ok.py", "x = 1\n")
@@ -452,7 +315,7 @@ class TestLintCli:
     def test_json_format(self, tmp_path, capsys):
         _write(
             tmp_path, "src/bad.py",
-            "def f(atpg):\n    atpg.run(batch_fills=True)\n",
+            "import os\n_X_CACHE = {}\n",
         )
         code = main([
             "lint", "--root", str(tmp_path), str(tmp_path / "src"),
@@ -461,26 +324,26 @@ class TestLintCli:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1 and payload["exit_code"] == 1
         [violation] = payload["violations"]
-        assert violation["rule"] == "deprecated-flags"
+        assert violation["rule"] == "bounded-cache"
         assert violation["path"] == "src/bad.py"
         assert violation["line"] == 2
 
     def test_fix_hints(self, tmp_path, capsys):
         _write(
             tmp_path, "src/bad.py",
-            "def f(atpg):\n    atpg.run(batch_fills=True)\n",
+            "import os\n_X_CACHE = {}\n",
         )
         code = main([
             "lint", "--root", str(tmp_path), str(tmp_path / "src"),
             "--fix-hints",
         ])
         assert code == 1
-        assert "hint: select backends with engine=" in capsys.readouterr().out
+        assert "hint: use repro.lru.LRUCache(bound)" in capsys.readouterr().out
 
     def test_rule_selection(self, tmp_path, capsys):
         _write(
             tmp_path, "src/bad.py",
-            "def f(atpg):\n    atpg.run(batch_fills=True)\n_X_CACHE = {}\n",
+            "def f(d):\n    return open(d / 'results.jsonl')\n_X_CACHE = {}\n",
         )
         code = main([
             "lint", "--root", str(tmp_path), str(tmp_path / "src"),
@@ -488,4 +351,4 @@ class TestLintCli:
         ])
         out = capsys.readouterr().out
         assert code == 1
-        assert "bounded-cache" in out and "deprecated-flags" not in out
+        assert "bounded-cache" in out and "store-open" not in out
