@@ -13,8 +13,6 @@ the reproduction had to pin down:
   (the effect Section 3.2 exploits).
 """
 
-import pytest
-
 from repro.reporting import format_table
 
 from conftest import publish
@@ -77,7 +75,7 @@ def test_alignment_model(benchmark, workbench):
 def test_fortuitous_embedding_share(benchmark, workbench):
     def run():
         reduction = workbench.reduce(CIRCUIT, WINDOW, SEGMENT_SIZE, SPEEDUP)
-        _, encoding = workbench.encoding(CIRCUIT, WINDOW)
+        encoding = workbench.encoding(CIRCUIT, WINDOW).encoding
         return reduction, encoding
 
     reduction, encoding = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -15,15 +15,10 @@ the paper's *trends* and that the magnitudes stay in the same few-hundred-GE
 regime.
 """
 
-import pytest
-
-from repro.decompressor.hardware import (
-    GateCostModel,
-    decompressor_cost,
-    soc_decompressor_cost,
-)
+from repro.decompressor.hardware import soc_decompressor_cost
 from repro.lfsr.lfsr import LFSR
 from repro.lfsr.state_skip import skip_cost_sweep
+from repro.pipeline import hardware
 from repro.reporting import format_table
 from repro.testdata import literature
 from repro.testdata.profiles import get_profile
@@ -64,16 +59,9 @@ def test_state_skip_circuit_cost_vs_k(benchmark):
 
 
 def _decompressor_report(workbench, circuit, window, segment_size, speedup):
-    encoder, _ = workbench.encoding(circuit, window)
-    reduction = workbench.reduce(circuit, window, segment_size, speedup)
-    return decompressor_cost(
-        transition=encoder.lfsr.transition,
-        speedup=speedup,
-        phase_shifter=encoder.phase_shifter,
-        chain_length=encoder.architecture.chain_length,
-        segment_size=segment_size,
-        segments_per_window=reduction.num_segments_per_window,
-        useful_segments_per_seed=[s.useful_segments for s in reduction.schedules],
+    return hardware(
+        workbench.encoding(circuit, window),
+        workbench.reduce(circuit, window, segment_size, speedup),
     )
 
 

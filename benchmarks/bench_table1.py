@@ -38,7 +38,7 @@ def _rows_for_circuit(workbench, circuit):
     )
     windows = WINDOWS + ([500] if full_runs_enabled() else [])
     for window in windows:
-        _, encoding = workbench.encoding(circuit, window)
+        encoding = workbench.encoding(circuit, window).encoding
         rows.append(
             {
                 "circuit": circuit,

@@ -24,7 +24,7 @@ def _rows_for_circuit(workbench, circuit):
     windows = [50, 200] + ([500] if full_runs_enabled() else [])
     rows = []
     for window in windows:
-        _, encoding = workbench.encoding(circuit, window)
+        encoding = workbench.encoding(circuit, window).encoding
         best = workbench.best_reduction(circuit, window, SEGMENT_SIZES, SPEEDUPS)
         published = literature.TABLE2[circuit][window]
         rows.append(

@@ -27,7 +27,7 @@ SPEEDUP = 24
 
 
 def _row(workbench, circuit):
-    _, encoding = workbench.encoding(circuit, WINDOW)
+    encoding = workbench.encoding(circuit, WINDOW).encoding
     reduction = workbench.reduce(circuit, WINDOW, SEGMENT_SIZE, SPEEDUP)
     published = literature.TABLE3[circuit]
     return {

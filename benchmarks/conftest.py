@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables or figures on the
 calibrated synthetic test sets.  Because the expensive step (window-based
 seed computation) is shared between many experiments -- Table 2, Table 4 and
-Fig. 4 all reuse the encodings of Table 1 -- a session-scoped
+the hardware experiments all reuse the encodings of Table 1 -- a session-scoped
 :class:`Workbench` caches one encoding per (circuit, window length) and the
 individual benchmarks only pay for the part they actually measure.
 
@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import pytest
 
-from repro.encoding.classical import encode_classical
-from repro.encoding.encoder import ReseedingEncoder
+from repro.config import CompressionConfig
+from repro.context import CompressionContext
 from repro.encoding.results import EncodingResult
-from repro.encoding.window import EncodingError
-from repro.skip.reduction import ReductionResult, reduce_sequence
+from repro.pipeline import StagedEncoding, encode, reduce
+from repro.skip.reduction import ReductionResult
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
 from repro.testdata.test_set import TestSet
@@ -65,12 +65,24 @@ def full_runs_enabled() -> bool:
 
 
 class Workbench:
-    """Session-wide cache of test sets, encoders and encodings."""
+    """Session-wide cache of test sets and encodings.
+
+    Every encoding and reduction runs through the staged pipeline
+    (:func:`repro.pipeline.encode` / :func:`repro.pipeline.reduce`) on one
+    shared :class:`~repro.context.CompressionContext`, so an (S, k) grid
+    over one encoding expands its seed windows once.
+    """
+
+    #: Window lengths a session encodes: classical (1), Tables 1-2 (50,
+    #: 200, plus 500 in full runs) and Table 3 (300).
+    WINDOWS = (1, 50, 200, 300, 500)
 
     def __init__(self):
         self._test_sets: Dict[str, TestSet] = {}
-        self._encodings: Dict[Tuple[str, int], Tuple[ReseedingEncoder, EncodingResult]] = {}
-        self._classical: Dict[str, EncodingResult] = {}
+        # Sized so no encoding of the session is ever evicted: a miss
+        # re-encodes (s38417 at L=200 takes ~30 s).
+        pairs = len(DEFAULT_SCALES) * len(self.WINDOWS)
+        self._context = CompressionContext(max_encodings=pairs, max_windows=pairs)
 
     # ------------------------------------------------------------------
     # Test sets
@@ -86,39 +98,22 @@ class Workbench:
     # ------------------------------------------------------------------
     # Encodings
     # ------------------------------------------------------------------
-    def encoding(self, circuit: str, window_length: int):
-        """The (encoder, encoding) pair for a circuit and window size."""
-        key = (circuit, window_length)
-        if key not in self._encodings:
-            profile = get_profile(circuit)
-            test_set = self.test_set(circuit)
-            last_error = None
-            for attempt in range(5):
-                encoder = ReseedingEncoder(
-                    num_cells=profile.scan_cells,
-                    num_scan_chains=profile.scan_chains,
-                    lfsr_size=profile.lfsr_size,
-                    window_length=window_length,
-                    phase_seed=2008 + attempt,
-                )
-                try:
-                    self._encodings[key] = (encoder, encoder.encode(test_set))
-                    break
-                except EncodingError as error:
-                    last_error = error
-            else:
-                raise last_error
-        return self._encodings[key]
+    def encoding(self, circuit: str, window_length: int) -> StagedEncoding:
+        """The staged encoding of a circuit at one window size."""
+        profile = get_profile(circuit)
+        config = CompressionConfig(
+            window_length=window_length,
+            segment_size=1,
+            num_scan_chains=profile.scan_chains,
+            lfsr_size=profile.lfsr_size,
+        )
+        return encode(
+            self.test_set(circuit), config, context=self._context, verify=False
+        )
 
     def classical(self, circuit: str) -> EncodingResult:
-        if circuit not in self._classical:
-            profile = get_profile(circuit)
-            self._classical[circuit] = encode_classical(
-                self.test_set(circuit),
-                num_scan_chains=profile.scan_chains,
-                lfsr_size=profile.lfsr_size,
-            )
-        return self._classical[circuit]
+        """Classical reseeding: the window-based encoder at L=1."""
+        return self.encoding(circuit, 1).encoding
 
     # ------------------------------------------------------------------
     # Reductions
@@ -131,14 +126,13 @@ class Workbench:
         speedup: int,
         **kwargs,
     ) -> ReductionResult:
-        encoder, encoding = self.encoding(circuit, window_length)
-        return reduce_sequence(
-            encoding,
-            self.test_set(circuit),
-            encoder.equations,
-            segment_size,
-            speedup,
-            **kwargs,
+        """State Skip reduction; ``kwargs`` are further config fields."""
+        encoded = self.encoding(circuit, window_length)
+        return reduce(
+            encoded,
+            encoded.config.with_updates(
+                segment_size=segment_size, speedup=speedup, **kwargs
+            ),
         )
 
     def best_reduction(

@@ -13,12 +13,12 @@ custom transition matrix or a hand-crafted phase shifter).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import EncodingResult
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
-from repro.encoding.window import WindowEncoder
+from repro.encoding.window import EncodingError, WindowEncoder
 from repro.lfsr.lfsr import LFSR
 from repro.lfsr.phase_shifter import PhaseShifter
 from repro.scan.architecture import ScanArchitecture
@@ -133,6 +133,72 @@ class ReseedingEncoder:
         return self._window_encoder.encode(test_set)
 
 
+def encode_with_retries(
+    test_set: TestSet,
+    substrate_source: Callable[[SubstrateKey], EncoderSubstrate],
+    num_scan_chains: int,
+    lfsr_size: int,
+    window_length: int,
+    phase_taps: int = 3,
+    phase_seed: int = 2008,
+    fill_seed: int = 2008,
+    max_phase_retries: int = 4,
+) -> Tuple[EncoderSubstrate, EncodingResult]:
+    """Encode a test set, retrying with fresh phase shifters on hard conflicts.
+
+    Structural linear dependencies occasionally make one cube unencodable for
+    a particular phase shifter (the classical reseeding failure mode that the
+    ``s_max`` margin guards against probabilistically).  When that happens
+    the phase shifter is rebuilt with the next RNG seed -- attempt ``a``
+    uses ``phase_seed + a`` -- and the encoding is retried, up to
+    ``max_phase_retries`` times: exactly what a DFT engineer would do.
+
+    ``substrate_source`` maps each attempt's :class:`SubstrateKey` to its
+    substrate: :meth:`repro.context.CompressionContext.substrate` serves
+    previously seen phase seeds from a cache, :class:`EncoderSubstrate`
+    builds a fresh one.  Returns the winning substrate with its encoding;
+    raises a descriptive :class:`EncodingError` chained to the last
+    attempt's error when every attempt fails.
+    """
+    last_error: Optional[EncodingError] = None
+    attempts = max_phase_retries + 1
+    for attempt in range(attempts):
+        key = SubstrateKey(
+            num_cells=test_set.num_cells,
+            num_scan_chains=num_scan_chains,
+            lfsr_size=lfsr_size,
+            window_length=window_length,
+            phase_taps=phase_taps,
+            phase_seed=phase_seed + attempt,
+        )
+        substrate = substrate_source(key)
+        encoder = ReseedingEncoder(
+            num_cells=key.num_cells,
+            num_scan_chains=key.num_scan_chains,
+            lfsr_size=key.lfsr_size,
+            window_length=key.window_length,
+            phase_taps=key.phase_taps,
+            phase_seed=key.phase_seed,
+            fill_seed=fill_seed,
+            substrate=substrate,
+        )
+        try:
+            return substrate, encoder.encode(test_set)
+        except EncodingError as error:
+            last_error = error
+    if last_error is None:
+        raise ValueError(
+            f"no encoding attempt was made for {test_set.name!r}: "
+            f"max_phase_retries={max_phase_retries} allows "
+            f"{attempts} attempts"
+        )
+    raise EncodingError(
+        f"all {attempts} phase-shifter attempts failed for "
+        f"{test_set.name!r} (lfsr_size={lfsr_size}, "
+        f"window_length={window_length}): {last_error}"
+    ) from last_error
+
+
 def encode_test_set(
     test_set: TestSet,
     window_length: int,
@@ -146,31 +212,20 @@ def encode_test_set(
     """One-call window-based encoding of a test set.
 
     ``lfsr_size`` defaults to ``s_max + 8`` (margin over the densest cube).
-
-    Structural linear dependencies occasionally make one cube unencodable for
-    a particular phase shifter (the classical reseeding failure mode that the
-    ``s_max`` margin guards against probabilistically).  When that happens
-    the phase shifter is rebuilt with the next RNG seed and the encoding is
-    retried, up to ``max_phase_retries`` times -- exactly what a DFT engineer
-    would do.
+    Hard conflicts are retried with fresh phase shifters
+    (:func:`encode_with_retries`).
     """
-    from repro.encoding.window import EncodingError
-
     if lfsr_size is None:
         lfsr_size = test_set.max_specified() + 8
-    last_error: Optional[EncodingError] = None
-    for attempt in range(max_phase_retries + 1):
-        encoder = ReseedingEncoder(
-            num_cells=test_set.num_cells,
-            num_scan_chains=num_scan_chains,
-            lfsr_size=lfsr_size,
-            window_length=window_length,
-            phase_taps=phase_taps,
-            phase_seed=phase_seed + attempt,
-            fill_seed=fill_seed,
-        )
-        try:
-            return encoder.encode(test_set)
-        except EncodingError as error:
-            last_error = error
-    raise last_error
+    _, encoding = encode_with_retries(
+        test_set,
+        EncoderSubstrate,
+        num_scan_chains=num_scan_chains,
+        lfsr_size=lfsr_size,
+        window_length=window_length,
+        phase_taps=phase_taps,
+        phase_seed=phase_seed,
+        fill_seed=fill_seed,
+        max_phase_retries=max_phase_retries,
+    )
+    return encoding

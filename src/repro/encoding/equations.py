@@ -308,7 +308,7 @@ class EquationSystem:
     #: batches of :meth:`precompute_cube_words` are chunked to stay below
     #: it: chunk outputs that fit the last-level cache beat both one huge
     #: gemm (cache-thrashing intermediates) and per-cube gemms (fixed BLAS
-    #: overhead per call) -- tuned with ``repro bench``.
+    #: overhead per call) -- tuned by timing the encoding scan.
     _BATCH_GEMM_BUDGET = 2_000_000
 
     def precompute_cube_words(self, cubes: Sequence[TestCube]) -> None:

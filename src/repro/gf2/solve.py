@@ -30,7 +30,7 @@ from repro.gf2.bitvec import BitVector
 
 #: Below this total row count the packed-``uint64`` batch path costs more
 #: than it saves and :meth:`IncrementalSolver.try_positions` falls back to
-#: the big-int loop (tuned with ``repro bench``).
+#: the big-int loop (tuned by timing both paths on the encoding scan).
 _BATCH_MIN_ROWS = 64
 
 

@@ -39,16 +39,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import CompressionConfig
-from repro.context import CompressionContext, EncoderSubstrate, SubstrateKey
+from repro.context import CompressionContext, EncoderSubstrate
 from repro.decompressor.architecture import SimulationOutcome, simulate_decompression
 from repro.decompressor.hardware import (
     GateCostModel,
     HardwareReport,
     decompressor_cost,
 )
-from repro.encoding.encoder import ReseedingEncoder
+from repro.encoding.encoder import encode_with_retries
 from repro.encoding.results import EncodingResult
-from repro.encoding.window import EncodingError, verify_encoding
+from repro.encoding.window import verify_encoding
 from repro.gf2.solve import solver_stats_snapshot
 from repro.skip.reduction import ReductionConfig, ReductionResult, SequenceReducer
 from repro.telemetry import get_recorder
@@ -257,7 +257,17 @@ def encode(
         entry = context.get_encoding(fingerprint, encode_key)
         cached = entry is not None
         if entry is None:
-            substrate, encoding = _encode_with_retries(test_set, resolved, context)
+            substrate, encoding = encode_with_retries(
+                test_set,
+                context.substrate,
+                num_scan_chains=resolved.num_scan_chains,
+                lfsr_size=lfsr_size,
+                window_length=resolved.window_length,
+                phase_taps=resolved.phase_taps,
+                phase_seed=resolved.phase_seed,
+                fill_seed=resolved.fill_seed,
+                max_phase_retries=resolved.max_phase_retries,
+            )
             entry = context.put_encoding(
                 fingerprint, encode_key, substrate, encoding, verified=False
             )
@@ -472,53 +482,3 @@ def compress_profile(
     if config.lfsr_size is None:
         config = config.with_updates(lfsr_size=profile.lfsr_size)
     return compress(test_set, config, **kwargs)
-
-
-def _encode_with_retries(
-    test_set: TestSet, config: CompressionConfig, context: CompressionContext
-) -> "tuple[EncoderSubstrate, EncodingResult]":
-    """Build the encoder, retrying with fresh phase shifters on hard conflicts.
-
-    ``config.lfsr_size`` must already be resolved (non-``None``).  Every
-    attempt's substrate comes from the context cache, so retries with a
-    previously seen phase seed are free.
-    """
-    lfsr_size = config.lfsr_size
-    last_error: Optional[EncodingError] = None
-    attempts = config.max_phase_retries + 1
-    for attempt in range(attempts):
-        substrate = context.substrate(
-            SubstrateKey(
-                num_cells=test_set.num_cells,
-                num_scan_chains=config.num_scan_chains,
-                lfsr_size=lfsr_size,
-                window_length=config.window_length,
-                phase_taps=config.phase_taps,
-                phase_seed=config.phase_seed + attempt,
-            )
-        )
-        encoder = ReseedingEncoder(
-            num_cells=test_set.num_cells,
-            num_scan_chains=config.num_scan_chains,
-            lfsr_size=lfsr_size,
-            window_length=config.window_length,
-            phase_taps=config.phase_taps,
-            phase_seed=config.phase_seed + attempt,
-            fill_seed=config.fill_seed,
-            substrate=substrate,
-        )
-        try:
-            return substrate, encoder.encode(test_set)
-        except EncodingError as error:
-            last_error = error
-    if last_error is None:
-        raise ValueError(
-            f"no encoding attempt was made for {test_set.name!r}: "
-            f"max_phase_retries={config.max_phase_retries} allows "
-            f"{attempts} attempts"
-        )
-    raise EncodingError(
-        f"all {attempts} phase-shifter attempts failed for "
-        f"{test_set.name!r} (lfsr_size={lfsr_size}, "
-        f"window_length={config.window_length}): {last_error}"
-    ) from last_error

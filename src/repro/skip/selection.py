@@ -175,11 +175,10 @@ def build_embedding_map_reference(
 ) -> EmbeddingMap:
     """The pre-packed pure-Python scan over cubes x seeds x positions.
 
-    Kept as the golden reference for :func:`build_embedding_map` (and for
-    the ``repro bench embedding`` kernel's pre-PR side): matching a cube
-    against a fully specified vector is two integer operations, so this
-    stays usable -- just ~an order of magnitude slower than the packed
-    containment test on realistic grids.
+    Kept as the golden reference for :func:`build_embedding_map`:
+    matching a cube against a fully specified vector is two integer
+    operations, so this stays usable -- just ~an order of magnitude slower
+    than the packed containment test on realistic grids.
     """
     if segmentation.window_length != result.window_length:
         raise ValueError("segmentation window length does not match the encoding")

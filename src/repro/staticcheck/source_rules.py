@@ -61,8 +61,8 @@ _REFERENCE_ENTRY_POINTS = frozenset(
 #: Deliberately absent: ``circuits/simulator.py`` and ``skip/selection.py``
 #: (they *define* the reference implementations), ``circuits/atpg.py``
 #: (hosts the reference PODEM, specified against reference semantics),
-#: ``circuits/backends/`` (the registry), ``fuzz/`` and ``perf.py``
-#: (differential cross-checks are their whole purpose).
+#: ``circuits/backends/`` (the registry) and ``fuzz/`` (differential
+#: cross-checks are its whole purpose).
 _HOT_PATH_PREFIXES = ("src/repro/encoding/", "src/repro/skip/")
 _HOT_PATH_MODULES = frozenset(
     {

@@ -11,9 +11,8 @@ Usage sketch::
     print(summary_table(recorder))
 
 With no recorder installed, ``get_recorder()`` returns a ``NullRecorder``
-whose every method is an allocation-free no-op, so instrumented code costs
-nothing measurable when telemetry is off (the ``telemetry-overhead`` bench
-kernel enforces this).
+whose every method is an allocation-free no-op, so instrumented code does
+no recording work when telemetry is off.
 """
 
 from .events import read_event_log, recorder_event_lines, write_event_log

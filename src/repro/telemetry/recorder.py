@@ -289,7 +289,7 @@ def use_recorder(recorder: Any) -> Iterator[Any]:
 
 
 def environment_meta() -> Dict[str, Any]:
-    """Process-level context stamped onto bench records and trace files."""
+    """Process-level context stamped onto trace files."""
     try:
         import numpy
 

@@ -165,12 +165,12 @@ class TestPipeline:
         assert renamed.fingerprint() != first.fingerprint()
 
     def test_encode_retry_exhaustion_is_descriptive(self, monkeypatch):
-        from repro.encoding.encoder import ReseedingEncoder
+        from repro.encoding.encoder import ReseedingEncoder, encode_test_set
 
-        attempts = []
+        phase_seeds = []
 
         def always_conflicts(self, test_set):
-            attempts.append(1)
+            phase_seeds.append(self.substrate.key.phase_seed)
             raise EncodingError("synthetic hard conflict")
 
         monkeypatch.setattr(ReseedingEncoder, "encode", always_conflicts)
@@ -179,13 +179,25 @@ class TestPipeline:
             window_length=4, segment_size=2, speedup=2,
             num_scan_chains=2, lfsr_size=8, max_phase_retries=2,
         )
-        with pytest.raises(EncodingError) as excinfo:
-            compress(test_set, config)
-        assert len(attempts) == 3  # max_phase_retries + 1
-        message = str(excinfo.value)
-        assert "all 3 phase-shifter attempts failed" in message
-        assert "retry_unit" in message
-        assert "synthetic hard conflict" in message
+        # The pipeline and the one-call encoder share one retry loop.
+        entry_points = [
+            lambda: compress(test_set, config),
+            lambda: encode_test_set(
+                test_set, window_length=4, num_scan_chains=2, lfsr_size=8,
+                max_phase_retries=2,
+            ),
+        ]
+        for run in entry_points:
+            phase_seeds.clear()
+            with pytest.raises(EncodingError) as excinfo:
+                run()
+            # max_phase_retries + 1 attempts, each on the next phase seed
+            assert phase_seeds == [2008, 2009, 2010]
+            message = str(excinfo.value)
+            assert "all 3 phase-shifter attempts failed" in message
+            assert "retry_unit" in message
+            assert "synthetic hard conflict" in message
+            assert isinstance(excinfo.value.__cause__, EncodingError)
 
 
 class TestReporting:

@@ -252,7 +252,12 @@ class TestContextStatsFacade:
             stats=ContextStats(registry=recorder.metrics)
         )
         with use_recorder(recorder):
-            compress(test_set, config, verify=True, context=context)
+            traced = compress(test_set, config, verify=True, context=context)
+        # A live recorder observes the flow without changing its result.
+        untraced = compress(
+            test_set, config, verify=True, context=CompressionContext()
+        )
+        assert traced.to_dict() == untraced.to_dict()
         names = {span["name"] for span in recorder.spans}
         assert {"stage.encode", "stage.reduce", "stage.hardware"} <= names
         counters = recorder.metrics.counters
@@ -297,6 +302,8 @@ class TestCircuitTelemetry:
         assert plain.test_set.cubes == traced.test_set.cubes
         assert plain.detected == traced.detected
         assert plain.redundant == traced.redundant
+        assert plain.aborted == traced.aborted
+        assert plain.total_faults == traced.total_faults
 
 
 # ----------------------------------------------------------------------
@@ -552,22 +559,3 @@ class TestSurfaces:
         assert "jobs" in text
         assert "workers" in text
         assert "wait_s" in text
-
-    def test_bench_reports_stamped_with_meta(self):
-        from repro.perf import run_benchmarks
-
-        reports = run_benchmarks(
-            kernels=["telemetry-overhead"], quick=True, repeat=1
-        )
-        assert len(reports) == 1
-        report = reports[0]
-        assert report.meta["python"]
-        assert report.meta["cpu_count"] >= 1
-        assert report.meta["bench_wall_s"] > 0
-        data = report.to_dict()
-        assert data["meta"] is report.meta
-        names = {case.name for case in report.cases}
-        assert names == {"s13207-flow", "g120-atpg"}
-        for case in report.cases:
-            assert case.verified, f"{case.name} diverged under tracing"
-            assert "overhead_vs_pre_pr_pct" in case.detail
