@@ -366,7 +366,11 @@ class ResultStore:
                 continue
             try:
                 record = StoredResult.from_dict(json.loads(text))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
+            # AttributeError: a damaged line can still be valid JSON that
+            # is not an object (``1``, ``[]``), which has no ``.get``.
+            except (
+                AttributeError, json.JSONDecodeError, KeyError, TypeError, ValueError
+            ) as error:
                 if not corrupt:
                     corrupt_start = good_end
                 corrupt.append((line_number, error))

@@ -10,11 +10,11 @@ name, and every entry point takes
 <repro.circuits.atpg.PodemAtpg>` dispatches its decision loop on that name.
 
 All registered backends are bit-identical by contract: the parametrized
-conformance suite (``tests/test_backends.py``) and the differential fuzz
-checks run every backend against the dict reference on randomized circuits,
-so a backend only ever changes *how fast* an answer is produced, never the
-answer.  That is also why ``engine=`` does not participate in result cache
-keys unless explicitly pinned.
+conformance suite (``tests/test_backends.py``) runs every backend against
+the dict reference, and the differential property tests check each engine
+pair on randomized circuits, so a backend only ever changes *how fast* an
+answer is produced, never the answer.  That is also why ``engine=`` does
+not participate in result cache keys unless explicitly pinned.
 
 The default backend is ``events``; the ``REPRO_ENGINE`` environment
 variable overrides it process-wide (CI uses ``REPRO_ENGINE=reference`` to

@@ -8,10 +8,10 @@ Python:
     calibrated benchmark profile) and print the figures of merit.
 
 ``sweep``
-    Sweep the speedup factor ``k`` and segment size ``S`` for one test set
-    and print the Fig. 4-style TSL-improvement grid (single process; the
-    staged pipeline encodes once and reuses the cached seed windows for
-    every reduction).
+    Sweep the speedup factor ``k`` (``--speedups``) and segment size ``S``
+    (``--segments``) for one test set and print the Fig. 4-style
+    TSL-improvement grid (single process; the staged pipeline encodes once
+    and reuses the cached seed windows for every reduction).
 
 ``campaign``
     Run a full experiment grid -- many circuits x (L, S, k) configs -- on a
@@ -24,17 +24,6 @@ Python:
     respawned and their unfinished jobs retried with backoff (bounded by
     ``--max-retries``); Ctrl-C terminates the pool, keeps everything
     already streamed into the store and exits 130.
-
-``fuzz``
-    Differentially fuzz every interchangeable engine pair (packed vs dict
-    simulation, event-driven vs full-pass PODEM, batched vs per-pattern
-    fault dropping, batched vs sequential scan solving, numpy vs
-    reference embedding, batched vs per-clock decompressor replay) with
-    seeded random netlists/test sets/configs until ``--time-budget`` is
-    spent.  Any divergence is delta-debugged down to a minimal case and
-    written as a self-contained repro directory (``--replay`` re-runs
-    one).  ``--chaos`` adds fault injection: SIGKILLed campaign workers
-    and corrupted store tails, asserting nothing is ever lost.
 
 ``lint``
     Run the static verification subsystem (:mod:`repro.staticcheck`) over
@@ -80,9 +69,6 @@ Examples
         --store results/campaign
     python -m repro stats results/campaign
     python -m repro atpg --bench my_core.bench --output my_core.tests
-    python -m repro fuzz --time-budget 60 --seed 0
-    python -m repro fuzz --chaos --checks chaos-worker-kill
-    python -m repro fuzz --replay results/fuzz/repro-ternary-sim-1234
     python -m repro lint
     python -m repro lint --rules bounded-cache,worker-shared-state --fix-hints
 """
@@ -131,7 +117,7 @@ def _config_from_args(args: argparse.Namespace, test_set: TestSet) -> Compressio
         speedup=args.speedup,
         num_scan_chains=args.chains,
         lfsr_size=lfsr_size,
-        engine=getattr(args, "engine", None),
+        engine=args.engine,
     )
 
 
@@ -164,7 +150,8 @@ def _emit_telemetry(recorder, directory, title: str) -> None:
         print(f"                   {paths['events']}")
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+def _add_common_options(parser: argparse.ArgumentParser):
+    """The test-set source and encode options; returns the hardware group."""
     source = parser.add_argument_group("test-set source")
     source.add_argument("--tests", help="path to a 0/1/X cube file (one cube per line)")
     source.add_argument(
@@ -175,16 +162,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--seed", type=int, default=1, help="generator RNG seed")
     hw = parser.add_argument_group("decompressor parameters")
     hw.add_argument("-L", "--window", type=int, default=100, help="window length L")
-    hw.add_argument("-S", "--segment", type=int, default=10, help="segment size S")
-    hw.add_argument("-k", "--speedup", type=int, default=12, help="State Skip speedup k")
     hw.add_argument("--chains", type=int, default=32, help="number of scan chains")
     hw.add_argument("--lfsr", type=int, default=None, help="LFSR size (default: auto)")
-    hw.add_argument(
-        "--engine", choices=_engine_choices(), default=None,
-        help="simulation engine backend wherever the pipeline simulates "
-             "circuits or replays the decompressor (default: REPRO_ENGINE "
-             "or 'events'; all engines are bit-identical)",
-    )
+    return hw
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
@@ -597,57 +577,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import load_case, replay_case, resolve_checks, run_fuzz
-
-    if args.replay:
-        try:
-            case = load_case(args.replay)
-        except (OSError, ValueError, KeyError) as error:
-            raise SystemExit(f"cannot load repro case: {error}")
-        outcome = replay_case(case)
-        print(
-            f"replay {case.check} seed={case.seed} params={case.params}: "
-            f"{outcome.status}"
-        )
-        if outcome.detail:
-            print(outcome.detail)
-        return 1 if outcome.status == "mismatch" else 0
-
-    try:
-        checks = resolve_checks(args.checks or None, include_chaos=args.chaos)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-    def progress(outcome):
-        if outcome.status == "mismatch":
-            print(
-                f"[MISMATCH] {outcome.case.check} seed={outcome.case.seed} "
-                f"params={outcome.case.params}: {outcome.detail}"
-            )
-
-    try:
-        report = run_fuzz(
-            checks=checks,
-            time_budget_s=args.time_budget,
-            seed=args.seed,
-            out_dir=args.out,
-            shrink=not args.no_shrink,
-            include_chaos=args.chaos,
-            max_mismatches=args.max_mismatches,
-            progress=progress,
-        )
-    except KeyboardInterrupt:
-        print(
-            "\ninterrupted: shrunk repros found so far are under "
-            f"{args.out}",
-            file=sys.stderr,
-        )
-        return 130
-    print("\n".join(report.summary_lines()))
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="State Skip LFSR test set embedding"
@@ -655,7 +584,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compress_parser = sub.add_parser("compress", help="compress a test set")
-    _add_common_options(compress_parser)
+    hw = _add_common_options(compress_parser)
+    hw.add_argument("-S", "--segment", type=int, default=10, help="segment size S")
+    hw.add_argument("-k", "--speedup", type=int, default=12, help="State Skip speedup k")
+    hw.add_argument(
+        "--engine", choices=_engine_choices(), default=None,
+        help="simulation engine backend wherever the pipeline simulates "
+             "circuits or replays the decompressor (default: REPRO_ENGINE "
+             "or 'events'; all engines are bit-identical)",
+    )
     compress_parser.add_argument(
         "--simulate", action="store_true",
         help="replay the clock-level decompressor simulation",
@@ -757,50 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
              "files written by --trace runs",
     )
     stats_parser.set_defaults(func=_cmd_stats)
-
-    fuzz_parser = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing of the interchangeable engine pairs "
-             "(plus chaos fault injection with --chaos)",
-    )
-    fuzz_parser.add_argument(
-        "--time-budget", type=float, default=60.0, metavar="SECONDS",
-        help="wall-clock budget (default 60); the first round always "
-             "covers every selected check, whatever the budget",
-    )
-    fuzz_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="master seed; the whole case sequence is derived from it "
-             "(default 0)",
-    )
-    fuzz_parser.add_argument(
-        "--checks", nargs="*", metavar="NAME",
-        help="check names to run (default: every differential check; "
-             "see the fuzz report for the list)",
-    )
-    fuzz_parser.add_argument(
-        "--chaos", action="store_true",
-        help="include the chaos checks (SIGKILLed campaign workers, "
-             "corrupted store tails)",
-    )
-    fuzz_parser.add_argument(
-        "--out", default="results/fuzz", metavar="DIR",
-        help="directory for shrunk repro cases (default results/fuzz)",
-    )
-    fuzz_parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="skip delta-debugging minimisation of mismatching cases",
-    )
-    fuzz_parser.add_argument(
-        "--max-mismatches", type=int, default=5,
-        help="stop after this many distinct failing checks (default 5)",
-    )
-    fuzz_parser.add_argument(
-        "--replay", metavar="PATH",
-        help="re-execute one stored case (a repro directory or its "
-             "case.json) instead of fuzzing",
-    )
-    fuzz_parser.set_defaults(func=_cmd_fuzz)
 
     lint_parser = sub.add_parser(
         "lint",

@@ -3,13 +3,13 @@
 The reproduction spans three interchangeable simulation backends, several
 fingerprint/cache-key-driven caches and an fcntl-locked concurrent result
 store.  Every invariant holding that together used to be checked only
-dynamically -- when a test or fuzz run happened to hit it.  This package is
-the static counterpart of :mod:`repro.fuzz`: where the fuzz oracle finds
+dynamically -- when a test happened to hit it.  This package is the static
+counterpart of the differential property tests: where those find
 violations *after* executing a case, the analyzers here reject whole
 violation classes without running a single simulation.
 
 Three analyzer layers sit behind one :class:`~repro.staticcheck.registry.Rule`
-registry (mirroring the fuzz ``Check`` registry):
+registry:
 
 * :mod:`repro.staticcheck.ir` -- **IR verifiers**: structural validation of
   :class:`~repro.circuits.netlist.Netlist` and
@@ -43,7 +43,7 @@ from repro.staticcheck.registry import (
 )
 from repro.staticcheck.runner import LintReport, format_json, format_text, run_lint
 
-# Rule modules register themselves on import, exactly like the fuzz checks.
+# Rule modules register themselves on import.
 from repro.staticcheck import source_rules as _source_rules  # noqa: E402,F401
 from repro.staticcheck import concurrency as _concurrency  # noqa: E402,F401
 

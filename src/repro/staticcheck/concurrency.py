@@ -23,7 +23,7 @@ Sanctioned shapes are skipped rather than suppressed:
   ``bounded-cache`` rule enforces the flip side);
 * mutations inside ``register*``/``clear*``/``reset*`` functions --
   import-time registry population and explicit test-support resets, the
-  same idiom as the fuzz ``Check`` and backend registries;
+  same idiom as the lint rule and backend registries;
 * mutations inside a ``with`` block whose context expression mentions a
   lock -- lock-mediated access is the documented fix.
 """

@@ -364,7 +364,7 @@ def _run_ir_verify(context) -> List[Violation]:
     rows, fixed seeds) and runs both verifiers over each -- the same
     functions the mutation tests call.  Any violation means the *builders*
     (netlist construction, plan compilation) emit broken IR for some shape,
-    caught here before a simulation or a fuzz case ever runs one.
+    caught here before a simulation or a test ever runs one.
     """
     from repro.circuits.generator import random_netlist
     from repro.circuits.netlist import Gate, GateType

@@ -1,11 +1,10 @@
 """The lint ``Rule`` registry, violations and suppression handling.
 
-Mirrors the :class:`repro.fuzz.oracle.Check` registry: rules are frozen
-dataclasses registered by name at import time, and later PRs extend the
-subsystem by registering new rules -- exactly how new engine pairs join the
-fuzz sweep.  A rule is a function from a :class:`LintContext` (every parsed
-first-party file plus the repo root) to a list of :class:`Violation`; the
-runner handles selection, suppression comments, formatting and exit codes.
+Rules are frozen dataclasses registered by name at import time, and the
+subsystem grows by registering new rules.  A rule is a function from a
+:class:`LintContext` (every parsed first-party file plus the repo root) to
+a list of :class:`Violation`; the runner handles selection, suppression
+comments, formatting and exit codes.
 """
 
 from __future__ import annotations

@@ -60,9 +60,8 @@ _REFERENCE_ENTRY_POINTS = frozenset(
 #: backend registry so ``engine=``/``REPRO_ENGINE`` selection applies.
 #: Deliberately absent: ``circuits/simulator.py`` and ``skip/selection.py``
 #: (they *define* the reference implementations), ``circuits/atpg.py``
-#: (hosts the reference PODEM, specified against reference semantics),
-#: ``circuits/backends/`` (the registry) and ``fuzz/`` (differential
-#: cross-checks are its whole purpose).
+#: (hosts the reference PODEM, specified against reference semantics)
+#: and ``circuits/backends/`` (the registry).
 _HOT_PATH_PREFIXES = ("src/repro/encoding/", "src/repro/skip/")
 _HOT_PATH_MODULES = frozenset(
     {

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.report import (
     best_config_rows,
@@ -37,6 +41,23 @@ def _tiny_test_set(name="camp_core", seed=7):
         lfsr_size=16,
     )
     return generate_test_set(profile, seed=seed)
+
+
+def _intact_prefix_keys(raw):
+    """Keys of the leading run of parseable record lines of a store file.
+
+    Tail damage only ever hits a suffix, so a correct repair keeps exactly
+    these records (an unterminated final record that parses is kept too).
+    """
+    keys = set()
+    for line in raw.split(b"\n"):
+        if not line:
+            continue
+        try:
+            keys.add(StoredResult.from_dict(json.loads(line)).key)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            break
+    return keys
 
 
 @pytest.fixture()
@@ -331,6 +352,75 @@ class TestStore:
         reloaded.put(StoredResult(key="k3", **base))
         reloaded.close()
         assert len(ResultStore(tmp_path)) == 3
+
+    @pytest.mark.parametrize(
+        "junk", [b"\n1", b"\n[]", b"\nnull"], ids=["number", "array", "null"]
+    )
+    def test_non_object_json_tail_is_repaired(self, tmp_path, tiny_config, junk):
+        """Garbage over the tail can leave a line that is valid JSON but
+        not a record object; it is torn tail like any other damage."""
+        store = ResultStore(tmp_path)
+        base = dict(
+            job_id="j", circuit="c", fingerprint="f",
+            config=tiny_config.to_dict(), status="ok", summary={},
+        )
+        for key in ("k1", "k2"):
+            store.put(StoredResult(key=key, **base))
+        store.close()
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(path.read_bytes()[: -len(junk)] + junk)
+        with pytest.warns(RuntimeWarning, match="2 torn trailing line"):
+            reloaded = ResultStore(tmp_path)
+        assert {r.key for r in reloaded.records()} == {"k1"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.integers(min_value=3, max_value=16), data=st.data())
+    def test_random_tail_damage_keeps_intact_prefix(self, count, data):
+        """1-4 random tail damages (truncation, garbage overwrite, torn
+        fragment): the reload keeps the intact prefix and repairs the file,
+        and re-putting the lost records restores a complete store."""
+        records = [
+            StoredResult(
+                key=f"k{i:02d}", job_id=f"job-{i}", circuit="c", fingerprint="f",
+                config={"window_length": 20, "segment_size": 4}, status="ok",
+                summary={"index": i}, elapsed_s=0.01 * i,
+            )
+            for i in range(count)
+        ]
+        fragment = b'{"key": "torn", "job_id": "half'
+        with tempfile.TemporaryDirectory() as directory:
+            with ResultStore(directory) as store:
+                for record in records:
+                    store.put(record)
+                path = store.path
+            raw = path.read_bytes()
+            damages = st.sampled_from(["truncate", "garbage", "fragment"])
+            for damage in data.draw(st.lists(damages, min_size=1, max_size=4)):
+                if damage == "truncate":
+                    low = max(1, len(raw) - 200)
+                    raw = raw[: data.draw(st.integers(low, max(low, len(raw) - 1)))]
+                elif damage == "garbage":
+                    junk = data.draw(st.binary(min_size=1, max_size=119))
+                    raw = raw[: max(0, len(raw) - len(junk))] + junk
+                else:
+                    raw += fragment[: data.draw(st.integers(4, len(fragment) - 1))]
+            path.write_bytes(raw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with ResultStore(directory) as reloaded:
+                    kept = {record.key for record in reloaded.records()}
+            assert kept == _intact_prefix_keys(raw)
+            # Repaired: the next load finds no torn tail left to drop.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with ResultStore(directory) as resumed:
+                    for record in records:
+                        if record.key not in kept:
+                            resumed.put(record)
+            with ResultStore(directory) as final:
+                assert {record.key for record in final.records()} == {
+                    record.key for record in records
+                }
 
     def test_read_only_store_never_repairs_on_disk(self, tmp_path, tiny_config):
         store = ResultStore(tmp_path)
@@ -675,26 +765,22 @@ class TestRunner:
         with pytest.raises(ValueError):
             CampaignRunner(spec, ResultStore(tmp_path / "b"), max_retries=-1)
 
-    @pytest.mark.skipif(
-        not hasattr(os, "fork"), reason="needs fork to patch the worker"
-    )
-    def test_sigkilled_worker_is_respawned_and_loses_nothing(
-        self, tmp_path, cube_file, monkeypatch
-    ):
-        """A worker SIGKILLed mid-job is detected by exit code; its chunk
-        is requeued on a fresh worker and the campaign completes with
-        every job ok, exactly one record per job."""
+    @staticmethod
+    def _assert_sigkills_recovered(workdir, cube_file, monkeypatch, victims):
+        """Run a 4-job campaign whose ``victims`` speedups SIGKILL their
+        worker on the first attempt; every kill is detected by exit code,
+        the chunk requeued on a fresh worker and the campaign completes
+        with every job ok, exactly one record per job."""
         import signal as signal_mod
 
         import repro.campaign.runner as runner_mod
 
         real_compress = runner_mod.compress
-        marker = tmp_path / "killed-once"
 
         def killing_compress(test_set, config, **kwargs):
-            if config.speedup == 6:
+            if config.speedup in victims:
                 try:
-                    marker.touch(exist_ok=False)
+                    (workdir / f"killed-{config.speedup}").touch(exist_ok=False)
                 except FileExistsError:
                     pass  # retry of the blamed job: run it for real now
                 else:
@@ -708,20 +794,23 @@ class TestRunner:
             base=CompressionConfig(window_length=20, num_scan_chains=8, lfsr_size=16),
             axes={"speedup": [3, 6, 12, 24]},
         )
-        store = ResultStore(tmp_path / "store")
+        store = ResultStore(workdir / "store")
         result = CampaignRunner(
             spec, store, jobs=2, max_retries=3, retry_backoff_s=0.05
         ).run()
         store.close()
-        assert marker.exists()  # the kill really happened
+        for speedup in victims:  # the kills really happened
+            assert (workdir / f"killed-{speedup}").exists()
         assert result.num_computed == 4
         assert result.num_failed == 0
-        assert result.total_retries >= 1
+        assert result.total_retries >= len(victims)
         by_speedup = {
             outcome.job.config.speedup: outcome for outcome in result.outcomes
         }
-        assert by_speedup[6].retried >= 1  # the blamed job knows it crashed
-        assert not by_speedup[6].exhausted
+        crashed = {by_speedup[speedup].key for speedup in victims}
+        for speedup in victims:  # each blamed job knows it crashed
+            assert by_speedup[speedup].retried >= 1
+            assert not by_speedup[speedup].exhausted
         # one store line per job: nothing lost, nothing duplicated
         lines = [
             json.loads(line)
@@ -731,12 +820,32 @@ class TestRunner:
         assert sorted(line["key"] for line in lines) == sorted(
             outcome.key for outcome in result.outcomes
         )
-        crashed_record = next(
-            line for line in lines
-            if line["key"] == by_speedup[6].key
+        for line in lines:
+            if line["key"] in crashed:
+                assert line["retried"] >= 1
+                assert line["exhausted"] is False
+
+    @pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="needs fork to patch the worker"
+    )
+    def test_sigkilled_worker_is_respawned_and_loses_nothing(
+        self, tmp_path, cube_file, monkeypatch
+    ):
+        """Speedup 6 dies mid-chunk: the 2 workers split the jobs into
+        [3, 6] and [12, 24]."""
+        self._assert_sigkills_recovered(tmp_path, cube_file, monkeypatch, (6,))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="needs fork to patch the worker"
+    )
+    def test_two_sigkilled_workers_are_respawned_and_lose_nothing(
+        self, tmp_path, cube_file, monkeypatch
+    ):
+        """Both workers die: speedup 6 mid-chunk, speedup 12 before
+        anything in its chunk ran."""
+        self._assert_sigkills_recovered(
+            tmp_path, cube_file, monkeypatch, (6, 12)
         )
-        assert crashed_record["retried"] >= 1
-        assert crashed_record["exhausted"] is False
 
     @pytest.mark.skipif(
         not hasattr(os, "fork"), reason="needs fork to patch the worker"

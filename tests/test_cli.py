@@ -41,6 +41,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compress", "--profile", "s27"])
 
+    @pytest.mark.parametrize(
+        "option", [["-k", "3"], ["-S", "4"], ["--engine", "reference"]]
+    )
+    def test_sweep_rejects_options_it_does_not_read(self, option):
+        # sweep takes S and k from --segments / --speedups and never
+        # simulates; these options used to parse and be silently ignored.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--profile", "s9234", *option])
+        args = build_parser().parse_args(["compress", "--profile", "s9234", *option])
+        assert args.func is not None
+
 
 class TestCompressCommand:
     def test_compress_from_cube_file(self, cube_file, capsys):

@@ -6,16 +6,22 @@ evaluation) while keeping the *reference* implementations in-tree
 (``batch_trials=False`` / ``engine="packed"``).  These tests pin the
 contract that made that rewrite safe: on identical inputs the optimized
 paths produce bit-identical results, not merely statistically similar ones.
+The hypothesis properties (``test_*_differential``) draw the same pairs on
+random inputs.
 """
 
 import random
 
+from hypothesis import assume, given, settings
 
+from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, drawn_test_set
 from repro.circuits.atpg import generate_test_set_for_netlist
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
 from repro.circuits.library import carry_ripple_adder, parity_tree
+from repro.circuits.simulator import simulate_parallel
 from repro.encoding.encoder import ReseedingEncoder
+from repro.encoding.window import EncodingError
 from repro.gf2.solve import Equation, IncrementalSolver
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
@@ -25,6 +31,10 @@ from repro.testdata.synthetic import generate_test_set
 # Encoder: batched scan vs reference scan
 # ----------------------------------------------------------------------
 def _encode_both(test_set, num_chains, lfsr_size, window_length):
+    """Encode with batched trials, then with the reference scan.
+
+    A side that cannot encode the test set yields ``None``.
+    """
     results = []
     for batch_trials in (True, False):
         encoder = ReseedingEncoder(
@@ -34,7 +44,10 @@ def _encode_both(test_set, num_chains, lfsr_size, window_length):
             window_length=window_length,
             batch_trials=batch_trials,
         )
-        results.append(encoder.encode(test_set))
+        try:
+            results.append(encoder.encode(test_set))
+        except EncodingError:
+            results.append(None)
     return results
 
 
@@ -66,6 +79,24 @@ def test_encoder_bit_identical_on_profile_test_set():
         window_length=40,
     )
     assert optimized.to_dict() == reference.to_dict()
+
+
+@settings(max_examples=5, deadline=None)
+@given(**ENCODING_SPACE)
+def test_solver_batch_differential(
+    seed, num_cells, num_cubes, max_specified, chains, window
+):
+    """Batched packed GF(2) solver trials vs the reference position scan."""
+    test_set = drawn_test_set(seed, num_cells, num_cubes, max_specified, chains)
+    batched, scan = _encode_both(
+        test_set,
+        num_chains=chains,
+        lfsr_size=test_set.max_specified() + 8,
+        window_length=window,
+    )
+    assume(batched is not None or scan is not None)
+    assert batched is not None and scan is not None, "only one side encodes"
+    assert batched.to_dict() == scan.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +141,39 @@ def test_faultsim_input_and_gate_faults_match_on_builtin():
     ref_result = reference.simulate_vectors(list(vectors), drop=False)
     opt_result = optimized.simulate_vectors(list(vectors), drop=False)
     assert ref_result.detected == opt_result.detected
+
+
+@settings(max_examples=25, deadline=None)
+@given(**NETLIST_SPACE)
+def test_drop_batch_differential(seed, num_inputs, num_gates, patterns):
+    """One batched drop-simulation block vs the per-pattern loop.
+
+    Both must drop the same faults, and the block's lowest detecting bit
+    must be the pattern that first detects the fault one at a time.
+    """
+    netlist = random_netlist(f"drop{seed}", num_inputs, num_gates, seed=seed)
+    rng = random.Random(seed)
+    batch = [
+        {net: rng.getrandbits(1) for net in netlist.inputs} for _ in range(patterns)
+    ]
+    words = {
+        net: sum(pattern[net] << position for position, pattern in enumerate(batch))
+        for net in netlist.inputs
+    }
+    good = simulate_parallel(netlist, words, patterns)
+    batched = FaultSimulator(netlist, word_width=patterns)
+    block = batched.detect_block(good, patterns, drop=True)
+
+    per_pattern = FaultSimulator(netlist, word_width=1)
+    first_detection = {}
+    for position, pattern in enumerate(batch):
+        for fault in per_pattern.simulate_patterns([pattern], drop=True).detected:
+            first_detection.setdefault(fault, position)
+
+    assert set(batched.detected_faults) == set(per_pattern.detected_faults)
+    assert {fault: block.detecting_pattern(fault) for fault in block.detected} == {
+        fault: first_detection.get(fault) for fault in block.detected
+    }
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,24 @@ replaced:
 * the uint64-blocked seed-window expansion vs the integer expansion;
 * the vectorized embedding map vs the pure-Python scan on a small grid;
 * the segment-batched decompressor simulation vs the clock-level replay.
+
+Each engine pair also has a hypothesis property (``test_*_differential``)
+that draws random netlists or encodings from a fixed parameter space.  A
+draw that neither side can encode is rejected; one side failing alone is
+a failure.  Re-run the properties deeper with more ``--hypothesis-seed``
+values.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, SEEDS, drawn_test_set
 from repro import pipeline
+from repro.circuits import simulator
 from repro.circuits.atpg import PodemAtpg
 from repro.circuits.faults import collapse_faults
 from repro.circuits.generator import random_netlist
@@ -38,6 +48,7 @@ from repro.circuits.ternary import ternary_state_to_dict
 from repro.config import CompressionConfig
 from repro.context import CompressionContext
 from repro.decompressor.architecture import simulate_decompression
+from repro.encoding.window import EncodingError
 from repro.skip.segments import WindowSegmentation
 from repro.skip.selection import (
     build_embedding_map,
@@ -75,6 +86,40 @@ class TestTernaryEngineGolden:
             assert simulate_ternary(netlist, assignment) == (
                 simulate_ternary_reference(netlist, assignment)
             )
+
+    @staticmethod
+    @settings(max_examples=25, deadline=None)
+    @given(**NETLIST_SPACE)
+    def test_ternary_sim_differential(seed, num_inputs, num_gates, patterns):
+        """Packed ternary simulation vs the dict reference.
+
+        The assignments sweep from all-X to fully specified.  Both engines
+        are looked up on their module, so a patched ``simulate_ternary``
+        is what runs; the method is static so the planted-mutation test
+        can call it from another instance.
+        """
+        rng = random.Random(seed)
+        netlist = random_netlist(f"rand{seed}", num_inputs, num_gates, seed=seed)
+        for index in range(patterns):
+            assignment = _random_assignment(rng, netlist, index / (patterns - 1))
+            assert simulator.simulate_ternary(netlist, assignment) == (
+                simulator.simulate_ternary_reference(netlist, assignment)
+            )
+
+    def test_planted_sim_mutation_is_caught(self, monkeypatch):
+        """A one-bit bug in the packed simulator must fail the property."""
+        real = simulator.simulate_ternary
+
+        def mutated(netlist, assignment, **kwargs):
+            values = real(netlist, assignment, **kwargs)
+            victim = netlist.outputs[0]
+            if len(netlist.inputs) > 4 and values.get(victim) == 0:
+                values = {**values, victim: 1}
+            return values
+
+        monkeypatch.setattr(simulator, "simulate_ternary", mutated)
+        with pytest.raises(AssertionError):
+            self.test_ternary_sim_differential()
 
     def test_builtin_circuits_all_x(self):
         for netlist in builtin_circuits():
@@ -180,23 +225,88 @@ class TestEventEngineGolden:
             # predates them), restoring the shared baseline.
             engine.release_force(token)
 
-    @pytest.mark.parametrize("seed", [3, 4, 9, 16])
-    def test_reforce_release_random_walk_matches_reference(self, seed):
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=SEEDS,
+        num_inputs=st.integers(min_value=4, max_value=14),
+        num_gates=st.integers(min_value=15, max_value=110),
+        steps=st.integers(min_value=30, max_value=140),
+    )
+    @example(seed=3, num_inputs=10, num_gates=70, steps=110)
+    @example(seed=4, num_inputs=10, num_gates=70, steps=110)
+    @example(seed=9, num_inputs=10, num_gates=70, steps=110)
+    @example(seed=16, num_inputs=10, num_gates=70, steps=110)
+    def test_event_propagate_differential(self, seed, num_inputs, num_gates, steps):
         """assign/undo/reforce/release walks vs from-scratch evaluation.
 
-        Reuses the fuzz oracle's differential walk on fixed seeds: odd
-        seeds drive the 2-bit table propagation, even seeds the generic
-        fused loop, overlays included.
+        One persistent engine is driven through the persistent-engine
+        PODEM call pattern and compared with a fresh ``eval_ternary``
+        after every step.  Odd seeds use the 2-bit mask (the table-driven
+        propagation), even seeds a wider mask (the generic fused loop).
         """
-        from repro.fuzz.generators import FuzzCase
-        from repro.fuzz.oracle import _check_event_propagate
-
-        case = FuzzCase(
-            check="event-propagate",
-            seed=seed,
-            params={"num_inputs": 10, "num_gates": 70, "steps": 110},
+        from repro.circuits.ternary import (
+            TernaryEventEngine,
+            eval_ternary,
+            packed_plan,
+            seed_ternary_inputs,
         )
-        assert _check_event_propagate(case) is None
+
+        netlist = random_netlist(f"walk{seed}", num_inputs, num_gates, seed=seed)
+        plan = packed_plan(netlist)
+        rng = random.Random(seed)
+        patterns = 2 if seed % 2 else rng.choice([1, 3, 5])
+        mask = (1 << patterns) - 1
+        engine = TernaryEventEngine(plan, mask)
+        assignment = {}
+        undo_stack = []
+        force = None  # (index, mask, value, token, saved assignment, saved stack)
+        for step in range(steps):
+            action = rng.random()
+            if action < 0.15 and force is None:
+                index = rng.randrange(plan.num_nets)
+                fmask = rng.randrange(1, mask + 1)
+                fvalue = rng.randrange(mask + 1) & fmask
+                token = engine.reforce(index, fmask, fvalue)
+                force = (index, fmask, fvalue, token, dict(assignment), undo_stack)
+                undo_stack = []
+            elif action < 0.3 and force is not None:
+                # Release rewinds past every assign made under the overlay
+                # (its token predates them), exactly like PODEM's per-fault
+                # cleanup: restore the bookkeeping to the reforce point.
+                engine.release_force(force[3])
+                assignment, undo_stack = force[4], force[5]
+                force = None
+            elif action < 0.75 or not undo_stack:
+                net = rng.choice(netlist.inputs)
+                bit = rng.getrandbits(1)
+                undo_stack.append((net, assignment.get(net), engine.checkpoint()))
+                engine.assign(plan.index[net], bit)
+                assignment[net] = bit
+            else:
+                net, previous, token = undo_stack.pop()
+                engine.undo(token)
+                if previous is None:
+                    assignment.pop(net, None)
+                else:
+                    assignment[net] = previous
+            values, cares = seed_ternary_inputs(plan, assignment, patterns)
+            index, fmask, fvalue = force[:3] if force else (-1, 0, 0)
+            if 0 <= index < plan.num_inputs:
+                # Input-site overlay: applied to the seeded state (inputs
+                # have no plan row to force through).
+                cares[index] |= fmask
+                values[index] = (values[index] & ~fmask) | (fvalue & fmask)
+                index = -1
+            eval_ternary(
+                plan,
+                values,
+                cares,
+                mask,
+                force_index=index,
+                force_mask=fmask,
+                force_value=fvalue,
+            )
+            assert (engine.values, engine.cares) == (values, cares), f"step {step}"
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_incremental_frontier_matches_full_scan(self, seed, monkeypatch):
@@ -277,6 +387,21 @@ class TestPodemGolden:
         reference = PodemAtpg(netlist, engine="reference").run()
         _assert_results_identical(packed, reference)
 
+    @settings(max_examples=5, deadline=None)
+    @given(
+        seed=SEEDS,
+        num_inputs=st.integers(min_value=6, max_value=14),
+        num_gates=st.integers(min_value=20, max_value=70),
+    )
+    def test_podem_packed_differential(self, seed, num_inputs, num_gates):
+        """Packed dual-machine PODEM vs the original dict-based engine."""
+        netlist = random_netlist(f"randp{seed}", num_inputs, num_gates, seed=seed)
+        packed, reference = (
+            PodemAtpg(netlist, engine=engine).run(fill_seed=seed, fills="per-pattern")
+            for engine in ("packed", "reference")
+        )
+        _assert_results_identical(packed, reference)
+
     @pytest.mark.parametrize("seed", [7, 8, 9, 10])
     def test_event_driven_and_full_pass_engines_identical(self, seed):
         netlist = random_netlist(
@@ -284,6 +409,21 @@ class TestPodemGolden:
         )
         events = PodemAtpg(netlist, engine="events").run()
         full_pass = PodemAtpg(netlist, engine="packed").run()
+        _assert_results_identical(events, full_pass)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=SEEDS,
+        num_inputs=st.integers(min_value=6, max_value=16),
+        num_gates=st.integers(min_value=20, max_value=90),
+    )
+    def test_podem_events_differential(self, seed, num_inputs, num_gates):
+        """Event-driven fanout-cone PODEM vs the full-pass packed engine."""
+        netlist = random_netlist(f"randq{seed}", num_inputs, num_gates, seed=seed)
+        events, full_pass = (
+            PodemAtpg(netlist, engine=engine).run(fill_seed=seed, fills="per-pattern")
+            for engine in ("events", "packed")
+        )
         _assert_results_identical(events, full_pass)
 
     @pytest.mark.parametrize("seed", [12, 13, 14])
@@ -370,6 +510,36 @@ def encoded():
     )
 
 
+#: The random encodings the embedding and decompressor properties draw:
+#: the shared encoding space plus segment size S and speedup k.
+_REDUCTION_SPACE = dict(
+    ENCODING_SPACE,
+    segment=st.integers(min_value=2, max_value=12),
+    speedup=st.integers(min_value=2, max_value=12),
+)
+
+
+def _drawn_encoding(
+    seed, num_cells, num_cubes, max_specified, chains, window, segment, speedup
+):
+    """Encode a synthetic test set drawn from ``_REDUCTION_SPACE``.
+
+    An unencodable draw is rejected: both sides of the pair share it.
+    """
+    test_set = drawn_test_set(seed, num_cells, num_cubes, max_specified, chains)
+    config = CompressionConfig(
+        window_length=window,
+        segment_size=segment,
+        speedup=speedup,
+        num_scan_chains=chains,
+        lfsr_size=test_set.max_specified() + 8,
+    )
+    try:
+        return pipeline.encode(test_set, config, verify=False)
+    except EncodingError:
+        reject()
+
+
 class TestPackedWindowsGolden:
     def test_packed_expansion_matches_integer_expansion(self, encoded):
         equations = encoded.substrate.equations
@@ -400,21 +570,29 @@ class TestPackedWindowsGolden:
         )
 
 
+def _assert_maps_identical(encoded, segment_size):
+    equations = encoded.substrate.equations
+    segmentation = WindowSegmentation(encoded.encoding.window_length, segment_size)
+    vectorized = build_embedding_map(
+        encoded.encoding, encoded.test_set, equations, segmentation
+    )
+    reference = build_embedding_map_reference(
+        encoded.encoding, encoded.test_set, equations, segmentation
+    )
+    assert vectorized.cube_segments == reference.cube_segments
+    assert vectorized.segment_cubes == reference.segment_cubes
+
+
 class TestEmbeddingMapGolden:
     @pytest.mark.parametrize("segment_size", [3, 5, 12, 60])
     def test_vectorized_map_equals_reference(self, encoded, segment_size):
-        equations = encoded.substrate.equations
-        segmentation = WindowSegmentation(
-            encoded.encoding.window_length, segment_size
-        )
-        vectorized = build_embedding_map(
-            encoded.encoding, encoded.test_set, equations, segmentation
-        )
-        reference = build_embedding_map_reference(
-            encoded.encoding, encoded.test_set, equations, segmentation
-        )
-        assert vectorized.cube_segments == reference.cube_segments
-        assert vectorized.segment_cubes == reference.segment_cubes
+        _assert_maps_identical(encoded, segment_size)
+
+    @settings(max_examples=5, deadline=None)
+    @given(**_REDUCTION_SPACE)
+    def test_embedding_differential(self, **params):
+        """Vectorized numpy embedding matching vs the pure-Python scan."""
+        _assert_maps_identical(_drawn_encoding(**params), params["segment"])
 
     def test_vectorized_map_from_cached_windows(self, encoded):
         """Packed, integer and self-expanded inputs all yield the same map."""
@@ -443,6 +621,21 @@ class TestEmbeddingMapGolden:
 # ----------------------------------------------------------------------
 # Batched decompressor vs clock-level reference
 # ----------------------------------------------------------------------
+def _replay_both(encoded, reduction):
+    """Replay a reduction on the segment-batched and per-clock datapaths."""
+    args = (
+        encoded.encoding,
+        reduction,
+        encoded.substrate.lfsr.transition,
+        encoded.substrate.phase_shifter,
+        encoded.substrate.architecture,
+    )
+    return [
+        simulate_decompression(*args, engine=engine)
+        for engine in ("events", "reference")
+    ]
+
+
 class TestBatchedDecompressorGolden:
     @pytest.mark.parametrize("segment_size,speedup", [(5, 3), (10, 12)])
     def test_batched_outcome_identical(self, encoded, segment_size, speedup):
@@ -452,19 +645,14 @@ class TestBatchedDecompressorGolden:
                 segment_size=segment_size, speedup=speedup
             ),
         )
-        args = (
-            encoded.encoding,
-            reduction,
-            encoded.substrate.lfsr.transition,
-            encoded.substrate.phase_shifter,
-            encoded.substrate.architecture,
-        )
-        batched = simulate_decompression(*args, engine="events")
-        reference = simulate_decompression(*args, engine="reference")
-        assert batched.seeds_applied == reference.seeds_applied
-        assert batched.vectors_applied == reference.vectors_applied
-        assert batched.useful_vectors == reference.useful_vectors
-        assert batched.lfsr_clocks == reference.lfsr_clocks
-        assert batched.skip_clocks == reference.skip_clocks
-        assert batched.group_sizes == reference.group_sizes
+        batched, reference = _replay_both(encoded, reduction)
+        assert batched == reference
         assert batched.covers(encoded.test_set)
+
+    @settings(max_examples=5, deadline=None)
+    @given(**_REDUCTION_SPACE)
+    def test_decompressor_differential(self, **params):
+        """Segment-batched decompressor replay vs the per-clock datapath."""
+        encoded = _drawn_encoding(**params)
+        batched, reference = _replay_both(encoded, pipeline.reduce(encoded))
+        assert batched == reference
