@@ -9,10 +9,9 @@ tool chain for circuits whose structure *is* available:
 * :mod:`~repro.circuits.bench` -- reader/writer for the ISCAS ``.bench``
   format.
 * :mod:`~repro.circuits.simulator` -- two- and three-valued logic simulation,
-  including 64-pattern-parallel bit-packed simulation.
-* :mod:`~repro.circuits.backends` -- the engine-backend registry: every
-  ternary simulator, the fault simulator and PODEM take
-  ``engine="reference" | "packed" | "events"`` and dispatch through it.
+  including 64-pattern-parallel bit-packed simulation, and the ``ENGINES``
+  names: the fault simulator and PODEM run the ``events`` engine, and take
+  ``engine="packed" | "reference"`` only to reach the test oracles.
 * :mod:`~repro.circuits.faults` -- single stuck-at fault model with
   structural equivalence collapsing.
 * :mod:`~repro.circuits.fault_sim` -- parallel-pattern fault simulation with
@@ -27,7 +26,6 @@ tool chain for circuits whose structure *is* available:
 """
 
 from repro.circuits.netlist import Gate, GateType, Netlist
-from repro.circuits.backends import backend_names, get_backend
 from repro.circuits.bench import parse_bench, write_bench
 from repro.circuits.simulator import simulate, simulate_parallel, simulate_ternary
 from repro.circuits.faults import StuckAtFault, all_faults, collapse_faults
@@ -40,8 +38,6 @@ __all__ = [
     "Gate",
     "GateType",
     "Netlist",
-    "backend_names",
-    "get_backend",
     "parse_bench",
     "write_bench",
     "simulate",

@@ -18,24 +18,23 @@ The PODEM implementation is the standard objective/backtrace/implication loop
 over three-valued simulation, with a backtrack limit to bound the effort on
 redundant faults.
 
-Three engines drive the loop, selected through the backend registry
-(:mod:`repro.circuits.backends`) via ``engine=``:
+Three engines drive the loop, selected by ``engine=``:
 
-* ``engine="events"`` (the default) keeps one persistent packed
-  good+faulty state per :class:`PodemAtpg`
+* ``engine="events"`` (the default, and the one production code runs)
+  keeps one persistent packed good+faulty state per :class:`PodemAtpg`
   (:class:`~repro.circuits.ternary.TernaryEventEngine`): each targeted
   fault re-forces its overlay onto the live baseline and releases it when
   done (no per-fault rebuild), each decision assigns one primary input and
   re-evaluates only that input's fanout cone through per-level bucket
   queues, and each backtrack rewinds an undo log -- O(changed cone) per
   decision node instead of O(netlist);
-* ``engine="packed"`` selects the **packed full-pass** engine, which
+* ``engine="packed"`` selects the **packed full-pass** oracle, which
   evaluates the good and the faulty machine together in one
   2-bit-per-net pass of the two-word ternary core
   (:mod:`repro.circuits.ternary`), recomputed once per PODEM decision node
   and shared by the evaluation, the objective search, the backtrace and
   the X-path check;
-* ``engine="reference"`` selects the original dict-based engine
+* ``engine="reference"`` selects the original dict-based oracle
   (:func:`~repro.circuits.simulator.simulate_ternary_reference` semantics).
 
 All engines take identical decisions at every node, so the produced cubes,
@@ -44,7 +43,7 @@ bit-identical (the golden-equivalence tests enforce this).  The drop
 simulation of :meth:`PodemAtpg.run` is batched the same way: random fills
 accumulate into one word-packed block that the fault simulator screens and
 drops in a single pass (``fills="per-pattern"``, the reference and packed
-backends' default, keeps the per-pattern reference -- again bit-identical).
+engines' default, keeps the per-pattern reference -- again bit-identical).
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.circuits.backends import get_backend
 from repro.circuits.faults import StuckAtFault, collapse_faults
 from repro.circuits.netlist import GateType, Netlist
-from repro.circuits.simulator import X, simulate_ternary_reference
+from repro.circuits.simulator import X, check_engine, simulate_ternary_reference
 from repro.circuits.ternary import (
     OP_AND,
     OP_OR,
@@ -110,8 +108,8 @@ class AtpgResult:
 class PodemAtpg:
     """PODEM test generation for single stuck-at faults.
 
-    ``engine=`` selects the backend driving the decision loop (see the
-    module docstring); every backend produces identical cubes for every
+    ``engine=`` selects the engine driving the decision loop (see the
+    module docstring); every engine produces identical cubes for every
     fault.
     """
 
@@ -119,11 +117,11 @@ class PodemAtpg:
         self,
         netlist: Netlist,
         backtrack_limit: int = 200,
-        engine: Optional[str] = None,
+        engine: str = "events",
     ):
         self._netlist = netlist
         self._backtrack_limit = backtrack_limit
-        self._backend = get_backend(engine)
+        self._engine_name = check_engine(engine)
         self._fanout = netlist.fanout()
         self._plan: PackedPlan = packed_plan(netlist)
         # Gate row lookup by output index for the packed backtrace.
@@ -158,11 +156,6 @@ class PodemAtpg:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> str:
-        """Name of the backend driving the decision loop."""
-        return self._backend.name
-
     def generate_cube(self, fault: StuckAtFault) -> Optional[Dict[str, int]]:
         """A partial input assignment detecting ``fault``, or None.
 
@@ -179,7 +172,7 @@ class PodemAtpg:
         self._engine_passes = 0
         self._engine_undo_depth = 0
         self._engine_reused = False
-        if self._backend.name == "events":
+        if self._engine_name == "events":
             engine, token = self._event_engine(fault)
             events_before = engine.events_processed
             passes_before = engine.propagate_passes
@@ -196,7 +189,7 @@ class PodemAtpg:
             self._engine_events = engine.events_processed - events_before
             self._engine_passes = engine.propagate_passes - passes_before
             self._engine_undo_depth = engine.max_undo_depth
-        elif self._backend.name == "reference":
+        elif self._engine_name == "reference":
             found = self._podem(fault, assignment)
         else:
             found = self._podem_packed(fault, assignment)
@@ -213,7 +206,7 @@ class PodemAtpg:
     ) -> AtpgResult:
         """Full ATPG with fault dropping; returns cubes plus statistics.
 
-        ``fills="batched"`` (the events backend's default) collects
+        ``fills="batched"`` (the events engine's default) collects
         the random fills of pending cubes into one word-packed block and
         hands the whole block to the fault simulator at once, amortising the
         fault-free evaluation the same way campaign fault simulation does.
@@ -221,7 +214,7 @@ class PodemAtpg:
         pending is first screened against the pending block (one cone
         evaluation over all pending patterns), so it is skipped exactly when
         the per-pattern reference (``fills="per-pattern"``, the reference
-        and packed backends' default) would have dropped it -- cubes,
+        and packed engines' default) would have dropped it -- cubes,
         statistics and coverage are bit-identical either way.
 
         The three fault lists of the result are disjoint and sum to
@@ -231,16 +224,14 @@ class PodemAtpg:
         from repro.circuits.fault_sim import FaultSimulator
 
         if fills is None:
-            fills = self._backend.fills
+            fills = "batched" if self._engine_name == "events" else "per-pattern"
         elif fills not in ("batched", "per-pattern"):
             raise ValueError(
                 f"fills must be 'batched' or 'per-pattern', got {fills!r}"
             )
         recorder = get_recorder()
         universe = list(faults if faults is not None else collapse_faults(self._netlist))
-        simulator = FaultSimulator(
-            self._netlist, universe, engine=self._backend.name
-        )
+        simulator = FaultSimulator(self._netlist, universe, engine=self._engine_name)
         rng = random.Random(fill_seed)
         cubes: List[TestCube] = []
         detected: List[StuckAtFault] = []
@@ -978,16 +969,9 @@ class _PendingFills:
 
 
 def generate_test_set_for_netlist(
-    netlist: Netlist,
-    backtrack_limit: int = 200,
-    fill_seed: int = 1,
-    engine: Optional[str] = None,
-    fills: Optional[str] = None,
+    netlist: Netlist, backtrack_limit: int = 200, fill_seed: int = 1
 ) -> AtpgResult:
-    """Convenience wrapper: collapsed faults, PODEM, fault dropping.
-
-    ``engine=``/``fills=`` select the backend and the fill handling.
-    """
-    return PodemAtpg(
-        netlist, backtrack_limit=backtrack_limit, engine=engine
-    ).run(fill_seed=fill_seed, fills=fills)
+    """Convenience wrapper: collapsed faults, PODEM, fault dropping."""
+    return PodemAtpg(netlist, backtrack_limit=backtrack_limit).run(
+        fill_seed=fill_seed
+    )

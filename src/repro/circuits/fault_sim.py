@@ -16,12 +16,11 @@ be activated), and only the gates in the fault's fanout cone are re-evaluated
 -- event-driven, so propagation stops as soon as the faulty values converge
 back to the good ones.
 
-The per-fault strategy is an engine-backend choice
-(:mod:`repro.circuits.backends`): ``engine="events"`` (the default) runs the
-fanout-cone propagation above, ``engine="packed"`` / ``engine="reference"``
-restore the original dense full-circuit re-evaluation per fault.  All
-backends report identical detections (the golden-equivalence tests and the
-conformance suite rely on this).
+``engine="events"`` (the default) runs the fanout-cone propagation above;
+the ``packed`` and ``reference`` oracles keep the original dense
+full-circuit re-evaluation per fault.  All engines report identical
+detections (the golden-equivalence tests and the conformance suite rely on
+this).
 """
 
 from __future__ import annotations
@@ -29,10 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.circuits.backends import get_backend
 from repro.circuits.faults import StuckAtFault, collapse_faults
 from repro.circuits.netlist import Netlist
-from repro.circuits.simulator import evaluation_plan, pack_patterns, simulate_parallel
+from repro.circuits.simulator import (
+    check_engine,
+    evaluation_plan,
+    pack_patterns,
+    simulate_parallel,
+)
 from repro.circuits.ternary import (
     OP_AND as _OP_AND,
     OP_OR as _OP_OR,
@@ -67,13 +70,13 @@ class FaultSimulator:
         netlist: Netlist,
         faults: Optional[Sequence[StuckAtFault]] = None,
         word_width: int = 256,
-        engine: Optional[str] = None,
+        engine: str = "events",
     ):
         if word_width < 1:
             raise ValueError("word_width must be positive")
         self._netlist = netlist
         self._word_width = word_width
-        self._backend = get_backend(engine)
+        self._cone = check_engine(engine) == "events"
         self._remaining: Set[StuckAtFault] = set(
             faults if faults is not None else collapse_faults(netlist)
         )
@@ -98,11 +101,6 @@ class FaultSimulator:
     @property
     def word_width(self) -> int:
         return self._word_width
-
-    @property
-    def engine(self) -> str:
-        """Name of the backend driving per-fault propagation."""
-        return self._backend.name
 
     @property
     def remaining_faults(self) -> List[StuckAtFault]:
@@ -195,8 +193,7 @@ class FaultSimulator:
         (one fanout-cone evaluation over all pending patterns, instead of
         one per fill).
         """
-        mask = (1 << num_patterns) - 1
-        return self._backend.block_detector(self, good, mask)(fault)
+        return self._detector()(good, (1 << num_patterns) - 1, fault)
 
     def _simulate_block(
         self, block: Sequence[Dict[str, int]]
@@ -237,12 +234,21 @@ class FaultSimulator:
     ) -> Dict[StuckAtFault, int]:
         mask = (1 << num_patterns) - 1
         detected: Dict[StuckAtFault, int] = {}
-        detect = self._backend.block_detector(self, good, mask)
+        detect = self._detector()
         for fault in list(self._remaining):
-            diff = detect(fault)
+            diff = detect(good, mask, fault)
             if diff:
                 detected[fault] = diff
         return detected
+
+    def _detector(self):
+        """The per-fault detector ``detect(good, mask, fault)`` of the engine.
+
+        It returns the output difference word of one fault against a
+        fault-free block.  Bound per call rather than stored, so the
+        simulator holds no reference cycle to itself.
+        """
+        return self._cone_diff if self._cone else self._dense_diff
 
     def _dense_diff(
         self, good: Dict[str, int], mask: int, fault: StuckAtFault
@@ -250,7 +256,7 @@ class FaultSimulator:
         """Output difference word via dense full-circuit re-evaluation.
 
         The original per-fault strategy, kept as the ``reference`` /
-        ``packed`` backends' detector.
+        ``packed`` engines' detector.
         """
         num_patterns = mask.bit_length()
         faulty = self._simulate_with_fault(good, num_patterns, fault)

@@ -11,28 +11,38 @@ Three entry points cover the needs of the package:
   bit ``p`` is the value under pattern ``p``); this is what makes fault
   simulation of thousands of patterns practical in pure Python.
 
-The two binary entry points run the shared packed core
-(:func:`~repro.circuits.ternary.eval_binary`) directly.  Ternary
-simulation dispatches through the engine-backend registry
-(:mod:`repro.circuits.backends`): ``engine=`` selects the implementation
-family (``"reference"``, ``"packed"`` or ``"events"``), the default
-honours ``REPRO_ENGINE``, and every backend returns bit-identical results
--- only the speed differs.  The original dict-based three-valued evaluator
-is kept as :func:`simulate_ternary_reference` -- the golden-equivalence
-tests check every other backend against it on randomized netlists, and
-``engine="reference"`` selects it wherever bit-level archaeology is needed.
+All three entry points run the shared packed core
+(:mod:`~repro.circuits.ternary`).  The original dict-based three-valued
+evaluator is kept as :func:`simulate_ternary_reference`: the golden tests
+and the ``ternary-sim`` differential property check the packed core against
+it on randomized netlists.
+
+:data:`ENGINES` names the three gate-level engines that
+:class:`~repro.circuits.atpg.PodemAtpg` and
+:class:`~repro.circuits.fault_sim.FaultSimulator` accept as ``engine=``:
+``events`` (the default and the only one production code runs) plus the
+``packed`` full-pass and ``reference`` dict oracles the tests compare it
+against.  All three give bit-identical results.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.circuits.backends import get_backend
 from repro.circuits.netlist import Gate, GateType, Netlist
-from repro.circuits.ternary import eval_binary, evaluation_plan, packed_plan
+from repro.circuits.ternary import (
+    eval_binary,
+    eval_ternary,
+    evaluation_plan,
+    packed_plan,
+    seed_ternary_inputs,
+    ternary_state_to_dict,
+)
 
 __all__ = [
+    "ENGINES",
     "X",
+    "check_engine",
     "evaluation_plan",
     "pack_patterns",
     "simulate",
@@ -43,6 +53,19 @@ __all__ = [
 
 #: The unknown value of three-valued simulation.
 X = None
+
+#: The ``engine=`` names of :class:`~repro.circuits.atpg.PodemAtpg` and
+#: :class:`~repro.circuits.fault_sim.FaultSimulator`; the first is the default.
+ENGINES = ("events", "packed", "reference")
+
+
+def check_engine(engine: str) -> str:
+    """``engine`` if it names one of :data:`ENGINES`, else a ValueError."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
+        )
+    return engine
 
 
 def simulate(netlist: Netlist, input_values: Dict[str, int]) -> Dict[str, int]:
@@ -63,12 +86,13 @@ def simulate(netlist: Netlist, input_values: Dict[str, int]) -> Dict[str, int]:
 
 
 def simulate_ternary(
-    netlist: Netlist,
-    input_values: Dict[str, Optional[int]],
-    engine: Optional[str] = None,
+    netlist: Netlist, input_values: Dict[str, Optional[int]]
 ) -> Dict[str, Optional[int]]:
     """Three-valued (0/1/X) simulation; missing inputs default to X."""
-    return get_backend(engine).simulate_ternary(netlist, input_values)
+    plan = packed_plan(netlist)
+    values, cares = seed_ternary_inputs(plan, input_values)
+    eval_ternary(plan, values, cares, 1)
+    return ternary_state_to_dict(plan, values, cares)
 
 
 def simulate_parallel(

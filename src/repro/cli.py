@@ -36,15 +36,20 @@ Python:
 
 ``atpg``
     Run the built-in PODEM ATPG on a ``.bench`` netlist (or on a generated
-    random circuit) and write the resulting test-cube file.  ``--engine``
-    selects the backend from the engine registry (``reference``,
-    ``packed`` or ``events`` -- the default); every engine produces
-    identical cubes, so the slower ones exist for cross-checks.
+    random circuit) and write the resulting test-cube file.  It runs the
+    event-driven engine; the slower ``packed`` and ``reference`` engines
+    are test oracles, reached only through the library's ``engine=``.
 
 ``stats``
     Aggregate the telemetry persisted by ``--trace`` runs (and the result
     store itself) from a store directory: span wall-time rollup, counters,
     cache hit-rates and histogram digests across every recorded run.
+
+``compress``, ``sweep`` and ``atpg`` read and check all of their input
+before any work starts: bad input (a missing file, an invalid cube or
+``.bench`` line, an out-of-range option) ends the run with one
+``repro <command>: <reason>`` line and exit status 1, as a bad
+``campaign`` setup does with ``campaign setup failed: <reason>``.
 
 ``compress``, ``campaign`` and ``atpg`` accept ``--trace``: the run is
 recorded by the telemetry subsystem (hierarchical spans, metrics, event
@@ -98,13 +103,7 @@ def _load_test_set(args: argparse.Namespace) -> TestSet:
     if args.profile:
         profile = get_profile(args.profile)
         return generate_test_set(profile, seed=args.seed, scale=args.scale)
-    raise SystemExit("either --tests or --profile is required")
-
-
-def _engine_choices():
-    from repro.circuits.backends import backend_names
-
-    return backend_names()
+    raise ValueError("either --tests or --profile is required")
 
 
 def _config_from_args(args: argparse.Namespace, test_set: TestSet) -> CompressionConfig:
@@ -117,7 +116,6 @@ def _config_from_args(args: argparse.Namespace, test_set: TestSet) -> Compressio
         speedup=args.speedup,
         num_scan_chains=args.chains,
         lfsr_size=lfsr_size,
-        engine=args.engine,
     )
 
 
@@ -169,15 +167,20 @@ def _add_common_options(parser: argparse.ArgumentParser):
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     try:
+        test_set = _load_test_set(args)
+        config = _config_from_args(args, test_set)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro compress: {error}")
+    try:
         if args.trace:
             from repro.telemetry import Recorder, use_recorder
 
             recorder = Recorder()
             with use_recorder(recorder):
-                status = _run_compress(args)
+                status = _run_compress(args, test_set, config)
             _emit_telemetry(recorder, args.trace_dir, "compress telemetry")
             return status
-        return _run_compress(args)
+        return _run_compress(args, test_set, config)
     except KeyboardInterrupt:
         print(
             "\ninterrupted: compression abandoned, nothing written",
@@ -186,9 +189,9 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         return 130
 
 
-def _run_compress(args: argparse.Namespace) -> int:
-    test_set = _load_test_set(args)
-    config = _config_from_args(args, test_set)
+def _run_compress(
+    args: argparse.Namespace, test_set: TestSet, config: CompressionConfig
+) -> int:
     context = None
     recorder = None
     if args.trace:
@@ -239,24 +242,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro import pipeline
     from repro.context import CompressionContext
 
-    test_set = _load_test_set(args)
-    lfsr_size = args.lfsr
-    if lfsr_size is None and args.profile:
-        lfsr_size = get_profile(args.profile).lfsr_size
-    if lfsr_size is None:
-        lfsr_size = test_set.max_specified() + 8
+    try:
+        test_set = _load_test_set(args)
+        lfsr_size = args.lfsr
+        if lfsr_size is None and args.profile:
+            lfsr_size = get_profile(args.profile).lfsr_size
+        if lfsr_size is None:
+            lfsr_size = test_set.max_specified() + 8
+        # segment_size=1 keeps the base config valid for any window length;
+        # the swept (S, k) points are applied per reduction below (the
+        # encode stage ignores the reduction knobs either way).  Every point
+        # is built here, so a bad --segments / --speedups value is reported
+        # before the encode runs.
+        base = CompressionConfig(
+            window_length=args.window,
+            segment_size=1,
+            num_scan_chains=min(args.chains, test_set.num_cells),
+            lfsr_size=lfsr_size,
+        )
+        points = {
+            (k, segment_size): base.with_updates(
+                segment_size=min(segment_size, args.window), speedup=k
+            )
+            for k in args.speedups
+            for segment_size in args.segments
+        }
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro sweep: {error}")
     # Staged pipeline: encode once, sweep every (S, k) reduction against the
     # shared context (the seed windows are expanded exactly once).
     context = CompressionContext()
-    # segment_size=1 keeps the base config valid for any window length; the
-    # swept (S, k) points are applied per reduction below (the encode stage
-    # ignores the reduction knobs either way).
-    base = CompressionConfig(
-        window_length=args.window,
-        segment_size=1,
-        num_scan_chains=min(args.chains, test_set.num_cells),
-        lfsr_size=lfsr_size,
-    )
     encoded = pipeline.encode(test_set, base, context=context, verify=False)
     encoding = encoded.encoding
     print(
@@ -265,21 +280,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{encoding.test_sequence_length} vectors\n"
     )
     sweep = {}
-    for k in args.speedups:
-        sweep[k] = {}
-        for segment_size in args.segments:
-            reduction = pipeline.reduce(
-                encoded,
-                base.with_updates(
-                    segment_size=min(segment_size, args.window), speedup=k
-                ),
-            )
-            sweep[k][segment_size] = round(
-                tsl_improvement(
-                    reduction.test_sequence_length, encoding.test_sequence_length
-                ),
-                1,
-            )
+    for (k, segment_size), config in points.items():
+        reduction = pipeline.reduce(encoded, config)
+        sweep.setdefault(k, {})[segment_size] = round(
+            tsl_improvement(
+                reduction.test_sequence_length, encoding.test_sequence_length
+            ),
+            1,
+        )
     print(improvement_table(test_set.name, sweep))
     return 0
 
@@ -405,7 +413,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     cache = result.cache_stat_totals()
     if cache:
         parts = []
-        for kind in ("substrate", "encoding", "window", "packed_window"):
+        for kind in ("substrate", "encoding", "packed_window"):
             hits = cache.get(f"{kind}_hits", 0)
             misses = cache.get(f"{kind}_misses", 0)
             if hits or misses:
@@ -429,26 +437,26 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     from repro.circuits.bench import parse_bench
     from repro.circuits.generator import random_netlist
 
-    if args.bench:
-        path = Path(args.bench)
-        netlist = parse_bench(path.read_text(), name=path.stem)
-    else:
-        netlist = random_netlist(
-            "generated", num_inputs=args.inputs, num_gates=args.gates, seed=args.seed
-        )
+    try:
+        if args.bench:
+            path = Path(args.bench)
+            netlist = parse_bench(path.read_text(), name=path.stem)
+        else:
+            netlist = random_netlist(
+                "generated", num_inputs=args.inputs, num_gates=args.gates,
+                seed=args.seed,
+            )
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro atpg: {error}")
     recorder = None
     if args.trace:
         from repro.telemetry import Recorder, use_recorder
 
         recorder = Recorder()
         with use_recorder(recorder):
-            result = generate_test_set_for_netlist(
-                netlist, fill_seed=args.seed, engine=args.engine
-            )
+            result = generate_test_set_for_netlist(netlist, fill_seed=args.seed)
     else:
-        result = generate_test_set_for_netlist(
-            netlist, fill_seed=args.seed, engine=args.engine
-        )
+        result = generate_test_set_for_netlist(netlist, fill_seed=args.seed)
     stats = result.test_set.stats()
     print(
         f"{netlist.name}: {netlist.num_gates} gates, "
@@ -587,12 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     hw = _add_common_options(compress_parser)
     hw.add_argument("-S", "--segment", type=int, default=10, help="segment size S")
     hw.add_argument("-k", "--speedup", type=int, default=12, help="State Skip speedup k")
-    hw.add_argument(
-        "--engine", choices=_engine_choices(), default=None,
-        help="simulation engine backend wherever the pipeline simulates "
-             "circuits or replays the decompressor (default: REPRO_ENGINE "
-             "or 'events'; all engines are bit-identical)",
-    )
     compress_parser.add_argument(
         "--simulate", action="store_true",
         help="replay the clock-level decompressor simulation",
@@ -675,11 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="gates of the generated circuit (no --bench)")
     atpg_parser.add_argument("--seed", type=int, default=1)
     atpg_parser.add_argument("--output", help="write the cube file here")
-    atpg_parser.add_argument(
-        "--engine", choices=_engine_choices(), default=None,
-        help="PODEM / fault-sim engine backend (default: REPRO_ENGINE or "
-             "'events'; all engines produce identical cubes)",
-    )
     _add_trace_options(atpg_parser, trace_dir="results")
     atpg_parser.set_defaults(func=_cmd_atpg)
 

@@ -41,14 +41,6 @@ class CompressionConfig:
     max_phase_retries:
         How many alternative phase shifters to try when a cube hits a
         structural linear dependency.
-    engine:
-        Simulation engine backend (``"reference"``, ``"packed"`` or
-        ``"events"``) used wherever the pipeline simulates
-        circuits or replays the decompressor.  ``None`` (the default)
-        follows the process default (``REPRO_ENGINE`` or ``events``) and is
-        omitted from serialisation and cache keys -- backends are
-        bit-identical by contract, so an unpinned engine never changes a
-        result.
     """
 
     window_length: int = 200
@@ -62,7 +54,6 @@ class CompressionConfig:
     alignment: str = "exact"
     force_first_segment_useful: bool = True
     max_phase_retries: int = 4
-    engine: Optional[str] = None
 
     def __post_init__(self):
         if self.window_length < 1:
@@ -81,12 +72,6 @@ class CompressionConfig:
             raise ValueError("alignment must be 'exact' or 'ideal'")
         if self.max_phase_retries < 0:
             raise ValueError("max_phase_retries must be non-negative")
-        if self.engine is not None:
-            # Deferred import: the registry lives under repro.circuits and
-            # config must stay importable on its own.
-            from repro.circuits.backends import get_backend
-
-            get_backend(self.engine)  # raises listing the registered names
 
     # ------------------------------------------------------------------
     # Presets
@@ -117,23 +102,15 @@ class CompressionConfig:
     # Serialisation / content addressing
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """All knobs as a JSON-safe dictionary.
-
-        ``engine=None`` (follow the process default) is omitted: backends
-        are bit-identical, so only an explicitly pinned engine is worth
-        recording -- and old stored records / cache keys stay valid.
-        """
-        data = asdict(self)
-        if data.get("engine") is None:
-            del data["engine"]
-        return data
+        """All knobs as a JSON-safe dictionary."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CompressionConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are ignored so stored campaign records stay loadable
-        when the config grows new fields.
+        when the config gains or drops a field.
         """
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
@@ -159,17 +136,10 @@ class CompressionConfig:
     )
 
     def encode_dict(self) -> Dict[str, object]:
-        """The encode-relevant knobs only (reduction-only fields dropped).
-
-        ``engine`` is dropped too: the encode stage is pure linear algebra
-        over the substrate, and even where circuits are simulated the
-        backends are bit-identical -- the engine can never change an
-        encoding.
-        """
+        """The encode-relevant knobs only (reduction-only fields dropped)."""
         data = self.to_dict()
         for name in self._REDUCTION_ONLY_FIELDS:
             data.pop(name)
-        data.pop("engine", None)
         return data
 
     def encode_cache_key(self) -> str:

@@ -145,11 +145,11 @@ class CompressionContext:
     * ``substrate``: :class:`EncoderSubstrate` by :class:`SubstrateKey`;
     * ``windows``: expanded seed windows by ``(SubstrateKey, seed values)``
       -- the seed-value tuple is the content fingerprint of the seeds.
-      The uint64-blocked form (:meth:`packed_windows`) is the primary
-      artifact -- the BLAS expansion happens there -- and the integer form
-      (:meth:`expanded_windows`) is a cheap derived view cached alongside
-      it, so verification (integers) and the embedding matcher (packed
-      blocks) share one expansion;
+      Only the uint64-blocked form (:meth:`packed_windows`) is cached --
+      the BLAS expansion happens there -- and the integer form
+      (:meth:`expanded_windows`) is derived from it on each call, so
+      verification (integers) and the embedding matcher (packed blocks)
+      share one expansion;
     * ``encoding``: full encode-stage results (substrate + seeds +
       verification flag) by ``(test-set fingerprint, encode-relevant config
       key)`` -- this is what lets a warm (S, k) sweep skip the seed
@@ -168,7 +168,6 @@ class CompressionContext:
         self.stats = stats if stats is not None else ContextStats()
         self._substrates = LRUCache(max_substrates)
         self._encodings = LRUCache(max_encodings)
-        self._windows = LRUCache(max_windows)
         self._packed_windows = LRUCache(max_windows)
 
     # ------------------------------------------------------------------
@@ -257,23 +256,13 @@ class CompressionContext:
         Entry ``[s][v]`` is the packed test vector of seed ``s`` at window
         position ``v`` (exactly
         :meth:`~repro.encoding.equations.EquationSystem.expand_seeds`).
-        Derived from the :meth:`packed_windows` cache, so the integer and
-        the uint64-blocked consumers share one BLAS expansion.  The result
-        is shared -- treat it as immutable.
+        Converted from the :meth:`packed_windows` cache on every call, so
+        the integer and the uint64-blocked consumers share one BLAS
+        expansion.
         """
         from repro.encoding.equations import windows_from_packed
 
-        key = (substrate.key, tuple(seed.value for seed in seeds))
-        cached = self._windows.get(key) if self.caching else None
-        if cached is not None:
-            self.stats.count("window_hits")
-            return cached
-        self.stats.count("window_misses")
-        packed = self.packed_windows(substrate, seeds)
-        windows = windows_from_packed(packed)
-        if self.caching:
-            self._windows.put(key, windows)
-        return windows
+        return windows_from_packed(self.packed_windows(substrate, seeds))
 
     # ------------------------------------------------------------------
     # Housekeeping
@@ -282,5 +271,4 @@ class CompressionContext:
         """Drop every cached object (stats are kept)."""
         self._substrates.clear()
         self._encodings.clear()
-        self._windows.clear()
         self._packed_windows.clear()

@@ -5,18 +5,19 @@ six small counters (Bit, Vector, Segment, Useful Segment, Seed, Group), and a
 combinational Mode Select unit that raises the Normal/State-Skip select line
 exactly for the useful segments.
 
-* :mod:`~repro.decompressor.counters` -- the counter primitives and their
-  widths.
+* :mod:`~repro.decompressor.counters` -- the widths of the six counters.
 * :mod:`~repro.decompressor.mode_select` -- the Mode Select unit (behaviour
   and decoding-cost model).
-* :mod:`~repro.decompressor.architecture` -- a clock-level simulation of the
-  whole decompressor that replays a reduction schedule and checks that every
-  test cube really reaches the scan chains.
+* :mod:`~repro.decompressor.architecture` -- a simulation of the whole
+  decompressor that replays a reduction schedule and checks that every test
+  cube really reaches the scan chains.  ``simulate_decompression`` runs
+  the segment-batched datapath; ``DecompressionController(...,
+  batched=False)`` is the clock-by-clock reference it is tested against.
 * :mod:`~repro.decompressor.hardware` -- the gate-equivalent cost model used
   to reproduce the Section 4 hardware-overhead figures.
 """
 
-from repro.decompressor.counters import Counter, CounterBank, counter_width
+from repro.decompressor.counters import counter_width
 from repro.decompressor.mode_select import ModeSelectUnit
 from repro.decompressor.architecture import (
     DecompressionController,
@@ -31,8 +32,6 @@ from repro.decompressor.hardware import (
 )
 
 __all__ = [
-    "Counter",
-    "CounterBank",
     "counter_width",
     "ModeSelectUnit",
     "DecompressionController",

@@ -21,25 +21,25 @@ the whole flow.
 
 Two datapath models replay the schedule:
 
-* the **batched** model (default) advances the LFSR and applies the phase
+* the **batched** model advances the LFSR and applies the phase
   shifter a whole segment at a time: the segment's register states come from
   a doubling ladder of GF(2) matmuls, all phase-shifter outputs of the
   segment are one BLAS product, and captured vectors / scan-chain contents
   are numpy gathers -- this is what makes ``simulate`` usable inside large
-  campaigns;
-* ``engine="reference"`` selects the original clock-by-clock reference (:meth:`Decompressor.shift_clock` per
-  cycle), kept as the golden reference -- both produce identical
-  :class:`SimulationOutcome`\\ s, vector for vector.
+  campaigns.  :func:`simulate_decompression` always runs it;
+* the **per-clock** model (``DecompressionController(..., batched=False)``)
+  calls :meth:`Decompressor.shift_clock` once per cycle and is kept as the
+  golden reference -- both produce identical :class:`SimulationOutcome`\\ s,
+  vector for vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.decompressor.counters import CounterBank
 from repro.decompressor.mode_select import ModeSelectUnit
 from repro.encoding.results import EncodingResult
 from repro.gf2.bitvec import BitVector
@@ -270,7 +270,7 @@ class _BatchedDatapath:
 
 
 class DecompressionController:
-    """The counter-based controller that sequences seeds and segments.
+    """The controller that sequences seeds and segments.
 
     ``batched=True`` runs the schedule on the segment-batched numpy
     datapath (:class:`_BatchedDatapath`); the default replays it clock by
@@ -302,24 +302,12 @@ class DecompressionController:
             raise ValueError(
                 "reduction speedup does not match the State Skip circuit"
             )
-        arch = self._decompressor.architecture
-        chain_length = arch.chain_length
-        segment_size = reduction.config.segment_size
-
+        chain_length = self._decompressor.architecture.chain_length
         mode_select = ModeSelectUnit(
             [schedule.useful_segments for schedule in reduction.schedules],
             reduction.num_segments_per_window,
         )
         groups = reduction.seed_groups()
-        max_group_size = max((len(s) for s in groups.values()), default=1)
-        max_useful = max((count for count in groups), default=1)
-        counters = CounterBank.dimension(
-            chain_length=chain_length,
-            segment_size=segment_size,
-            segments_per_window=reduction.num_segments_per_window,
-            max_useful_segments=max_useful,
-            max_group_size=max_group_size,
-        )
 
         useful_vectors: List[int] = []
         vectors_applied = 0
@@ -328,9 +316,7 @@ class DecompressionController:
         seeds_applied = 0
         schedules = {s.seed_index: s for s in reduction.schedules}
 
-        for group_count, seed_indices in groups.items():
-            counters.group.load(min(group_count, counters.group.max_value))
-            counters.seed.reset()
+        for seed_indices in groups.values():
             for seed_index in seed_indices:
                 record = encoding.seeds[seed_index]
                 schedule = schedules[seed_index]
@@ -338,10 +324,6 @@ class DecompressionController:
                     self._batched.load_seed(record.seed)
                 else:
                     self._decompressor.load_seed(record.seed)
-                counters.useful_segment.load(
-                    min(group_count, counters.useful_segment.max_value)
-                )
-                counters.segment.reset()
                 seeds_applied += 1
                 for plan in schedule.segments:
                     useful = mode_select.mode(seed_index, plan.segment_index)
@@ -387,8 +369,6 @@ class DecompressionController:
                                 self._decompressor.shift_clock()
                                 lfsr_clocks += 1
                         vectors_applied += plan.vectors_applied
-                counters.seed.increment()
-            counters.group.increment()
 
         return SimulationOutcome(
             seeds_applied=seeds_applied,
@@ -406,21 +386,17 @@ def simulate_decompression(
     transition: GF2Matrix,
     phase_shifter: PhaseShifter,
     architecture: ScanArchitecture,
-    engine: Optional[str] = None,
 ) -> SimulationOutcome:
-    """Convenience wrapper: build the datapath and replay a schedule.
+    """Replay a schedule on the segment-batched datapath.
 
-    The datapath model follows the selected engine backend:
-    ``engine="reference"`` replays clock by clock, every other backend uses
-    the segment-batched numpy datapath; the outcomes are identical (the
-    golden-equivalence tests enforce this).
+    The per-clock reference replay
+    (``DecompressionController(..., batched=False)``) gives the identical
+    outcome; the golden tests and the decompressor differential property
+    enforce this.
     """
-    from repro.circuits.backends import get_backend
-
     decompressor = Decompressor(
         transition, phase_shifter, architecture, reduction.config.speedup
     )
-    controller = DecompressionController(
-        decompressor, batched=get_backend(engine).batched_decompressor
+    return DecompressionController(decompressor, batched=True).run(
+        encoding, reduction
     )
-    return controller.run(encoding, reduction)

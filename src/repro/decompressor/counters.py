@@ -1,4 +1,4 @@
-"""Counter primitives of the decompression controller.
+"""Counter sizing of the decompression controller.
 
 The controller of Fig. 3 is built from six small counters:
 
@@ -11,17 +11,14 @@ Seed      counts the seeds of the current seed-group
 Group     counts the seed-groups (its value = useful segments per seed)
 ========  =====================================================================
 
-The :class:`Counter` model is deliberately simple -- load, increment /
-decrement, wrap detection -- because the controller logic itself lives in
-:class:`repro.decompressor.architecture.DecompressionController`; what matters
-here is having an explicit register-level object whose width feeds the
-gate-equivalent cost model.
+The replay in :class:`repro.decompressor.architecture.DecompressionController`
+sequences seeds and segments directly, so only the register widths matter
+here: :func:`counter_width` sizes each counter for the gate-equivalent cost
+model (:func:`repro.decompressor.hardware.counters_cost`) and for the Mode
+Select decoder (:mod:`repro.decompressor.mode_select`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, List
 
 
 def counter_width(max_value: int) -> int:
@@ -31,124 +28,3 @@ def counter_width(max_value: int) -> int:
     if max_value == 0:
         return 1
     return max_value.bit_length()
-
-
-class Counter:
-    """A loadable up/down counter with wrap detection."""
-
-    def __init__(self, name: str, max_value: int):
-        if max_value < 0:
-            raise ValueError("max_value must be non-negative")
-        self._name = name
-        self._max_value = max_value
-        self._width = counter_width(max_value)
-        self._value = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    @property
-    def max_value(self) -> int:
-        return self._max_value
-
-    @property
-    def width(self) -> int:
-        """Register width in flip-flops."""
-        return self._width
-
-    def is_zero(self) -> bool:
-        return self._value == 0
-
-    def at_max(self) -> bool:
-        return self._value == self._max_value
-
-    # ------------------------------------------------------------------
-    # Operation
-    # ------------------------------------------------------------------
-    def load(self, value: int) -> None:
-        if not 0 <= value <= self._max_value:
-            raise ValueError(
-                f"{self._name}: cannot load {value} (max {self._max_value})"
-            )
-        self._value = value
-
-    def reset(self) -> None:
-        self._value = 0
-
-    def increment(self) -> bool:
-        """Count up by one; returns True when the counter wraps to zero."""
-        if self._value == self._max_value:
-            self._value = 0
-            return True
-        self._value += 1
-        return False
-
-    def decrement(self) -> bool:
-        """Count down by one; returns True when the counter hits zero."""
-        if self._value == 0:
-            raise ValueError(f"{self._name}: decrement below zero")
-        self._value -= 1
-        return self._value == 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self._name!r}, value={self._value}, max={self._max_value})"
-
-
-@dataclass
-class CounterBank:
-    """The six controller counters, dimensioned for one reduction result.
-
-    Parameters mirror Fig. 3: chain length ``r`` (Bit), segment size ``S``
-    (Vector), segments per window (Segment), maximum useful segments per seed
-    (Useful Segment and Group), and the largest seed-group size (Seed).
-    """
-
-    bit: Counter
-    vector: Counter
-    segment: Counter
-    useful_segment: Counter
-    seed: Counter
-    group: Counter
-
-    @classmethod
-    def dimension(
-        cls,
-        chain_length: int,
-        segment_size: int,
-        segments_per_window: int,
-        max_useful_segments: int,
-        max_group_size: int,
-    ) -> "CounterBank":
-        return cls(
-            bit=Counter("bit", max(chain_length - 1, 0)),
-            vector=Counter("vector", max(segment_size - 1, 0)),
-            segment=Counter("segment", max(segments_per_window - 1, 0)),
-            useful_segment=Counter("useful_segment", max(max_useful_segments, 1)),
-            seed=Counter("seed", max(max_group_size - 1, 0)),
-            group=Counter("group", max(max_useful_segments, 1)),
-        )
-
-    def counters(self) -> List[Counter]:
-        return [
-            self.bit,
-            self.vector,
-            self.segment,
-            self.useful_segment,
-            self.seed,
-            self.group,
-        ]
-
-    def total_flip_flops(self) -> int:
-        """Total register bits of the controller counters."""
-        return sum(counter.width for counter in self.counters())
-
-    def widths(self) -> Dict[str, int]:
-        return {counter.name: counter.width for counter in self.counters()}

@@ -26,7 +26,7 @@ serves two consumers:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -123,10 +123,6 @@ class EquationSystem:
         self._window_length = window_length
         self._lfsr_size = transition.ncols
 
-        # Dense conversions are memoized per EquationSystem: each GF2Matrix
-        # is converted exactly once, no matter how many cube batches or seed
-        # expansions consult it.
-        self._dense_cache: Dict[GF2Matrix, np.ndarray] = {}
         self._cell_rows = self._build_cell_rows()
         n = self._lfsr_size
         # float32 forms feed the BLAS-backed GF(2) matmuls of
@@ -162,14 +158,6 @@ class EquationSystem:
     #: then caps accumulation relative to the largest set seen).
     _MAX_CUBE_ENTRIES = 8192
 
-    def _to_numpy(self, matrix: GF2Matrix) -> np.ndarray:
-        """Dense uint8 form of ``matrix``, converted at most once."""
-        cached = self._dense_cache.get(matrix)
-        if cached is None:
-            cached = _matrix_to_numpy(matrix)
-            self._dense_cache[matrix] = cached
-        return cached
-
     def reserve_cube_capacity(self, num_cubes: int) -> None:
         """Make sure a test set of ``num_cubes`` cubes fits the caches.
 
@@ -187,8 +175,8 @@ class EquationSystem:
         """Rows ``P[chain(c)] * A^(load_cycle(c))`` for every scan cell."""
         arch = self._architecture
         n = self._lfsr_size
-        phase_np = self._to_numpy(self._phase_shifter.matrix)
-        transition_np = self._to_numpy(self._transition)
+        phase_np = _matrix_to_numpy(self._phase_shifter.matrix)
+        transition_np = _matrix_to_numpy(self._transition)
 
         # chain_rows[t] = P * A^t for every shift cycle t of one vector load.
         chain_rows = np.empty((arch.chain_length, phase_np.shape[0], n), dtype=np.uint8)
@@ -208,7 +196,7 @@ class EquationSystem:
         """``A^(v*r)`` for every window position ``v`` (shape L x n x n)."""
         n = self._lfsr_size
         per_vector = transition_power(self._transition, self._architecture.chain_length)
-        per_vector_np = self._to_numpy(per_vector)
+        per_vector_np = _matrix_to_numpy(per_vector)
         matrices = np.empty((self._window_length, n, n), dtype=np.uint8)
         matrices[0] = np.eye(n, dtype=np.uint8)
         for v in range(1, self._window_length):

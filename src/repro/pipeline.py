@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.config import CompressionConfig
 from repro.context import CompressionContext, EncoderSubstrate
@@ -215,13 +215,6 @@ class StagedEncoding:
     verified: bool
     context: CompressionContext
 
-    @property
-    def windows(self) -> List[List[int]]:
-        """The expanded seed windows (context-cached, shared, immutable)."""
-        return self.context.expanded_windows(
-            self.substrate, [record.seed for record in self.encoding.seeds]
-        )
-
 
 def encode(
     test_set: TestSet,
@@ -376,12 +369,13 @@ def simulate(
     reduction: ReductionResult,
     context: Optional[CompressionContext] = None,
 ) -> SimulationOutcome:
-    """Stage 4: clock-level decompressor replay (end-to-end delivery check).
+    """Stage 4: decompressor replay (end-to-end delivery check).
 
     The simulation is deliberately *not* served from the window cache: it
-    re-generates every vector through the State Skip datapath clock by
-    clock, which is what makes it an independent check of the whole flow.
-    Raises when any cube of the test set is left unapplied.
+    re-generates every vector through the State Skip datapath (segment by
+    segment, bit-identical to the clock-by-clock reference), which is what
+    makes it an independent check of the whole flow.  Raises when any cube
+    of the test set is left unapplied.
     """
     context = context or encoded.context
     start = time.perf_counter()
@@ -392,7 +386,6 @@ def simulate(
             encoded.substrate.lfsr.transition,
             encoded.substrate.phase_shifter,
             encoded.substrate.architecture,
-            engine=encoded.config.engine,
         )
         uncovered = outcome.uncovered_cubes(encoded.test_set)
         if uncovered:

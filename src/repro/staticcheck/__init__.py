@@ -1,8 +1,8 @@
 """Static verification subsystem: find whole bug classes before running.
 
-The reproduction spans three interchangeable simulation backends, several
-fingerprint/cache-key-driven caches and an fcntl-locked concurrent result
-store.  Every invariant holding that together used to be checked only
+The reproduction spans a fast simulation engine with slow reference
+oracles beside it, several fingerprint/cache-key-driven caches and an
+fcntl-locked concurrent result store.  Every invariant holding that together used to be checked only
 dynamically -- when a test happened to hit it.  This package is the static
 counterpart of the differential property tests: where those find
 violations *after* executing a case, the analyzers here reject whole

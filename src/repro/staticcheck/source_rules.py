@@ -4,8 +4,8 @@ Each rule encodes one discipline the codebase converged on and that used
 to be enforced only by review or by dynamic failure:
 
 * ``dict-engine-hotpath`` -- the dict-based reference engine exists for
-  differential checking; hot-path modules must go through the backend
-  registry instead of calling it directly.
+  differential checking; hot-path modules must run the packed / event
+  engines instead of calling it directly.
 * ``store-open`` -- ``results.jsonl`` and its writer lock are only safe
   under the fcntl discipline of :class:`repro.campaign.store.ResultStore`.
 * ``unordered-iteration`` -- fingerprints and cache keys must be
@@ -56,12 +56,11 @@ def _in_src(sf: SourceFile) -> bool:
 _REFERENCE_ENTRY_POINTS = frozenset(
     {"simulate_ternary_reference", "build_embedding_map_reference"}
 )
-#: Modules on the simulation hot path: these must reach engines through the
-#: backend registry so ``engine=``/``REPRO_ENGINE`` selection applies.
+#: Modules on the simulation hot path: production runs go through them, so a
+#: call into a slow reference oracle there would silently slow every run.
 #: Deliberately absent: ``circuits/simulator.py`` and ``skip/selection.py``
-#: (they *define* the reference implementations), ``circuits/atpg.py``
-#: (hosts the reference PODEM, specified against reference semantics)
-#: and ``circuits/backends/`` (the registry).
+#: (they *define* the reference implementations) and ``circuits/atpg.py``
+#: (hosts the reference PODEM, reached only through ``engine="reference"``).
 _HOT_PATH_PREFIXES = ("src/repro/encoding/", "src/repro/skip/")
 _HOT_PATH_MODULES = frozenset(
     {
@@ -111,8 +110,8 @@ RULE_DICT_ENGINE_HOTPATH = register_rule(
         ),
         run=_run_dict_engine_hotpath,
         fix_hint=(
-            "go through the backend registry (get_backend or "
-            "engine='reference') so engine selection stays uniform"
+            "call the packed core (simulate_ternary, build_embedding_map); "
+            "the reference oracles belong in tests"
         ),
     )
 )

@@ -1,9 +1,12 @@
 """Counters, gauges and log-scale histograms behind one registry.
 
-The :class:`MetricsRegistry` is the single store every instrumented layer
-writes into: the context caches (through the :class:`~repro.context.ContextStats`
-compatibility façade), the pipeline stages, PODEM, the fault simulator, the
-GF(2) solver and the campaign runner.  Three metric kinds cover them all:
+The :class:`MetricsRegistry` is the store the instrumented layers write
+into: the context caches (through the :class:`~repro.context.ContextStats`
+compatibility façade), the pipeline stages, PODEM, the fault simulator and
+the campaign runner.  The GF(2) solver is the exception: it counts into the
+process-global ``repro.gf2.solve.SOLVER_STATS``, and
+:func:`repro.pipeline.encode` copies the solver work of each call into
+``context.stats``.  Three metric kinds cover them all:
 
 * **counters** -- monotonically accumulated numbers.  Values are plain
   Python numbers, so counters double as wall-time accumulators (the

@@ -1,32 +1,48 @@
-"""Engine-backend registry: conformance, dispatch hints, env default.
+"""Engine conformance: the events engine and its two oracles agree.
 
-The conformance classes are parametrized over every registered backend and
-compare against ``engine="reference"`` (the frozen pre-registry golden
-path) on randomized netlists -- the executable form of the registry's
-bit-identical-by-contract promise.
+The conformance class is parametrized over every name in
+:data:`repro.circuits.simulator.ENGINES` and compares each engine against
+the frozen dict reference on randomized netlists -- the executable form of
+the engines' bit-identical-by-contract promise.
 """
 
 import pytest
 
 from repro.circuits.atpg import PodemAtpg
-from repro.circuits.backends import (
-    DEFAULT_ENGINE,
-    backend_names,
-    default_backend_name,
-    get_backend,
-)
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
 from repro.circuits.simulator import (
+    ENGINES,
     pack_patterns,
     simulate,
     simulate_parallel,
     simulate_ternary,
     simulate_ternary_reference,
 )
+from repro.circuits.ternary import (
+    TernaryEventEngine,
+    packed_plan,
+    ternary_state_to_dict,
+)
 from repro.config import CompressionConfig
 
-ENGINES = backend_names()
+
+def _engine_ternary(engine, netlist, assignment):
+    """Three-valued simulation of one assignment by ``engine``'s evaluator.
+
+    ``events`` assigns the inputs one by one on a persistent
+    :class:`TernaryEventEngine` (incremental propagation), ``packed`` runs
+    the full-pass packed core and ``reference`` the dict evaluator.
+    """
+    if engine == "reference":
+        return simulate_ternary_reference(netlist, assignment)
+    if engine == "packed":
+        return simulate_ternary(netlist, assignment)
+    plan = packed_plan(netlist)
+    state = TernaryEventEngine(plan, 1)
+    for net, bit in assignment.items():
+        state.assign(plan.index[net], bit)
+    return ternary_state_to_dict(plan, state.values, state.cares)
 
 
 def _random_assignments(netlist, seed, count=6):
@@ -56,7 +72,7 @@ def _random_patterns(netlist, seed, count=24):
 
 
 # ----------------------------------------------------------------------
-# Conformance: every backend vs the reference, randomized circuits
+# Conformance: every engine vs the reference, randomized circuits
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ENGINES)
 class TestConformance:
@@ -66,13 +82,13 @@ class TestConformance:
                 "conf", num_inputs=10, num_gates=45, seed=seed
             )
             for assignment in _random_assignments(netlist, seed):
-                assert simulate_ternary(
-                    netlist, assignment, engine=engine
+                assert _engine_ternary(
+                    engine, netlist, assignment
                 ) == simulate_ternary_reference(netlist, assignment)
 
     def test_parallel_simulation_matches_single(self, engine):
         # Binary evaluation is the shared packed core; on fully specified
-        # inputs it must agree with every backend's ternary simulation.
+        # inputs it must agree with every engine's ternary simulation.
         netlist = random_netlist("conf", num_inputs=9, num_gates=40, seed=21)
         patterns = _random_patterns(netlist, 21, count=12)
         words = simulate_parallel(
@@ -80,7 +96,7 @@ class TestConformance:
         )
         for position, pattern in enumerate(patterns):
             single = simulate(netlist, pattern)
-            assert simulate_ternary(netlist, pattern, engine=engine) == single
+            assert _engine_ternary(engine, netlist, pattern) == single
             for net, value in single.items():
                 assert (words[net] >> position) & 1 == value
 
@@ -156,44 +172,41 @@ class TestConformance:
 
 
 # ----------------------------------------------------------------------
-# Registry and process default
+# Engine names and engine-keyed defaults
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_builtin_backends_registered(self):
-        assert backend_names() == ("reference", "packed", "events")
-
     def test_unknown_engine_lists_registered_backends(self):
-        with pytest.raises(ValueError, match="registered backends: reference"):
-            get_backend("turbo")
+        netlist = random_netlist("conf", num_inputs=6, num_gates=20, seed=3)
+        expected = "expected one of events, packed, reference"
+        with pytest.raises(ValueError, match=expected):
+            PodemAtpg(netlist, engine="turbo")
+        with pytest.raises(ValueError, match=expected):
+            FaultSimulator(netlist, engine="turbo")
 
-    def test_default_follows_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_backend_name() == DEFAULT_ENGINE == "events"
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert default_backend_name() == "reference"
-        assert get_backend().name == "reference"
+    def test_backend_dispatch_hints_are_coherent(self, monkeypatch):
+        # PodemAtpg.run's default fill handling follows the engine: events
+        # packs the random fills into blocks handed to detect_block, the
+        # oracles keep the per-pattern drop loop and never call it.
+        netlist = random_netlist("conf", num_inputs=8, num_gates=35, seed=61)
+        blocks = []
+        detect_block = FaultSimulator.detect_block
 
-    def test_unknown_environment_engine_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        with pytest.raises(ValueError, match="REPRO_ENGINE"):
-            default_backend_name()
+        def counting_detect_block(self, *args, **kwargs):
+            blocks.append(1)
+            return detect_block(self, *args, **kwargs)
 
-    def test_backend_dispatch_hints_are_coherent(self):
-        assert get_backend("reference").fills == "per-pattern"
-        assert get_backend("packed").fills == "per-pattern"
-        assert get_backend("events").fills == "batched"
-        assert not get_backend("reference").batched_decompressor
-        assert get_backend("events").batched_decompressor
+        monkeypatch.setattr(FaultSimulator, "detect_block", counting_detect_block)
+        for engine in ENGINES:
+            blocks.clear()
+            PodemAtpg(netlist, engine=engine).run()
+            assert bool(blocks) == (engine == "events"), engine
 
     def test_config_validates_and_serialises_engine(self):
-        with pytest.raises(ValueError, match="registered backends"):
-            CompressionConfig(engine="turbo")
+        # The config has no engine knob: it neither accepts nor serialises
+        # one, and a stored record that pinned an engine still loads.
+        with pytest.raises(TypeError):
+            CompressionConfig(engine="packed")
         default = CompressionConfig()
         assert "engine" not in default.to_dict()
-        pinned = CompressionConfig(engine="packed")
-        assert pinned.to_dict()["engine"] == "packed"
-        # The engine can never change an encoding, so the encode key
-        # ignores it and old stored cache keys stay valid.
-        assert "engine" not in pinned.encode_dict()
-        assert default.cache_key() != pinned.cache_key()
-        assert default.encode_cache_key() == pinned.encode_cache_key()
+        stored = dict(default.to_dict(), engine="packed")
+        assert CompressionConfig.from_dict(stored) == default

@@ -41,16 +41,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compress", "--profile", "s27"])
 
-    @pytest.mark.parametrize(
-        "option", [["-k", "3"], ["-S", "4"], ["--engine", "reference"]]
-    )
+    @pytest.mark.parametrize("option", [["-k", "3"], ["-S", "4"]])
     def test_sweep_rejects_options_it_does_not_read(self, option):
-        # sweep takes S and k from --segments / --speedups and never
-        # simulates; these options used to parse and be silently ignored.
+        # sweep takes S and k from --segments / --speedups; these options
+        # used to parse and be silently ignored.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--profile", "s9234", *option])
         args = build_parser().parse_args(["compress", "--profile", "s9234", *option])
         assert args.func is not None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "--profile", "s9234", "--engine", "events"],
+            ["atpg", "--engine", "packed"],
+        ],
+        ids=["compress", "atpg"],
+    )
+    def test_engine_flags_are_gone(self, argv):
+        # The events engine is the only one the CLI runs; the oracles are
+        # reached through the library's engine= only.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestCompressCommand:
@@ -80,6 +93,28 @@ class TestCompressCommand:
     def test_compress_requires_source(self):
         with pytest.raises(SystemExit):
             main(["compress", "-L", "10"])
+
+    @pytest.mark.parametrize(
+        "options, reason",
+        [
+            (["--profile", "s9234", "-S", "0"], "segment_size must be in"),
+            (["--profile", "s9234", "--scale", "0"], "scale must be in"),
+            (["--tests", "missing.tests"], "No such file"),
+            (["--tests", "z.tests"], "invalid cube character 'Z'"),
+        ],
+        ids=["S-0", "scale-0", "missing-file", "Z-cube"],
+    )
+    def test_compress_rejects_bad_input_in_one_line(
+        self, tmp_path, monkeypatch, options, reason
+    ):
+        (tmp_path / "z.tests").write_text("01X\n0Z1\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compress", *options])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro compress: ")
+        assert reason in message
+        assert "\n" not in message
 
     def test_compress_from_profile(self, capsys):
         code = main(
@@ -125,6 +160,30 @@ class TestSweepCommand:
         assert "TSL improvement" in out
         assert "S=4" in out
 
+    @pytest.mark.parametrize(
+        "options, reason",
+        [
+            (["--speedups", "3", "0"], "speedup must be at least 1"),
+            (["--segments", "0"], "segment_size must be in"),
+            (["--scale", "0"], "scale must be in"),
+        ],
+        ids=["k-0", "S-0", "scale-0"],
+    )
+    def test_sweep_checks_every_point_before_encoding(
+        self, monkeypatch, options, reason
+    ):
+        from repro import pipeline
+
+        def no_encode(*args, **kwargs):
+            raise AssertionError("sweep encoded before checking its input")
+
+        monkeypatch.setattr(pipeline, "encode", no_encode)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--profile", "s9234", "--scale", "0.03", *options])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro sweep: ")
+        assert reason in message
+
 
 class TestAtpgCommand:
     def test_atpg_on_bench_file(self, tmp_path, capsys):
@@ -143,22 +202,23 @@ class TestAtpgCommand:
         assert code == 0
         assert "collapsed faults" in capsys.readouterr().out
 
-    def test_atpg_engine_flags_agree(self, tmp_path, capsys):
-        """--engine packed and --engine reference produce the default's cubes."""
-        outputs = {}
-        for engine in ("default", "packed", "reference"):
-            out_path = tmp_path / f"{engine}.tests"
-            argv = [
-                "atpg", "--inputs", "10", "--gates", "40", "--seed", "4",
-                "--output", str(out_path),
-            ]
-            if engine != "default":
-                argv += ["--engine", engine]
-            assert main(argv) == 0
-            outputs[engine] = out_path.read_text()
-        capsys.readouterr()
-        assert outputs["default"] == outputs["packed"]
-        assert outputs["default"] == outputs["reference"]
+    @pytest.mark.parametrize(
+        "bench_text, reason",
+        [
+            ("INPUT(a)\nOUTPUT(b)\nb = FOO(a)\n", "unknown gate type 'FOO'"),
+            (None, "No such file"),
+        ],
+        ids=["unknown-gate", "missing-file"],
+    )
+    def test_atpg_rejects_bad_bench_in_one_line(self, tmp_path, bench_text, reason):
+        bench_path = tmp_path / "bad.bench"
+        if bench_text is not None:
+            bench_path.write_text(bench_text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["atpg", "--bench", str(bench_path)])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro atpg: ")
+        assert reason in message
 
 
 class TestProfileStats:

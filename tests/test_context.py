@@ -149,7 +149,7 @@ class TestStagedPipeline:
         again = pipeline.encode(test_set, config, context=context, verify=True)
         assert again.verified
         # window expansion happened once (verify) and was reused
-        assert context.stats.counters["window_misses"] == 1
+        assert context.stats.counters["packed_window_misses"] == 1
 
     def test_stats_delta(self):
         before = {"encoding_hits": 1, "encode_s": 0.5}

@@ -1,5 +1,5 @@
-"""Tests for the decompression architecture: counters, Mode Select, the
-clock-level simulation and the gate-equivalent cost model."""
+"""Tests for the decompression architecture: counter sizing, Mode Select,
+the decompressor replay and the gate-equivalent cost model."""
 
 import pytest
 
@@ -8,9 +8,10 @@ from repro.decompressor.architecture import (
     Decompressor,
     simulate_decompression,
 )
-from repro.decompressor.counters import Counter, CounterBank, counter_width
+from repro.decompressor.counters import counter_width
 from repro.decompressor.hardware import (
     GateCostModel,
+    counters_cost,
     decompressor_cost,
     lfsr_cost,
     soc_decompressor_cost,
@@ -56,44 +57,21 @@ class TestCounters:
         with pytest.raises(ValueError):
             counter_width(-1)
 
-    def test_counter_basics(self):
-        counter = Counter("test", 3)
-        assert counter.width == 2
-        assert counter.is_zero()
-        assert not counter.increment()
-        assert counter.value == 1
-        counter.load(3)
-        assert counter.at_max()
-        assert counter.increment()  # wraps
-        assert counter.is_zero()
-
-    def test_counter_decrement(self):
-        counter = Counter("down", 4)
-        counter.load(2)
-        assert not counter.decrement()
-        assert counter.decrement()
-        with pytest.raises(ValueError):
-            counter.decrement()
-
-    def test_counter_load_validation(self):
-        counter = Counter("x", 4)
-        with pytest.raises(ValueError):
-            counter.load(5)
-
     def test_counter_bank_dimensions(self):
-        bank = CounterBank.dimension(
+        # The six Fig. 3 counters for r = 22, S = 10, 20 segments per
+        # window, up to 3 useful segments per seed and 40 seeds per group:
+        # Bit 5, Vector 4, Segment 5, Useful 2, Seed 6 and Group 2 bits,
+        # each costing dff + counter logic (6 + 2.5 GE) per bit.
+        model = GateCostModel()
+        cost = counters_cost(
             chain_length=22,
             segment_size=10,
             segments_per_window=20,
             max_useful_segments=3,
             max_group_size=40,
+            model=model,
         )
-        widths = bank.widths()
-        assert widths["bit"] == counter_width(21)
-        assert widths["vector"] == counter_width(9)
-        assert widths["segment"] == counter_width(19)
-        assert bank.total_flip_flops() == sum(widths.values())
-        assert len(bank.counters()) == 6
+        assert cost == (5 + 4 + 5 + 2 + 6 + 2) * 8.5 == 204.0
 
 
 class TestModeSelect:

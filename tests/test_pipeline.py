@@ -70,6 +70,13 @@ class TestConfig:
         # any knob change moves the key
         assert config.with_updates(speedup=9).cache_key() != config.cache_key()
 
+    def test_default_content_keys_are_pinned(self):
+        # Every campaign result store is keyed by these hashes: changing
+        # either value invalidates every stored campaign result.
+        config = CompressionConfig()
+        assert config.cache_key() == "7bea0c3885e3bf68"
+        assert config.encode_cache_key() == "53a990c776e3727e"
+
     def test_presets_and_updates(self):
         soc = CompressionConfig.paper_soc()
         assert (soc.window_length, soc.segment_size, soc.speedup) == (200, 10, 10)

@@ -47,7 +47,11 @@ from repro.circuits.simulator import (
 from repro.circuits.ternary import ternary_state_to_dict
 from repro.config import CompressionConfig
 from repro.context import CompressionContext
-from repro.decompressor.architecture import simulate_decompression
+from repro.decompressor.architecture import (
+    DecompressionController,
+    Decompressor,
+    simulate_decompression,
+)
 from repro.encoding.window import EncodingError
 from repro.skip.segments import WindowSegmentation
 from repro.skip.selection import (
@@ -623,17 +627,24 @@ class TestEmbeddingMapGolden:
 # ----------------------------------------------------------------------
 def _replay_both(encoded, reduction):
     """Replay a reduction on the segment-batched and per-clock datapaths."""
-    args = (
+    substrate = encoded.substrate
+    batched = simulate_decompression(
         encoded.encoding,
         reduction,
-        encoded.substrate.lfsr.transition,
-        encoded.substrate.phase_shifter,
-        encoded.substrate.architecture,
+        substrate.lfsr.transition,
+        substrate.phase_shifter,
+        substrate.architecture,
     )
-    return [
-        simulate_decompression(*args, engine=engine)
-        for engine in ("events", "reference")
-    ]
+    per_clock = DecompressionController(
+        Decompressor(
+            substrate.lfsr.transition,
+            substrate.phase_shifter,
+            substrate.architecture,
+            reduction.config.speedup,
+        ),
+        batched=False,
+    ).run(encoded.encoding, reduction)
+    return batched, per_clock
 
 
 class TestBatchedDecompressorGolden:
