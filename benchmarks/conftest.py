@@ -80,7 +80,7 @@ class Workbench:
     def __init__(self):
         self._test_sets: Dict[str, TestSet] = {}
         # Sized so no encoding of the session is ever evicted: a miss
-        # re-encodes (s38417 at L=200 takes ~30 s).
+        # re-encodes (s38417 at L=200 takes ~3 s).
         pairs = len(DEFAULT_SCALES) * len(self.WINDOWS)
         self._context = CompressionContext(max_encodings=pairs, max_windows=pairs)
 

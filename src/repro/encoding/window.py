@@ -34,10 +34,10 @@ equations *reduced against the committed basis* and every later selection
 step only pays for the pivots committed since (see
 :meth:`~repro.gf2.solve.IncrementalSolver.try_augmented`).  The first scan of
 a cube within a seed reduces all window positions in one numpy batch
-(:meth:`~repro.gf2.solve.IncrementalSolver.try_positions`).  Constructing the
-encoder with ``batch_trials=False`` restores the original re-reduce-from-
-scratch scan; the two produce bit-identical results (the golden-equivalence
-test relies on this).
+(:meth:`~repro.gf2.solve.IncrementalSolver.try_positions_packed`).
+Constructing the encoder with ``batch_trials=False`` restores the original
+re-reduce-from-scratch scan; the two produce bit-identical results (the
+golden-equivalence test relies on this).
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import CubeEmbedding, EncodingResult, SeedRecord
@@ -352,14 +350,9 @@ class WindowEncoder:
                 }
                 residuals[cube_index] = (solver.epoch, solver.pivot_mask, entries)
                 return trials
-            if len(positions) != self._equations.window_length:
-                rows = np.concatenate(
-                    [
-                        np.arange(p * rows_each, (p + 1) * rows_each)
-                        for p in positions
-                    ]
-                )
-                words = words[rows]
+            # ``open_positions`` and ``residuals`` are filled and dropped
+            # together, so a cube's first scan in a seed covers every window
+            # position: ``words`` needs no row selection.
             trials = solver.try_positions_packed(words, rows_each)
         else:
             # Only the pivot columns committed since the cached scan can

@@ -13,8 +13,11 @@ the cell's next value:
 
 The hardware overhead of the circuit is one XOR tree per cell whose fan-in is
 the weight of the corresponding ``A^k`` row, plus the ``n`` multiplexers.  The
-gate-equivalent accounting mirrors the numbers reported in Section 4 of the
-paper (e.g. 52 GE for s13207's 24-bit LFSR at k = 12).
+trees share no XOR gates, so this accounting does not yet reproduce Section 4
+of the paper: for s13207's 24-bit LFSR it gives 216 GE at k = 12 and 572 GE at
+k = 32 (``results/hardware_state_skip.txt``), where the paper reports 52 and
+119 GE.  Shared-XOR synthesis and a skip-aware feedback polynomial are the
+open work of direction 3 in ``ROADMAP.md``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ import numpy as np
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import EncodingResult
 from repro.skip.segments import WindowSegmentation
-from repro.testdata.test_set import TestSet
+from repro.testdata.test_set import TestSet, cover_matrix
 
 #: A segment is identified by (seed index, segment index within the window).
 SegmentId = Tuple[int, int]
@@ -140,20 +140,9 @@ def build_embedding_map(
         )
         chunk = max(1, _MATCH_CHUNK_BUDGET // max(1, num_positions))
         for start in range(0, len(cubes), chunk):
-            care_chunk = cares[start : start + chunk]
-            value_chunk = values[start : start + chunk]
-            # (chunk, positions): does vector p cover cube c?  Accumulated
-            # word by word so the temporaries stay (chunk, P)-sized; words
-            # no cube of the chunk cares about are skipped outright (cubes
-            # are sparse, so most words are).
-            matches = np.ones((care_chunk.shape[0], num_positions), dtype=bool)
-            for w in range(num_words):
-                care_w = care_chunk[:, w]
-                if not care_w.any():
-                    continue
-                matches &= (
-                    words[w][None, :] & care_w[:, None]
-                ) == value_chunk[:, w][:, None]
+            stop = start + chunk
+            # (chunk, positions): does vector p cover cube c?
+            matches = cover_matrix(cares[start:stop], values[start:stop], words)
             # Collapse positions to segments in one pass per seed axis.
             per_window = matches.reshape(-1, num_seeds, window_length)
             per_segment = np.logical_or.reduceat(per_window, segment_starts, axis=2)

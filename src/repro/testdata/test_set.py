@@ -17,8 +17,24 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.gf2.solve import _pack_ints_to_words
 from repro.lru import LRUCache
 from repro.testdata.cube import TestCube
+
+
+def cover_matrix(cares: np.ndarray, values: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``[c, p]``: does packed vector ``p`` cover cube ``c``?
+
+    ``cares`` / ``values`` are ``(cubes, W)`` rows of
+    :meth:`TestSet.packed_matrices`, ``words`` the vectors word-major as
+    ``(W, vectors)``.  ``(vector & care) == value`` is accumulated word by
+    word, skipping the words no cube cares about (cubes are sparse).
+    """
+    matches = np.ones((cares.shape[0], words.shape[1]), dtype=bool)
+    for w in range(words.shape[0]):
+        if cares[:, w].any():
+            matches &= (words[w] & cares[:, w, None]) == values[:, w, None]
+    return matches
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,8 @@ class TestSet:
     #: LRU; see :meth:`packed_matrices`.
     _PACKED_MATRIX_CACHE_SIZE = 8
     _PACKED_MATRIX_CACHE: LRUCache = LRUCache(_PACKED_MATRIX_CACHE_SIZE)
+    #: Boolean-entry budget of one (cubes x vectors) coverage chunk.
+    _COVER_CHUNK_BUDGET = 4_000_000
 
     def __init__(self, name: str, cubes: Sequence[TestCube]):
         if not cubes:
@@ -155,13 +173,23 @@ class TestSet:
     # Coverage checking
     # ------------------------------------------------------------------
     def uncovered_cubes(self, vectors: Iterable[int]) -> List[int]:
-        """Indices of cubes not covered by any of the given packed vectors."""
+        """Indices of cubes not covered by any of the given packed vectors.
+
+        Runs the embedding matcher's containment test, :func:`cover_matrix`,
+        in chunks of at most ``_COVER_CHUNK_BUDGET`` cube x vector entries.
+        """
+        cares, values = self.packed_matrices()
+        num_cubes, num_words = cares.shape
+        covered = np.zeros(num_cubes, dtype=bool)
         vector_list = list(vectors)
-        missing = []
-        for index, cube in enumerate(self._cubes):
-            if not any(cube.matches_vector(v) for v in vector_list):
-                missing.append(index)
-        return missing
+        if vector_list:
+            words = _pack_ints_to_words(vector_list, num_words).T.copy()
+            chunk = max(1, self._COVER_CHUNK_BUDGET // len(vector_list))
+            for start in range(0, num_cubes, chunk):
+                stop = start + chunk
+                matches = cover_matrix(cares[start:stop], values[start:stop], words)
+                covered[start:stop] = matches.any(axis=1)
+        return np.flatnonzero(~covered).tolist()
 
     def all_covered(self, vectors: Iterable[int]) -> bool:
         """True when every cube is covered by at least one vector."""

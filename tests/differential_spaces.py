@@ -5,7 +5,9 @@ so they cannot drift apart: the ternary-sim (``tests/test_ternary_golden.py``)
 and drop-batch (``tests/test_perf_golden.py``) properties draw random
 netlists from ``NETLIST_SPACE``; the solver-batch (``tests/test_perf_golden.py``)
 and the embedding and decompressor (``tests/test_ternary_golden.py``)
-properties encode test sets drawn from ``ENCODING_SPACE``.
+properties encode test sets drawn from ``ENCODING_SPACE``.  The
+solver-packed property (``tests/test_perf_golden.py``) draws raw GF(2)
+bases and trial batches from ``SOLVER_SPACE``.
 """
 
 from hypothesis import strategies as st
@@ -32,6 +34,23 @@ ENCODING_SPACE = dict(
     max_specified=st.integers(min_value=4, max_value=12),
     chains=st.integers(min_value=2, max_value=12),
     window=st.integers(min_value=12, max_value=48),
+)
+
+#: Solver width n, weighted towards the uint64 word edges (the RHS bit of
+#: an augmented row is bit n); the columns the committed basis leaves free,
+#: weighted towards the few left in the encoder's late scans (n or more
+#: means an empty basis); the rows per candidate; and the candidates beyond
+#: the fewest that reach the packed batch path.
+SOLVER_SPACE = dict(
+    seed=SEEDS,
+    num_variables=st.one_of(
+        st.sampled_from([63, 64, 127, 128]), st.integers(min_value=1, max_value=130)
+    ),
+    free_columns=st.one_of(
+        st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=130)
+    ),
+    rows_each=st.integers(min_value=1, max_value=12),
+    extra_candidates=st.integers(min_value=0, max_value=8),
 )
 
 

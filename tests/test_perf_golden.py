@@ -14,7 +14,7 @@ import random
 
 from hypothesis import assume, given, settings
 
-from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, drawn_test_set
+from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, SOLVER_SPACE, drawn_test_set
 from repro.circuits.atpg import generate_test_set_for_netlist
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
@@ -22,6 +22,7 @@ from repro.circuits.library import carry_ripple_adder, parity_tree
 from repro.circuits.simulator import simulate_parallel
 from repro.encoding.encoder import ReseedingEncoder
 from repro.encoding.window import EncodingError
+from repro.gf2 import solve
 from repro.gf2.solve import Equation, IncrementalSolver
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
@@ -208,6 +209,85 @@ def test_try_positions_matches_sequential_trials():
                 right.commit(bat)
                 assert left.pivot_columns() == right.pivot_columns()
                 assert left.solution().value == right.solution().value
+
+
+def _drawn_batch(rng, n, basis_rows, rows_each):
+    """One candidate's augmented rows over ``n`` variables.
+
+    Rows are XORs of a few candidate-local generators (so some are
+    dependent), optionally plus a committed basis row, with a flipped RHS
+    now and then (so dependent rows can disagree), and include zero rows,
+    lone ``0 = 1`` rows and duplicates.  Half the generators hold one to
+    three columns, so that a candidate's pivots reach its highest columns.
+    """
+    generators = []
+    for _ in range(rng.randint(1, rows_each)):
+        if rng.getrandbits(1):
+            generator = rng.getrandbits(n + 1)
+        else:
+            generator = rng.getrandbits(1) << n
+            for column in rng.sample(range(n), min(n, rng.randint(1, 3))):
+                generator |= 1 << column
+        generators.append(generator)
+    rows = []
+    for _ in range(rows_each):
+        kind = rng.random()
+        if kind < 0.1:
+            row = 0
+        elif kind < 0.2:
+            row = 1 << n
+        elif kind < 0.3 and rows:
+            row = rng.choice(rows)
+        else:
+            row = 0
+            for generator in generators:
+                if rng.getrandbits(1):
+                    row ^= generator
+            if basis_rows and rng.getrandbits(1):
+                row ^= rng.choice(basis_rows)
+            if rng.random() < 0.1:
+                row ^= 1 << n
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(**SOLVER_SPACE)
+def test_solver_packed_differential(
+    seed, num_variables, free_columns, rows_each, extra_candidates
+):
+    """Packed batch trials vs sequential ``try_augmented`` trials."""
+    rng = random.Random(seed)
+    n = num_variables
+    solver = IncrementalSolver(n)
+    # Distinct leading columns make the rows independent: the committed
+    # rank is exactly n - free_columns, from an empty to a full-rank basis.
+    # Half the bases pin the lowest columns, so the free ones sit next to
+    # the RHS bit and, at the drawn word edges, on a uint64 boundary.
+    rank = max(0, n - free_columns)
+    pinned = range(rank) if rng.getrandbits(1) else rng.sample(range(n), rank)
+    for column in pinned:
+        solver.add_equations(
+            [Equation((1 << column) | rng.getrandbits(column), rng.getrandbits(1))]
+        )
+    basis_rows = list(solver._pivots.values())
+    candidates = -(-solve._BATCH_MIN_ROWS // rows_each) + extra_candidates
+    batches = [
+        _drawn_batch(rng, n, basis_rows, rows_each) for _ in range(candidates)
+    ]
+    sequential = [solver.try_augmented(rows) for rows in batches]
+    batches_before = solve.SOLVER_STATS.batches
+    packed = solver.try_positions(batches)
+    assert solve.SOLVER_STATS.batches == batches_before + 1, "packed path not taken"
+    for seq, bat in zip(sequential, packed):
+        assert bat.outcome == seq.outcome
+        if seq.consistent:
+            assert bat.new_pivots == seq.new_pivots
+            left, right = solver.copy(), solver.copy()
+            left.commit(seq)
+            right.commit(bat)
+            assert left._pivots == right._pivots
+            assert left.epoch == right.epoch
 
 
 def test_solver_epoch_and_pivot_mask_track_commits():

@@ -1,5 +1,7 @@
 """Tests for test sets, profiles, synthetic generation and literature data."""
 
+import random
+
 import pytest
 
 from repro.testdata import literature
@@ -112,6 +114,32 @@ class TestTestSet:
         assert ts.uncovered_cubes([0b1001]) == [2]
         assert not ts.all_covered([0b1001])
         assert ts.all_covered([0b1001, 0b0100])
+
+    @pytest.mark.parametrize("num_cells", [4, 64, 65, 130])
+    @pytest.mark.parametrize("chunk_budget", [TestSet._COVER_CHUNK_BUDGET, 7])
+    def test_coverage_matches_brute_force(self, num_cells, chunk_budget, monkeypatch):
+        """The packed coverage check agrees with a per-cube, per-vector loop."""
+        monkeypatch.setattr(TestSet, "_COVER_CHUNK_BUDGET", chunk_budget)
+        rng = random.Random(num_cells)
+        cubes = [
+            TestCube.from_string("".join(rng.choice("01XX") for _ in range(num_cells)))
+            for _ in range(30)
+        ]
+        ts = TestSet(f"cover{num_cells}", cubes)
+        for count in (0, 1, 40):
+            # Random vectors, plus fills of some cubes so that some are covered.
+            vectors = [rng.getrandbits(num_cells) for _ in range(count)]
+            for cube in rng.sample(cubes, min(count, 10)):
+                vectors.append(
+                    cube.care_value | (rng.getrandbits(num_cells) & ~cube.care_mask)
+                )
+            expected = [
+                index
+                for index, cube in enumerate(cubes)
+                if not any(cube.matches_vector(vector) for vector in vectors)
+            ]
+            assert ts.uncovered_cubes(vectors) == expected
+            assert ts.uncovered_cubes(iter(vectors)) == expected
 
     def test_text_roundtrip(self):
         ts = small_set()
