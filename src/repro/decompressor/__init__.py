@@ -10,9 +10,10 @@ exactly for the useful segments.
   and decoding-cost model).
 * :mod:`~repro.decompressor.architecture` -- a simulation of the whole
   decompressor that replays a reduction schedule and checks that every test
-  cube really reaches the scan chains.  ``simulate_decompression`` runs
-  the segment-batched datapath; ``DecompressionController(...,
-  batched=False)`` is the clock-by-clock reference it is tested against.
+  cube really reaches the scan chains.  ``simulate_decompression`` replays
+  it one segment at a time, all seeds in lockstep, through the State Skip
+  circuit's own matrix; ``DecompressionController`` is the clock-by-clock
+  reference it is tested against.
 * :mod:`~repro.decompressor.hardware` -- the gate-equivalent cost model used
   to reproduce the Section 4 hardware-overhead figures.
 """

@@ -1,4 +1,4 @@
-"""Clock-level simulation of the decompression architecture (Fig. 3).
+"""Simulation of the decompression architecture (Fig. 3).
 
 The simulation replays a :class:`~repro.skip.reduction.ReductionResult`
 exactly the way the hardware would:
@@ -19,35 +19,37 @@ TSL accounting) and the set of fully-shifted useful vectors, which must cover
 every cube of the original test set -- the end-to-end correctness check of
 the whole flow.
 
-Two datapath models replay the schedule:
+Two models replay the schedule and produce identical
+:class:`SimulationOutcome` objects, vector for vector:
 
-* the **batched** model advances the LFSR and applies the phase
-  shifter a whole segment at a time: the segment's register states come from
-  a doubling ladder of GF(2) matmuls, all phase-shifter outputs of the
-  segment are one BLAS product, and captured vectors / scan-chain contents
-  are numpy gathers -- this is what makes ``simulate`` usable inside large
-  campaigns.  :func:`simulate_decompression` always runs it;
-* the **per-clock** model (``DecompressionController(..., batched=False)``)
-  calls :meth:`Decompressor.shift_clock` once per cycle and is kept as the
-  golden reference -- both produce identical :class:`SimulationOutcome`\\ s,
-  vector for vector.
+* :func:`simulate_decompression` replays it **one segment at a time**, all
+  seeds in lockstep: each step applies one transfer matrix per segment
+  shape (``A^(v*r)`` if useful, ``A^(clocks - skip) K^skip`` if useless,
+  ``K`` being the State Skip circuit's own matrix).  Four Russians tables
+  of the scan-capture map, built from the transition and phase-shifter
+  matrices rather than the encoder's equations, then turn the start state
+  of every useful vector into the packed vector;
+* the **per-clock** :class:`DecompressionController` calls
+  :meth:`Decompressor.shift_clock` once per cycle and is the oracle of the
+  segment-level replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.decompressor.mode_select import ModeSelectUnit
+from repro.encoding.equations import _matrix_to_numpy
 from repro.encoding.results import EncodingResult
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import GF2Matrix
+from repro.gf2.solve import _words_to_ints, byte_tables
 from repro.lfsr.lfsr import LFSR, LFSRMode
 from repro.lfsr.phase_shifter import PhaseShifter
 from repro.lfsr.state_skip import StateSkipLFSR
-from repro.lru import LRUCache
 from repro.scan.architecture import ScanArchitecture
 from repro.skip.reduction import ReductionResult
 from repro.testdata.test_set import TestSet
@@ -106,10 +108,6 @@ class Decompressor:
     def architecture(self) -> ScanArchitecture:
         return self._architecture
 
-    @property
-    def phase_shifter(self) -> PhaseShifter:
-        return self._phase_shifter
-
     # ------------------------------------------------------------------
     # Datapath operation
     # ------------------------------------------------------------------
@@ -143,232 +141,72 @@ class Decompressor:
         self._lfsr.set_mode(mode)
 
 
-#: Shared doubling ladders ``[M, M^2, M^4, ...]`` keyed by mode-matrix
-#: content -- effectively the substrate identity (a
-#: :class:`~repro.encoding.substrate.SubstrateKey` fixes the transition
-#: matrix; the skip parameter ``k`` fixes the skip-circuit matrix).  The
-#: lists are mutable and shared: :meth:`_BatchedDatapath.run` extends its
-#: ladder in place, so later :func:`simulate_decompression` calls over the
-#: same substrate start from every power already computed instead of
-#: rebuilding the ladder per call.  Bounded LRU.
-_POWERS_CACHE_SIZE = 8
-_POWERS_CACHE: LRUCache = LRUCache(_POWERS_CACHE_SIZE)
+def _mode_select_unit(reduction: ReductionResult, speedup: int) -> ModeSelectUnit:
+    """The Mode Select unit that sequences a replayable schedule.
 
-
-def _mode_ladder(matrix: GF2Matrix) -> List[np.ndarray]:
-    """The shared, extend-in-place doubling ladder of one mode matrix."""
-    from repro.encoding.equations import _matrix_to_numpy
-
-    key = (
-        tuple(matrix.row_mask(i) for i in range(matrix.nrows)),
-        matrix.ncols,
-    )
-    ladder = _POWERS_CACHE.get(key)
-    if ladder is None:
-        ladder = [_matrix_to_numpy(matrix).astype(np.float32)]
-        _POWERS_CACHE.put(key, ladder)
-    return ladder
-
-
-class _BatchedDatapath:
-    """Segment-batched numpy model of the State Skip datapath.
-
-    Bit-exact with per-clock operation of :class:`Decompressor`: the LFSR
-    states of a run are built by a doubling ladder of GF(2) matrix products
-    (``[s, Ms, M^2 s, ...]`` doubles with one matmul per step), the phase
-    shifter is applied to the whole run in a single BLAS product, and the
-    scan-chain shift registers / captured vectors are reconstructed from
-    the output matrix by pure indexing.
+    The reduction must have been produced with the ``"exact"`` alignment
+    model -- the hardware has no way of re-synchronising after the
+    fractional jumps assumed by the ``"ideal"`` first-order model -- and
+    for the State Skip circuit's own speedup.
     """
-
-    def __init__(self, decompressor: Decompressor):
-        from repro.encoding.equations import _matrix_to_numpy
-
-        arch = decompressor.architecture
-        transition = decompressor.lfsr.transition
-        self._n = transition.ncols
-        self._chain_length = arch.chain_length
-        self._num_chains = arch.num_chains
-        # Mode matrices (float32 0/1 for the exact BLAS-backed products)
-        # and their doubling ladders M^(2^i), extended on demand.  The
-        # ladders come from (and stay in) the shared substrate-keyed
-        # cache, so a fresh datapath per simulate_decompression call no
-        # longer recomputes powers an earlier call already built.
-        self._powers = {
-            "normal": _mode_ladder(transition),
-            "skip": _mode_ladder(decompressor.lfsr.skip_circuit.matrix),
-        }
-        self._phase = _matrix_to_numpy(decompressor.phase_shifter.matrix)[
-            : self._num_chains
-        ].astype(np.float32)
-        # Scan-chain registers: [j, d] = value at depth d of chain j.
-        self._chains = np.zeros(
-            (self._num_chains, self._chain_length), dtype=np.uint8
+    if reduction.config.alignment != "exact":
+        raise ValueError(
+            "the decompressor simulation requires the 'exact' alignment model"
         )
-        self._state = np.zeros((self._n, 1), dtype=np.float32)
-        cells = np.arange(arch.num_cells)
-        self._cell_chain = cells % self._num_chains
-        self._cell_depth = cells // self._num_chains
-
-    def load_seed(self, seed: BitVector) -> None:
-        col = np.zeros((self._n, 1), dtype=np.float32)
-        for index in seed.support():
-            col[index, 0] = 1.0
-        self._state = col
-
-    @staticmethod
-    def _gf2(counts: np.ndarray) -> np.ndarray:
-        return (counts.astype(np.uint32) & 1).astype(np.float32)
-
-    def run(self, clocks: int, mode: str) -> np.ndarray:
-        """Advance ``clocks`` cycles in ``mode``; returns the outputs.
-
-        The returned ``(num_chains, clocks)`` uint8 matrix holds the
-        phase-shifter output of every cycle (column ``t`` is what entered
-        the chains on cycle ``t``); the register state and the chain
-        contents are updated exactly as ``clocks`` calls of
-        :meth:`Decompressor.shift_clock` would leave them.
-        """
-        if clocks == 0:
-            return np.zeros((self._num_chains, 0), dtype=np.uint8)
-        powers = self._powers[mode]
-        cols = self._state
-        level = 0
-        while cols.shape[1] < clocks + 1:
-            while len(powers) <= level:
-                doubled = powers[-1] @ powers[-1]
-                powers.append(self._gf2(doubled))
-            cols = np.concatenate([cols, self._gf2(powers[level] @ cols)], axis=1)
-            level += 1
-        outputs = self._gf2(self._phase @ cols[:, :clocks]).astype(np.uint8)
-        self._state = cols[:, clocks : clocks + 1]
-        r = self._chain_length
-        if clocks >= r:
-            self._chains = outputs[:, clocks - r : clocks][:, ::-1]
-        else:
-            self._chains = np.concatenate(
-                [outputs[:, ::-1], self._chains[:, : r - clocks]], axis=1
-            )
-        return outputs
-
-    def captured_vectors(
-        self, outputs: np.ndarray, num_vectors: int
-    ) -> List[int]:
-        """The packed test vectors captured after each ``r``-clock load."""
-        r = self._chain_length
-        offsets = (
-            (np.arange(1, num_vectors + 1) * r)[:, None]
-            - 1
-            - self._cell_depth[None, :]
-        )
-        bits = outputs[self._cell_chain[None, :], offsets]
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        return [
-            int.from_bytes(packed[i].tobytes(), "little")
-            for i in range(num_vectors)
-        ]
+    if reduction.config.speedup != speedup:
+        raise ValueError("reduction speedup does not match the State Skip circuit")
+    return ModeSelectUnit(
+        [schedule.useful_segments for schedule in reduction.schedules],
+        reduction.num_segments_per_window,
+    )
 
 
 class DecompressionController:
-    """The controller that sequences seeds and segments.
+    """The controller that sequences seeds and segments, clock by clock.
 
-    ``batched=True`` runs the schedule on the segment-batched numpy
-    datapath (:class:`_BatchedDatapath`); the default replays it clock by
-    clock through the :class:`Decompressor` -- the two produce identical
-    outcomes.
+    It drives the :class:`Decompressor` one shift clock at a time and is the
+    per-clock oracle of :func:`simulate_decompression`.
     """
 
-    def __init__(self, decompressor: Decompressor, batched: bool = False):
+    def __init__(self, decompressor: Decompressor):
         self._decompressor = decompressor
-        self._batched = _BatchedDatapath(decompressor) if batched else None
 
     def run(
-        self,
-        encoding: EncodingResult,
-        reduction: ReductionResult,
-        collect_vectors: bool = True,
+        self, encoding: EncodingResult, reduction: ReductionResult
     ) -> SimulationOutcome:
-        """Replay a reduction schedule through the datapath.
-
-        The reduction must have been produced with the ``"exact"`` alignment
-        model -- the hardware has no way of re-synchronising after the
-        fractional jumps assumed by the ``"ideal"`` first-order model.
-        """
-        if reduction.config.alignment != "exact":
-            raise ValueError(
-                "the decompressor simulation requires the 'exact' alignment model"
-            )
-        if reduction.config.speedup != self._decompressor.lfsr.k:
-            raise ValueError(
-                "reduction speedup does not match the State Skip circuit"
-            )
-        chain_length = self._decompressor.architecture.chain_length
-        mode_select = ModeSelectUnit(
-            [schedule.useful_segments for schedule in reduction.schedules],
-            reduction.num_segments_per_window,
-        )
+        """Replay a reduction schedule through the datapath."""
+        decompressor = self._decompressor
+        mode_select = _mode_select_unit(reduction, decompressor.lfsr.k)
+        chain_length = decompressor.architecture.chain_length
         groups = reduction.seed_groups()
 
         useful_vectors: List[int] = []
-        vectors_applied = 0
-        lfsr_clocks = 0
-        skip_clocks = 0
-        seeds_applied = 0
+        vectors_applied = lfsr_clocks = skip_clocks = seeds_applied = 0
         schedules = {s.seed_index: s for s in reduction.schedules}
 
         for seed_indices in groups.values():
             for seed_index in seed_indices:
-                record = encoding.seeds[seed_index]
-                schedule = schedules[seed_index]
-                if self._batched is not None:
-                    self._batched.load_seed(record.seed)
-                else:
-                    self._decompressor.load_seed(record.seed)
+                decompressor.load_seed(encoding.seeds[seed_index].seed)
                 seeds_applied += 1
-                for plan in schedule.segments:
-                    useful = mode_select.mode(seed_index, plan.segment_index)
-                    if useful:
-                        if self._batched is not None:
-                            outputs = self._batched.run(
-                                plan.vectors_applied * chain_length, "normal"
-                            )
-                            lfsr_clocks += plan.vectors_applied * chain_length
-                            vectors_applied += plan.vectors_applied
-                            if collect_vectors:
-                                useful_vectors.extend(
-                                    self._batched.captured_vectors(
-                                        outputs, plan.vectors_applied
-                                    )
-                                )
-                        else:
-                            self._decompressor.set_mode(LFSRMode.NORMAL)
-                            for _ in range(plan.vectors_applied):
-                                for _ in range(chain_length):
-                                    self._decompressor.shift_clock()
-                                    lfsr_clocks += 1
-                                vectors_applied += 1
-                                if collect_vectors:
-                                    useful_vectors.append(
-                                        self._decompressor.captured_vector()
-                                    )
+                for plan in schedules[seed_index].segments:
+                    if mode_select.mode(seed_index, plan.segment_index):
+                        decompressor.set_mode(LFSRMode.NORMAL)
+                        for _ in range(plan.vectors_applied):
+                            for _ in range(chain_length):
+                                decompressor.shift_clock()
+                                lfsr_clocks += 1
+                            useful_vectors.append(decompressor.captured_vector())
                     else:
-                        remainder = plan.lfsr_clocks - plan.skip_clocks
-                        if self._batched is not None:
-                            self._batched.run(plan.skip_clocks, "skip")
-                            self._batched.run(remainder, "normal")
-                            lfsr_clocks += plan.lfsr_clocks
-                            skip_clocks += plan.skip_clocks
-                        else:
-                            self._decompressor.set_mode(LFSRMode.STATE_SKIP)
-                            for _ in range(plan.skip_clocks):
-                                self._decompressor.shift_clock()
-                                lfsr_clocks += 1
-                                skip_clocks += 1
-                            self._decompressor.set_mode(LFSRMode.NORMAL)
-                            for _ in range(remainder):
-                                self._decompressor.shift_clock()
-                                lfsr_clocks += 1
-                        vectors_applied += plan.vectors_applied
+                        decompressor.set_mode(LFSRMode.STATE_SKIP)
+                        for _ in range(plan.skip_clocks):
+                            decompressor.shift_clock()
+                            lfsr_clocks += 1
+                            skip_clocks += 1
+                        decompressor.set_mode(LFSRMode.NORMAL)
+                        for _ in range(plan.lfsr_clocks - plan.skip_clocks):
+                            decompressor.shift_clock()
+                            lfsr_clocks += 1
+                    vectors_applied += plan.vectors_applied
 
         return SimulationOutcome(
             seeds_applied=seeds_applied,
@@ -380,6 +218,99 @@ class DecompressionController:
         )
 
 
+def _gf2(counts: np.ndarray) -> np.ndarray:
+    """A float32 product of 0/1 matrices reduced to GF(2) (exact below 2^24)."""
+    return (counts.astype(np.int32) & 1).astype(np.float32)
+
+
+def _gf2_power(matrix: np.ndarray, exponent: int) -> np.ndarray:
+    """``matrix ** exponent`` over GF(2), by square-and-multiply."""
+    result = np.eye(len(matrix), dtype=np.float32)
+    while exponent:
+        if exponent & 1:
+            result = _gf2(result @ matrix)
+        exponent >>= 1
+        if exponent:
+            matrix = _gf2(matrix @ matrix)
+    return result
+
+
+def _capture_tables(
+    transition: np.ndarray, phase: np.ndarray, architecture: ScanArchitecture
+) -> np.ndarray:
+    """Four Russians tables of the scan-capture map.
+
+    ``r`` clocks after a vector's start state ``s``, cell ``c`` holds
+    phase-shifter output ``c mod m`` of clock ``r - 1 - floor(c / m)``: row
+    ``c mod m`` of ``P A^(r-1-floor(c/m)) s``.  Table ``i`` maps byte ``i``
+    of the packed ``s`` to its share of the vector, packed into uint64
+    words over the cells.
+    """
+    m = architecture.num_chains
+    r = architecture.chain_length
+    n = len(transition)
+    # Blocks t = 0 .. r-1 of P A^t, doubled with one product per step.
+    outputs = phase[:m]
+    power = transition
+    while len(outputs) < r * m:
+        outputs = np.concatenate([outputs, _gf2(outputs @ power)])
+        power = _gf2(power @ power)
+    outputs = outputs[: r * m].reshape(r, m, n)
+    cells = np.arange(architecture.num_cells)
+    capture = outputs[r - 1 - cells // m, cells % m]
+    # bit_rows[i, b]: the packed capture column of state bit 8 i + b.
+    num_bytes = -(-n // 8)
+    num_words = -(-architecture.num_cells // 64)
+    bit_rows = np.zeros((num_bytes * 8, num_words * 8), dtype=np.uint8)
+    columns = np.packbits(capture.T.astype(np.uint8), axis=1, bitorder="little")
+    bit_rows[:n, : columns.shape[1]] = columns
+    return byte_tables(bit_rows.view("<u8").reshape(num_bytes, 8, num_words))
+
+
+def _lockstep(
+    seeds: np.ndarray, transfers: np.ndarray, shape_of: np.ndarray
+) -> np.ndarray:
+    """Every seed's state at the start of every segment step.
+
+    ``seeds`` holds one seed per row, ``transfers[i]`` is the transfer
+    matrix of shape ``i`` and ``shape_of[step, seed]`` the shape of that
+    seed's segment ``step``.  Returns ``starts[step, seed]``.
+    """
+    num_seeds, n = seeds.shape
+    # Row-form blocks: states @ stacked moves every seed under every
+    # shape, and each seed keeps its own shape's block.
+    stacked = transfers.transpose(2, 0, 1).reshape(n, -1)
+    rows = np.arange(num_seeds)
+    starts = np.empty((len(shape_of), num_seeds, n), dtype=np.float32)
+    states = seeds
+    for step, shapes in enumerate(shape_of):
+        starts[step] = states
+        moved = _gf2(states @ stacked).reshape(num_seeds, len(transfers), n)
+        states = moved[rows, shapes]
+    return starts
+
+
+def _capture(
+    starts: np.ndarray, counts: np.ndarray, per_vector: np.ndarray, tables: np.ndarray
+) -> List[int]:
+    """The packed vectors of useful segments, in segment order.
+
+    Segment ``u`` starts in state ``starts[u]`` and captures ``counts[u]``
+    vectors, vector ``j`` from state ``A^(j r)`` of its start
+    (``per_vector`` is ``A^r``) through the capture ``tables``.
+    """
+    vector_starts = np.empty((len(starts), counts.max(), starts.shape[1]), np.float32)
+    vector_starts[:, 0] = starts
+    for j in range(1, counts.max()):
+        vector_starts[:, j] = _gf2(vector_starts[:, j - 1] @ per_vector.T)
+    bits = vector_starts[np.arange(counts.max()) < counts[:, None]]
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    vectors = np.zeros((len(packed), tables.shape[2]), dtype=np.uint64)
+    for table, state_bytes in zip(tables, packed.T):
+        vectors ^= table[state_bytes]
+    return _words_to_ints(vectors)
+
+
 def simulate_decompression(
     encoding: EncodingResult,
     reduction: ReductionResult,
@@ -387,16 +318,71 @@ def simulate_decompression(
     phase_shifter: PhaseShifter,
     architecture: ScanArchitecture,
 ) -> SimulationOutcome:
-    """Replay a schedule on the segment-batched datapath.
+    """Replay a schedule one segment at a time, every seed in lockstep.
 
-    The per-clock reference replay
-    (``DecompressionController(..., batched=False)``) gives the identical
+    The per-clock :class:`DecompressionController` gives the identical
     outcome; the golden tests and the decompressor differential property
     enforce this.
     """
     decompressor = Decompressor(
         transition, phase_shifter, architecture, reduction.config.speedup
     )
-    return DecompressionController(decompressor, batched=True).run(
-        encoding, reduction
+    mode_select = _mode_select_unit(reduction, decompressor.lfsr.k)
+    r = architecture.chain_length
+    groups = reduction.seed_groups()
+    order = [seed_index for seeds in groups.values() for seed_index in seeds]
+    schedules = {s.seed_index: s for s in reduction.schedules}
+    steps = max((len(schedules[s].segments) for s in order), default=0)
+
+    # Walk the schedule once: the Mode Select decision, the counters and
+    # the (normal clocks, skip clocks) shape of every (seed, segment).
+    # Shape 0 is the identity of a seed past its last segment.
+    seed_states = np.zeros((len(order), decompressor.lfsr.size), dtype=np.float32)
+    shapes: Dict[Tuple[int, int], int] = {}
+    shape_of = np.zeros((steps, len(order)), dtype=np.intp)
+    useful = []  # (step, seed row, vectors) in application order
+    lfsr_clocks = skip_clocks = vectors_applied = 0
+    for row, seed_index in enumerate(order):
+        seed = encoding.seeds[seed_index].seed
+        decompressor.load_seed(seed)  # the register's width check
+        seed_states[row, seed.support()] = 1
+        for step, plan in enumerate(schedules[seed_index].segments):
+            if mode_select.mode(seed_index, plan.segment_index):
+                shape = (plan.vectors_applied * r, 0)
+                useful.append((step, row, plan.vectors_applied))
+            else:
+                shape = (plan.lfsr_clocks - plan.skip_clocks, plan.skip_clocks)
+            lfsr_clocks += shape[0] + shape[1]
+            skip_clocks += shape[1]
+            vectors_applied += plan.vectors_applied
+            shape_of[step, row] = shapes.setdefault(shape, len(shapes) + 1)
+
+    # Transfer matrix of a shape: A^normal K^skip, with K the State Skip
+    # circuit's own matrix.
+    normal = _matrix_to_numpy(transition).astype(np.float32)
+    skip = _matrix_to_numpy(decompressor.lfsr.skip_circuit.matrix).astype(np.float32)
+    transfers = np.empty((len(shapes) + 1,) + normal.shape, dtype=np.float32)
+    transfers[0] = np.eye(len(normal))
+    for (clocks, jumps), index in shapes.items():
+        transfers[index] = _gf2(_gf2_power(normal, clocks) @ _gf2_power(skip, jumps))
+    starts = _lockstep(seed_states, transfers, shape_of)
+
+    useful_vectors: List[int] = []
+    if useful:
+        at_step, at_row, counts = (np.array(column) for column in zip(*useful))
+        phase = _matrix_to_numpy(phase_shifter.matrix).astype(np.float32)
+        useful_vectors = _capture(
+            starts[at_step, at_row],
+            counts,
+            _gf2_power(normal, r),
+            _capture_tables(normal, phase, architecture),
+        )
+
+    return SimulationOutcome(
+        seeds_applied=len(order),
+        vectors_applied=vectors_applied,
+        useful_vectors=useful_vectors,
+        lfsr_clocks=lfsr_clocks,
+        skip_clocks=skip_clocks,
+        group_sizes={count: len(seeds) for count, seeds in groups.items()},
     )

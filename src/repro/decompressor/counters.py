@@ -11,8 +11,8 @@ Seed      counts the seeds of the current seed-group
 Group     counts the seed-groups (its value = useful segments per seed)
 ========  =====================================================================
 
-The replay in :class:`repro.decompressor.architecture.DecompressionController`
-sequences seeds and segments directly, so only the register widths matter
+The replays in :mod:`repro.decompressor.architecture` sequence seeds and
+segments directly, so only the register widths matter
 here: :func:`counter_width` sizes each counter for the gate-equivalent cost
 model (:func:`repro.decompressor.hardware.counters_cost`) and for the Mode
 Select decoder (:mod:`repro.decompressor.mode_select`).

@@ -94,6 +94,24 @@ def _words_to_ints(words: np.ndarray) -> List[int]:
     ]
 
 
+def byte_tables(bit_rows: np.ndarray) -> np.ndarray:
+    """Four Russians lookup tables, one 256-entry table per input byte.
+
+    ``bit_rows[i, b]`` is the packed row that bit ``b`` of input byte ``i``
+    selects; ``tables[i, v]`` is the XOR of the rows selected by the set
+    bits of ``v``.  A GF(2) product with a bit-packed input then costs one
+    lookup and one XOR per input byte.
+    """
+    tables = np.zeros((len(bit_rows), 256) + bit_rows.shape[2:], bit_rows.dtype)
+    # Entries [2^b, 2^(b+1)) are entries [0, 2^b) plus bit b's row.
+    for bit in range(8):
+        low = 1 << bit
+        np.bitwise_xor(
+            tables[:, :low], bit_rows[:, bit, None], out=tables[:, low : 2 * low]
+        )
+    return tables
+
+
 @dataclass(frozen=True)
 class Equation:
     """A single linear equation ``coeffs . x = rhs`` over GF(2).
@@ -305,13 +323,7 @@ class IncrementalSolver:
         # The basis row of every bit of every pivot byte (zero when free).
         bit_rows = np.zeros((len(pivot_bytes), 8, num_words), dtype=np.uint64)
         bit_rows[slot, columns & 7] = rows
-        # Entries [2^b, 2^(b+1)) are entries [0, 2^b) plus bit b's row.
-        tables = np.zeros((len(pivot_bytes), 256, num_words), dtype=np.uint64)
-        for bit in range(8):
-            low = 1 << bit
-            np.bitwise_xor(
-                tables[:, :low], bit_rows[:, bit, None], out=tables[:, low : 2 * low]
-            )
+        tables = byte_tables(bit_rows)
         pivot_bytes = pivot_bytes.tolist()
         self._tables = (self._epoch, pivot_bytes, tables)
         return pivot_bytes, tables

@@ -372,10 +372,11 @@ def simulate(
     """Stage 4: decompressor replay (end-to-end delivery check).
 
     The simulation is deliberately *not* served from the window cache: it
-    re-generates every vector through the State Skip datapath (segment by
-    segment, bit-identical to the clock-by-clock reference), which is what
-    makes it an independent check of the whole flow.  Raises when any cube
-    of the test set is left unapplied.
+    re-generates every vector through the State Skip datapath (one segment
+    at a time, all seeds in lockstep, useless segments through the State
+    Skip circuit's own matrix; bit-identical to the clock-by-clock
+    reference), which is what makes it an independent check of the whole
+    flow.  Raises when any cube of the test set is left unapplied.
     """
     context = context or encoded.context
     start = time.perf_counter()

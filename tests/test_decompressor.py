@@ -1,6 +1,8 @@
 """Tests for the decompression architecture: counter sizing, Mode Select,
 the decompressor replay and the gate-equivalent cost model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.decompressor.architecture import (
@@ -19,7 +21,9 @@ from repro.decompressor.hardware import (
 )
 from repro.decompressor.mode_select import ModeSelectUnit
 from repro.encoding.encoder import ReseedingEncoder
+from repro.lfsr import state_skip
 from repro.lfsr.state_skip import StateSkipCircuit
+from repro.lfsr.transition import transition_power
 from repro.skip.reduction import reduce_sequence
 from repro.testdata.profiles import custom_profile
 from repro.testdata.synthetic import generate_test_set
@@ -109,47 +113,6 @@ class TestModeSelect:
         assert costly.cost().gate_equivalents > cheap.cost().gate_equivalents
 
 
-class TestPowersCache:
-    def test_ladders_shared_across_datapaths(self, flow):
-        """Two datapaths over one substrate share one doubling ladder.
-
-        The ladder lists live in the module-level substrate-keyed cache
-        and are extended in place, so powers computed by one
-        simulate_decompression call are reused by the next.
-        """
-        from repro.decompressor import architecture as arch_mod
-
-        encoder, test_set, encoding, reduction = flow
-        def build():
-            decompressor = Decompressor(
-                encoder.lfsr.transition,
-                encoder.phase_shifter,
-                encoder.architecture,
-                reduction.config.speedup,
-            )
-            return arch_mod._BatchedDatapath(decompressor)
-
-        first = build()
-        second = build()
-        assert first._powers["normal"] is second._powers["normal"]
-        assert first._powers["skip"] is second._powers["skip"]
-        # run() extends the shared ladder in place; a later datapath
-        # starts from every power already computed.
-        before = len(first._powers["normal"])
-        first.load_seed(encoding.seeds[0].seed)
-        first.run(65, "normal")
-        extended = len(first._powers["normal"])
-        assert extended > before
-        assert len(build()._powers["normal"]) == extended
-
-    def test_cache_bounded(self, flow):
-        from repro.decompressor import architecture as arch_mod
-
-        assert (
-            len(arch_mod._POWERS_CACHE) <= arch_mod._POWERS_CACHE_SIZE
-        )
-
-
 class TestSimulation:
     def test_simulation_matches_reduction_accounting(self, flow):
         encoder, test_set, encoding, reduction = flow
@@ -221,6 +184,62 @@ class TestSimulation:
         )
         with pytest.raises(ValueError):
             DecompressionController(decompressor).run(encoding, reduction)
+
+    def test_seed_width_must_match_lfsr(self, flow):
+        encoder, test_set, encoding, reduction = flow
+        first = encoding.seeds[0]
+        narrow_seed = replace(first, seed=first.seed.slice(0, 13))
+        narrow = replace(encoding, seeds=[narrow_seed] + encoding.seeds[1:])
+        decompressor = Decompressor(
+            encoder.lfsr.transition,
+            encoder.phase_shifter,
+            encoder.architecture,
+            reduction.config.speedup,
+        )
+        message = "seed length 13 does not match LFSR size 14"
+        with pytest.raises(ValueError, match=message):
+            DecompressionController(decompressor).run(narrow, reduction)
+        with pytest.raises(ValueError, match=message):
+            simulate_decompression(
+                narrow,
+                reduction,
+                encoder.lfsr.transition,
+                encoder.phase_shifter,
+                encoder.architecture,
+            )
+
+    def test_useless_segments_run_through_the_skip_circuit(self, flow, monkeypatch):
+        """A faulty State Skip circuit (A^(k+1)) changes both replays alike.
+
+        A replay that jumped useless segments with powers of A instead of
+        the circuit's own matrix would still deliver every cube here.
+        """
+        encoder, test_set, encoding, reduction = flow
+
+        def replay_both():
+            args = (
+                encoder.lfsr.transition,
+                encoder.phase_shifter,
+                encoder.architecture,
+            )
+            decompressor = Decompressor(*args, reduction.config.speedup)
+            return (
+                simulate_decompression(encoding, reduction, *args),
+                DecompressionController(decompressor).run(encoding, reduction),
+            )
+
+        true_segment, true_clock = replay_both()
+        monkeypatch.setattr(
+            state_skip,
+            "state_skip_expressions",
+            lambda transition, k: transition_power(transition, k + 1),
+        )
+        faulty_segment, faulty_clock = replay_both()
+        assert faulty_segment == faulty_clock
+        assert true_segment == true_clock
+        assert faulty_segment.useful_vectors != true_segment.useful_vectors
+        assert not faulty_segment.covers(test_set)
+        assert true_segment.covers(test_set)
 
 
 class TestHardwareModel:

@@ -16,7 +16,7 @@ replaced:
   returned detections vs the fault simulator's own bookkeeping;
 * the uint64-blocked seed-window expansion vs the integer expansion;
 * the vectorized embedding map vs the pure-Python scan on a small grid;
-* the segment-batched decompressor simulation vs the clock-level replay.
+* the segment-level decompressor replay vs the clock-level replay.
 
 Each engine pair also has a hypothesis property (``test_*_differential``)
 that draws random netlists or encodings from a fixed parameter space.  A
@@ -623,12 +623,12 @@ class TestEmbeddingMapGolden:
 
 
 # ----------------------------------------------------------------------
-# Batched decompressor vs clock-level reference
+# Segment-level decompressor replay vs clock-level reference
 # ----------------------------------------------------------------------
 def _replay_both(encoded, reduction):
-    """Replay a reduction on the segment-batched and per-clock datapaths."""
+    """Replay a reduction segment by segment and clock by clock."""
     substrate = encoded.substrate
-    batched = simulate_decompression(
+    by_segment = simulate_decompression(
         encoded.encoding,
         reduction,
         substrate.lfsr.transition,
@@ -641,29 +641,69 @@ def _replay_both(encoded, reduction):
             substrate.phase_shifter,
             substrate.architecture,
             reduction.config.speedup,
-        ),
-        batched=False,
+        )
     ).run(encoded.encoding, reduction)
-    return batched, per_clock
+    return by_segment, per_clock
 
 
-class TestBatchedDecompressorGolden:
-    @pytest.mark.parametrize("segment_size,speedup", [(5, 3), (10, 12)])
-    def test_batched_outcome_identical(self, encoded, segment_size, speedup):
+#: (S, k, first segment forced useful) of each replayed schedule shape.
+_REPLAY_SHAPES = {
+    "5-3": (5, 3, True),
+    "10-12": (10, 12, True),
+    # S r = 16 < k: a useless segment runs no skip clock.
+    "no-skip-clock": (2, 24, True),
+    # L = 60 is no multiple of S.
+    "short-last-segment": (9, 3, True),
+    # On a drawn encoding (_UNFORCED_DRAW): the encoded fixture's seeds
+    # all need their first segment.
+    "first-segment-useless": (4, 3, False),
+}
+
+#: A drawn encoding on which ``force_first_segment_useful=False`` leaves
+#: the first segment of a seed useless.
+_UNFORCED_DRAW = dict(
+    seed=548081185, num_cells=95, num_cubes=6, max_specified=10, chains=3,
+    window=48, segment=4, speedup=3,
+)
+
+
+def _has_shape(reduction, shape):
+    """Whether some replayed segment of ``reduction`` has ``shape``."""
+    plans = [plan for s in reduction.schedules for plan in s.segments]
+    if shape == "no-skip-clock":
+        return any(not plan.useful and plan.skip_clocks == 0 for plan in plans)
+    if shape == "short-last-segment":
+        size = reduction.config.segment_size
+        return any(plan.vectors_applied < size for plan in plans if plan.useful)
+    if shape == "first-segment-useless":
+        firsts = [s.segments[0] for s in reduction.schedules if s.segments]
+        return any(not plan.useful for plan in firsts)
+    return True
+
+
+class TestSegmentReplayGolden:
+    @pytest.mark.parametrize("shape", list(_REPLAY_SHAPES))
+    def test_segment_replay_outcome_identical(self, encoded, shape):
+        segment_size, speedup, force_first = _REPLAY_SHAPES[shape]
+        if not force_first:
+            encoded = _drawn_encoding(**_UNFORCED_DRAW)
         reduction = pipeline.reduce(
             encoded,
             encoded.config.with_updates(
-                segment_size=segment_size, speedup=speedup
+                segment_size=segment_size,
+                speedup=speedup,
+                force_first_segment_useful=force_first,
             ),
         )
-        batched, reference = _replay_both(encoded, reduction)
-        assert batched == reference
-        assert batched.covers(encoded.test_set)
+        assert _has_shape(reduction, shape)
+        by_segment, reference = _replay_both(encoded, reduction)
+        assert by_segment == reference
+        assert by_segment.covers(encoded.test_set)
 
     @settings(max_examples=5, deadline=None)
     @given(**_REDUCTION_SPACE)
     def test_decompressor_differential(self, **params):
-        """Segment-batched decompressor replay vs the per-clock datapath."""
+        """Segment-level decompressor replay vs the per-clock datapath."""
         encoded = _drawn_encoding(**params)
-        batched, reference = _replay_both(encoded, pipeline.reduce(encoded))
-        assert batched == reference
+        by_segment, reference = _replay_both(encoded, pipeline.reduce(encoded))
+        assert by_segment == reference
