@@ -80,21 +80,24 @@ def test_fortuitous_embedding_share(benchmark, workbench):
 
     reduction, encoding = benchmark.pedantic(run, rounds=1, iterations=1)
     assignment = encoding.cube_assignment()
-    segmentation = reduction.selection.segmentation
+    selection = reduction.selection
+    # A cube is covered fortuitously iff its home segment (the one holding
+    # its encoded position) is not useful: some other useful segment must
+    # then embed it.
     fortuitous = 0
-    for cube, segment in reduction.selection.covering_segment.items():
-        deterministic = assignment[cube]
-        home = (encoding.seed_of_cube(cube), segmentation.segment_of(deterministic.position))
-        if segment != home:
+    for cube in selection.covering_segment:
+        position = assignment[cube].position
+        home = (encoding.seed_of_cube(cube), selection.segmentation.segment_of(position))
+        if home not in selection.useful_segments:
             fortuitous += 1
-    total = len(reduction.selection.covering_segment)
+    total = len(selection.covering_segment)
     rows = [
         {
             "covered_cubes": total,
             "covered_fortuitously": fortuitous,
             "fortuitous_pct": round(100.0 * fortuitous / total, 1),
             "embedding_sites_per_cube": round(
-                sum(len(s) for s in reduction.embedding.cube_segments.values()) / total, 1
+                int(reduction.embedding.matrix.sum()) / total, 1
             ),
         }
     ]

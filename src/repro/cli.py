@@ -11,7 +11,7 @@ Python:
     Sweep the speedup factor ``k`` (``--speedups``) and segment size ``S``
     (``--segments``) for one test set and print the Fig. 4-style
     TSL-improvement grid (single process; the staged pipeline encodes once
-    and reuses the cached seed windows for every reduction).
+    and derives every reduction from the cached cube cover).
 
 ``campaign``
     Run a full experiment grid -- many circuits x (L, S, k) configs -- on a
@@ -413,7 +413,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     cache = result.cache_stat_totals()
     if cache:
         parts = []
-        for kind in ("substrate", "encoding", "packed_window"):
+        for kind in ("substrate", "encoding", "packed_window", "cover"):
             hits = cache.get(f"{kind}_hits", 0)
             misses = cache.get(f"{kind}_misses", 0)
             if hits or misses:

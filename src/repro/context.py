@@ -11,11 +11,15 @@ invariants that grid neighbours share:
   phase_seed)``, never on the test cubes or on the State Skip parameters
   ``(S, k)``;
 * the **expanded seed windows** -- the ``L`` fully specified test vectors of
-  every computed seed.  Verification, the sequence reducer's embedding map
-  and any coverage cross-check all need exactly the same expansion.
+  every computed seed.  Verification, the cover below and any coverage
+  cross-check all need exactly the same expansion;
+* the **cover** -- which window vector embeds which test cube, one bit per
+  (cube, seed, window position).  Every (S, k) point's embedding map and
+  useful-segment selection derive from it, and it depends only on the
+  encoding, not on ``(S, k)``.
 
-:class:`CompressionContext` owns content-addressed caches for both (plus the
-encode-stage results built on top of them) and counts hits, misses and
+:class:`CompressionContext` owns content-addressed caches for all three (plus
+the encode-stage results built on top of them) and counts hits, misses and
 per-stage wall time.  The staged pipeline functions in
 :mod:`repro.pipeline` (``encode`` / ``reduce`` / ``hardware`` /
 ``simulate``) thread a context through the flow; the campaign runner gives
@@ -36,11 +40,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.lru import LRUCache
+from repro.skip.selection import build_cover
 from repro.telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.encoding.results import EncodingResult
     from repro.gf2.bitvec import BitVector
+    from repro.testdata.test_set import TestSet
 
 __all__ = [
     "CompressionContext",
@@ -134,13 +140,14 @@ class CompressionContext:
         staged API identical -- the cache-on/cache-off golden tests rely on
         this producing bit-identical reports.
     max_substrates / max_encodings / max_windows:
-        LRU bounds of the three caches.
+        LRU bounds of the caches; ``max_windows`` bounds both the window
+        cache and the cover cache.
     stats:
         An externally owned :class:`ContextStats` to record into --
         campaign workers pass one bound to their recorder's metrics
         registry so cache counters stream back with job telemetry.
 
-    The three caches, from cheapest to most expensive to rebuild:
+    The four caches, from cheapest to most expensive to rebuild:
 
     * ``substrate``: :class:`EncoderSubstrate` by :class:`SubstrateKey`;
     * ``windows``: expanded seed windows by ``(SubstrateKey, seed values)``
@@ -148,8 +155,11 @@ class CompressionContext:
       Only the uint64-blocked form (:meth:`packed_windows`) is cached --
       the BLAS expansion happens there -- and the integer form
       (:meth:`expanded_windows`) is derived from it on each call, so
-      verification (integers) and the embedding matcher (packed blocks)
-      share one expansion;
+      verification (integers) and the cover (packed blocks) share one
+      expansion;
+    * ``cover``: the bit-packed cube x window-vector cover (:meth:`cover`)
+      by ``(SubstrateKey, seed values, test-set fingerprint)`` -- what
+      every reduction of one encoding reads instead of the windows;
     * ``encoding``: full encode-stage results (substrate + seeds +
       verification flag) by ``(test-set fingerprint, encode-relevant config
       key)`` -- this is what lets a warm (S, k) sweep skip the seed
@@ -169,6 +179,7 @@ class CompressionContext:
         self._substrates = LRUCache(max_substrates)
         self._encodings = LRUCache(max_encodings)
         self._packed_windows = LRUCache(max_windows)
+        self._covers = LRUCache(max_windows)
 
     # ------------------------------------------------------------------
     # Substrate cache
@@ -230,7 +241,7 @@ class CompressionContext:
 
         A ``(num_seeds, L, num_words)`` uint64 array (exactly
         :meth:`~repro.encoding.equations.EquationSystem.expand_seeds_packed`)
-        -- the form the vectorized embedding matcher consumes.  This is
+        -- the form :meth:`cover` is built from.  This is
         where the BLAS expansion actually runs; :meth:`expanded_windows`
         derives its integers from this cache.  The result is shared --
         treat it as immutable.
@@ -265,6 +276,30 @@ class CompressionContext:
         return windows_from_packed(self.packed_windows(substrate, seeds))
 
     # ------------------------------------------------------------------
+    # Cover cache
+    # ------------------------------------------------------------------
+    def cover(
+        self, substrate: EncoderSubstrate, seeds: Sequence["BitVector"], test_set: "TestSet"
+    ):
+        """Which window vector of ``seeds`` embeds which cube, built at most once.
+
+        Exactly :func:`repro.skip.selection.build_cover` over
+        :meth:`packed_windows`: a ``(cubes, seeds, ceil(L / 8))`` uint8
+        array holding one bit per (cube, seed, window position).  The
+        result is shared -- treat it as immutable.
+        """
+        key = (substrate.key, tuple(seed.value for seed in seeds), test_set.fingerprint())
+        cached = self._covers.get(key) if self.caching else None
+        if cached is not None:
+            self.stats.count("cover_hits")
+            return cached
+        self.stats.count("cover_misses")
+        cover = build_cover(self.packed_windows(substrate, seeds), test_set)
+        if self.caching:
+            self._covers.put(key, cover)
+        return cover
+
+    # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -272,3 +307,4 @@ class CompressionContext:
         self._substrates.clear()
         self._encodings.clear()
         self._packed_windows.clear()
+        self._covers.clear()

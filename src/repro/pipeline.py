@@ -2,8 +2,8 @@
 
 The flow is decomposed into four first-class **stages**, each threaded
 through a :class:`~repro.context.CompressionContext` that caches the
-expensive invariants (the algebraic substrate, the encode-stage results and
-the expanded seed windows):
+expensive invariants (the algebraic substrate, the encode-stage results, the
+expanded seed windows and the cube cover they give):
 
 1. :func:`encode` -- window-based LFSR-reseeding seed computation
    (Section 2), plus the algebraic verification of every embedding;
@@ -307,10 +307,11 @@ def reduce(
     ``config`` supplies the reduction knobs ``(segment_size, speedup,
     alignment, force_first_segment_useful)`` and defaults to the config the
     encoding was produced with -- pass ``encoded.config.with_updates(...)``
-    to sweep (S, k) points over one encoding.  The embedding map is built
-    on the context-cached uint64-blocked window expansion, so repeated
-    reductions never re-expand a seed (and share the expansion with
-    verification, which consumes the derived integer form).
+    to sweep (S, k) points over one encoding.  The embedding map is derived
+    from the context-cached cover of the encoding (one bit per cube, seed
+    and window position), so the cubes are matched against the windows
+    once per encoding, not once per point; the cover itself is built on
+    the window expansion verification already cached.
     """
     config = config or encoded.config
     context = context or encoded.context
@@ -330,12 +331,12 @@ def reduce(
                 force_first_segment_useful=config.force_first_segment_useful,
             ),
         )
-        windows_packed = context.packed_windows(
-            encoded.substrate, [record.seed for record in encoded.encoding.seeds]
+        cover = context.cover(
+            encoded.substrate,
+            [record.seed for record in encoded.encoding.seeds],
+            encoded.test_set,
         )
-        result = reducer.reduce(
-            encoded.encoding, encoded.test_set, windows_packed=windows_packed
-        )
+        result = reducer.reduce(encoded.encoding, encoded.test_set, cover=cover)
     context.stats.add_timing("reduce", time.perf_counter() - start)
     return result
 

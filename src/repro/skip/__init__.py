@@ -6,7 +6,8 @@ reduction method:
 
 * :class:`~repro.skip.segments.WindowSegmentation` -- partition each window
   into segments of ``S`` vectors.
-* :class:`~repro.skip.selection.EmbeddingMap` /
+* :func:`~repro.skip.selection.build_cover` /
+  :class:`~repro.skip.selection.EmbeddingMap` /
   :func:`~repro.skip.selection.select_useful_segments` -- find every segment
   in which every cube is (deterministically or fortuitously) embedded, then
   choose a minimal set of *useful* segments covering all cubes (set-A/set-B
@@ -21,9 +22,11 @@ from repro.skip.segments import WindowSegmentation
 from repro.skip.selection import (
     EmbeddingMap,
     UsefulSegmentSelection,
+    build_cover,
     build_embedding_map,
     build_embedding_map_reference,
     select_useful_segments,
+    select_useful_segments_reference,
 )
 from repro.skip.reduction import (
     ReductionConfig,
@@ -37,9 +40,11 @@ __all__ = [
     "WindowSegmentation",
     "EmbeddingMap",
     "UsefulSegmentSelection",
+    "build_cover",
     "build_embedding_map",
     "build_embedding_map_reference",
     "select_useful_segments",
+    "select_useful_segments_reference",
     "ReductionConfig",
     "ReductionResult",
     "SeedSchedule",

@@ -271,27 +271,17 @@ class SequenceReducer:
     # Main entry point
     # ------------------------------------------------------------------
     def reduce(
-        self,
-        result: EncodingResult,
-        test_set: TestSet,
-        windows: Optional[List[List[int]]] = None,
-        windows_packed=None,
+        self, result: EncodingResult, test_set: TestSet, cover=None
     ) -> ReductionResult:
         """Run the full reduction on an encoding result.
 
-        ``windows`` / ``windows_packed`` may carry the already-expanded
-        seed windows of the encoding in integer / uint64-blocked form (see
-        :func:`repro.skip.selection.build_embedding_map`); the staged
-        pipeline passes the context-cached packed expansion so the reducer
-        never re-expands a seed.
+        ``cover`` may carry the encoding's bit-packed cover (see
+        :func:`repro.skip.selection.build_cover`); the staged pipeline
+        passes the context-cached one, so an (S, k) sweep matches the
+        cubes against the windows once per encoding.
         """
         embedding = build_embedding_map(
-            result,
-            test_set,
-            self._equations,
-            self._segmentation,
-            windows=windows,
-            windows_packed=windows_packed,
+            result, test_set, self._equations, self._segmentation, cover=cover
         )
         selection = select_useful_segments(
             embedding,
@@ -378,8 +368,6 @@ def reduce_sequence(
     speedup: int,
     alignment: str = "exact",
     force_first_segment_useful: bool = True,
-    windows: Optional[List[List[int]]] = None,
-    windows_packed=None,
 ) -> ReductionResult:
     """One-call State Skip reduction of an encoding result."""
     config = ReductionConfig(
@@ -388,6 +376,4 @@ def reduce_sequence(
         alignment=alignment,
         force_first_segment_useful=force_first_segment_useful,
     )
-    return SequenceReducer(equations, config).reduce(
-        result, test_set, windows=windows, windows_packed=windows_packed
-    )
+    return SequenceReducer(equations, config).reduce(result, test_set)

@@ -6,7 +6,9 @@ encoded at.  The paper exploits this to minimise the number of segments that
 have to be generated in Normal mode:
 
 1. Build the embedding map: for every cube, every (seed, segment) whose
-   expanded vectors cover the cube.
+   expanded vectors cover the cube.  It is derived from the encoding's
+   *cover* (:func:`build_cover`, one bit per (cube, seed, window position)),
+   which does not depend on ``S``, so an (S, k) sweep builds it once.
 2. **Set A** -- cubes embedded in exactly one segment across all windows.
    Their segments are forced useful; every other cube covered by those
    segments is dropped from further consideration.
@@ -16,12 +18,15 @@ have to be generated in Normal mode:
    cubes it covers.
 
 The result is the set of useful segments per seed, plus the bookkeeping the
-decompressor and the reporting need (which segment covers which cube).
+decompressor and the reporting need (which segment covers which cube).  Both
+steps run as ``argmax`` passes over the boolean embedding matrix
+(:func:`select_useful_segments`); the set-based loop they replaced stays as
+the oracle (:func:`select_useful_segments_reference`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -37,25 +42,21 @@ SegmentId = Tuple[int, int]
 
 @dataclass
 class EmbeddingMap:
-    """Which segments embed which cubes (deterministically or fortuitously)."""
+    """Which segments embed which cubes (deterministically or fortuitously).
+
+    ``matrix[c, s, g]`` is true iff some window vector of seed ``s`` inside
+    segment ``g`` embeds cube ``c``.
+    """
 
     segmentation: WindowSegmentation
-    cube_segments: Dict[int, Set[SegmentId]] = field(default_factory=dict)
-    segment_cubes: Dict[SegmentId, Set[int]] = field(default_factory=dict)
-
-    def add(self, cube_index: int, segment: SegmentId) -> None:
-        self.cube_segments.setdefault(cube_index, set()).add(segment)
-        self.segment_cubes.setdefault(segment, set()).add(cube_index)
+    matrix: np.ndarray
 
     def segments_of(self, cube_index: int) -> Set[SegmentId]:
-        return self.cube_segments.get(cube_index, set())
+        seeds, segments = np.nonzero(self.matrix[cube_index])
+        return set(zip(seeds.tolist(), segments.tolist()))
 
     def cubes_of(self, segment: SegmentId) -> Set[int]:
-        return self.segment_cubes.get(segment, set())
-
-    def embedding_counts(self) -> Dict[int, int]:
-        """Number of embedding segments per cube (fortuitous richness)."""
-        return {cube: len(segs) for cube, segs in self.cube_segments.items()}
+        return set(np.flatnonzero(self.matrix[:, segment[0], segment[1]]).tolist())
 
 
 @dataclass
@@ -87,71 +88,68 @@ class UsefulSegmentSelection:
 _MATCH_CHUNK_BUDGET = 4_000_000
 
 
+def build_cover(windows_packed: np.ndarray, test_set: TestSet) -> np.ndarray:
+    """Which window vector embeds which cube, one bit per (cube, seed, position).
+
+    ``windows_packed`` is the ``(seeds, L, words)`` uint64 expansion of
+    :meth:`EquationSystem.expand_seeds_packed`.  A cube is embedded in a
+    vector iff ``(vector & care) == value`` over the uint64 blocks of
+    :meth:`TestCube.packed_words`, tested for cube chunks x all positions
+    at once.  Row ``[c, s]`` of the result holds the ``L`` position bits of
+    seed ``s`` for cube ``c``, ``np.packbits``-packed.  The cover depends
+    only on the encoding:
+    :meth:`repro.context.CompressionContext.cover` caches it, and every
+    segmentation derives its :class:`EmbeddingMap` from it.
+    """
+    num_seeds, window_length, num_words = windows_packed.shape
+    num_cubes = len(test_set)
+    cover = np.zeros((num_cubes, num_seeds, -(-window_length // 8)), dtype=np.uint8)
+    if num_seeds and num_cubes:
+        flat = windows_packed.reshape(num_seeds * window_length, num_words)
+        words = np.ascontiguousarray(flat.T)  # (W, P): word-major scan
+        # Stacked once per test set and cached on it (fingerprint-keyed).
+        cares, values = test_set.packed_matrices()
+        chunk = max(1, _MATCH_CHUNK_BUDGET // flat.shape[0])
+        for start in range(0, num_cubes, chunk):
+            stop = start + chunk
+            # (chunk, positions): does vector p cover cube c?
+            matches = cover_matrix(cares[start:stop], values[start:stop], words)
+            cover[start:stop] = np.packbits(
+                matches.reshape(-1, num_seeds, window_length), axis=2
+            )
+    cover.setflags(write=False)  # cached and shared across reductions
+    return cover
+
+
 def build_embedding_map(
     result: EncodingResult,
     test_set: TestSet,
     equations: EquationSystem,
     segmentation: WindowSegmentation,
-    windows: Optional[List[List[int]]] = None,
-    windows_packed: Optional[np.ndarray] = None,
+    cover: Optional[np.ndarray] = None,
 ) -> EmbeddingMap:
-    """Record every (cube, segment) embedding via packed containment.
+    """Record every (cube, segment) embedding of one segmentation.
 
-    A cube is embedded in a window vector iff ``(vector & care) == value``
-    over the uint64 blocks of :meth:`TestCube.packed_words`; broadcasting
-    that test over cubes x (seed, position) turns the former triple Python
-    loop into a handful of numpy passes.  The produced
-    :class:`EmbeddingMap` is identical to
+    ``cover`` is the encoding's :func:`build_cover` (the staged pipeline
+    passes the context-cached one); it is built here when omitted.  One
+    ``logical_or.reduceat`` over its unpacked position bits ORs every
+    segment's positions.  The produced :class:`EmbeddingMap` is identical to
     :func:`build_embedding_map_reference` (the golden tests enforce it).
-
-    ``windows_packed`` may carry the uint64-blocked expansion
-    (:meth:`EquationSystem.expand_seeds_packed` /
-    :meth:`repro.context.CompressionContext.packed_windows`); ``windows``
-    the classic integer form (packed here when it is all that is
-    available).  When both are omitted the expansion happens here.
-    Passing the context-cached expansion lets an (S, k) sweep over one
-    encoding build many embedding maps without ever re-expanding a seed.
     """
     if segmentation.window_length != result.window_length:
         raise ValueError("segmentation window length does not match the encoding")
-    embedding = EmbeddingMap(segmentation=segmentation)
-    num_cells = equations.architecture.num_cells
-    num_words = (num_cells + 63) // 64
-    if windows_packed is None:
-        if windows is not None:
-            windows_packed = _pack_windows(windows, num_words)
-        else:
-            windows_packed = equations.expand_seeds_packed(
-                [record.seed for record in result.seeds]
-            )
-    num_seeds, window_length, _ = windows_packed.shape
-    cubes = test_set.cubes
-    if num_seeds and cubes:
-        flat = windows_packed.reshape(num_seeds * window_length, num_words)
-        words = np.ascontiguousarray(flat.T)  # (W, P): word-major scan
-        # Stacked once per test set and cached on it (fingerprint-keyed):
-        # repeated builds over one set -- the (S, k) sweep pattern -- skip
-        # the per-call np.stack over every cube.
-        cares, values = test_set.packed_matrices()
-        num_positions = flat.shape[0]
-        segment_starts = np.array(
-            [segmentation.bounds(s)[0] for s in range(segmentation.num_segments)],
-            dtype=np.intp,
+    if cover is None:
+        cover = build_cover(
+            equations.expand_seeds_packed([record.seed for record in result.seeds]),
+            test_set,
         )
-        chunk = max(1, _MATCH_CHUNK_BUDGET // max(1, num_positions))
-        for start in range(0, len(cubes), chunk):
-            stop = start + chunk
-            # (chunk, positions): does vector p cover cube c?
-            matches = cover_matrix(cares[start:stop], values[start:stop], words)
-            # Collapse positions to segments in one pass per seed axis.
-            per_window = matches.reshape(-1, num_seeds, window_length)
-            per_segment = np.logical_or.reduceat(per_window, segment_starts, axis=2)
-            cube_idx, seed_idx, seg_idx = np.nonzero(per_segment)
-            for cube_index, seed_index, segment in zip(
-                cube_idx.tolist(), seed_idx.tolist(), seg_idx.tolist()
-            ):
-                embedding.add(start + cube_index, (seed_index, segment))
-    _check_deterministic_embeddings(embedding, result, segmentation)
+    length = segmentation.window_length
+    positions = np.unpackbits(cover, axis=2, count=length).view(bool)
+    starts = np.arange(0, length, segmentation.segment_size)
+    embedding = EmbeddingMap(
+        segmentation, np.logical_or.reduceat(positions, starts, axis=2)
+    )
+    _check_deterministic_embeddings(embedding, result)
     return embedding
 
 
@@ -171,49 +169,35 @@ def build_embedding_map_reference(
     """
     if segmentation.window_length != result.window_length:
         raise ValueError("segmentation window length does not match the encoding")
-    embedding = EmbeddingMap(segmentation=segmentation)
     if windows is None:
         windows = equations.expand_seeds([record.seed for record in result.seeds])
     cubes = test_set.cubes
+    matrix = np.zeros(
+        (len(cubes), len(windows), segmentation.num_segments), dtype=bool
+    )
     for seed_index, window in enumerate(windows):
         for position, vector in enumerate(window):
-            segment = (seed_index, segmentation.segment_of(position))
+            segment = segmentation.segment_of(position)
             for cube_index, cube in enumerate(cubes):
                 if cube.matches_vector(vector):
-                    embedding.add(cube_index, segment)
-    _check_deterministic_embeddings(embedding, result, segmentation)
+                    matrix[cube_index, seed_index, segment] = True
+    embedding = EmbeddingMap(segmentation, matrix)
+    _check_deterministic_embeddings(embedding, result)
     return embedding
 
 
-def _pack_windows(windows: List[List[int]], num_words: int) -> np.ndarray:
-    """uint64-blocked form of integer windows (fallback packing path)."""
-    num_seeds = len(windows)
-    window_length = len(windows[0]) if windows else 0
-    buffer = np.zeros(
-        (num_seeds, window_length, num_words * 8), dtype=np.uint8
-    )
-    nbytes = num_words * 8
-    for s, window in enumerate(windows):
-        for v, vector in enumerate(window):
-            buffer[s, v] = np.frombuffer(
-                vector.to_bytes(nbytes, "little"), dtype=np.uint8
-            )
-    return buffer.view("<u8")
-
-
 def _check_deterministic_embeddings(
-    embedding: EmbeddingMap,
-    result: EncodingResult,
-    segmentation: WindowSegmentation,
+    embedding: EmbeddingMap, result: EncodingResult
 ) -> None:
     """Sanity: every deterministically encoded cube must be embedded in the
     segment containing its assigned position."""
+    segmentation = embedding.segmentation
     for record in result.seeds:
         for emb in record.embeddings:
             if not emb.deterministic:
                 continue
-            segment = (record.index, segmentation.segment_of(emb.position))
-            if segment not in embedding.segments_of(emb.cube_index):
+            segment = segmentation.segment_of(emb.position)
+            if not embedding.matrix[emb.cube_index, record.index, segment]:
                 raise RuntimeError(
                     f"cube {emb.cube_index} is not covered by its own seed "
                     f"{record.index} at position {emb.position}; the encoding "
@@ -235,48 +219,112 @@ def select_useful_segments(
     vector, and the Mode Select unit relies on the first segment of each seed
     needing no decoding logic.  Disabling it yields the unconstrained minimum
     cover (an ablation studied in ``benchmarks/bench_ablation.py``).
+
+    Runs on the (cube, column) view of the embedding matrix with columns in
+    (segment, seed) order, the order every tie is broken in: a cube's first
+    useful segment and the greedy's best segment are first-true and
+    first-max ``argmax`` passes.  The greedy keeps a per-column gain vector
+    and subtracts the rows of newly covered cubes, so each pick is one
+    ``argmax``.  Identical to :func:`select_useful_segments_reference`.
     """
-    segmentation = embedding.segmentation
+    _, seeds, segments = embedding.matrix.shape
+    columns = embedding.matrix[:num_cubes].transpose(0, 2, 1).reshape(
+        num_cubes, segments * seeds
+    )
+    useful = np.zeros(segments * seeds, dtype=bool)
+    covering = np.full(num_cubes, -1)
+
+    def cover_by_useful() -> None:
+        hits = columns & useful
+        newly = (covering < 0) & hits.any(axis=1)
+        covering[newly] = hits[newly].argmax(axis=1)
+
+    if force_first_segment_useful:
+        useful[:num_seeds] = True  # segment 0 of every seed
+        cover_by_useful()
+    # Set A: cubes embedded in exactly one segment force that segment useful.
+    set_a = (covering < 0) & (columns.sum(axis=1) == 1)
+    useful[columns[set_a].argmax(axis=1)] = True
+    # Every cube (from either set) already covered by a useful segment drops out.
+    cover_by_useful()
+
+    # Greedy covering of the remaining (set B) cubes.
+    uncovered = covering < 0
+    gain = columns[uncovered].sum(axis=0)
+    picks: List[int] = []
+    while uncovered.any():
+        best = int(gain.argmax())
+        if not gain[best]:
+            missing = np.flatnonzero(uncovered)[:10].tolist()
+            raise RuntimeError(
+                f"cubes {missing} are not embedded in any segment; "
+                f"the embedding map is inconsistent with the encoding"
+            )
+        newly = uncovered & columns[:, best]
+        covering[newly] = best
+        uncovered &= ~newly
+        gain -= columns[newly].sum(axis=0)
+        useful[best] = True
+        picks.append(best)
+
+    def segment_id(column: int) -> SegmentId:
+        segment, seed = divmod(column, seeds)
+        return seed, segment
+
+    return UsefulSegmentSelection(
+        segmentation=embedding.segmentation,
+        useful_segments={segment_id(c) for c in np.flatnonzero(useful).tolist()},
+        covering_segment={
+            cube: segment_id(column) for cube, column in enumerate(covering.tolist())
+        },
+        set_a_cubes=set(np.flatnonzero(set_a).tolist()),
+        greedy_picks=[segment_id(column) for column in picks],
+    )
+
+
+def select_useful_segments_reference(
+    embedding: EmbeddingMap,
+    num_cubes: int,
+    num_seeds: int = 0,
+    force_first_segment_useful: bool = True,
+) -> UsefulSegmentSelection:
+    """The set-based loop :func:`select_useful_segments` replaced, kept as its
+    golden reference: it reads the map only through
+    :meth:`EmbeddingMap.segments_of` and recounts every segment's gain on
+    every greedy pick."""
+    # Each cube's segments in (segment, seed) order: ties go to the first.
+    segments_of = {
+        cube: sorted(embedding.segments_of(cube), key=lambda s: (s[1], s[0]))
+        for cube in range(num_cubes)
+    }
+    segment_cubes: Dict[SegmentId, Set[int]] = {}
+    for cube, segments in segments_of.items():
+        for segment in segments:
+            segment_cubes.setdefault(segment, set()).add(cube)
     useful: Set[SegmentId] = set()
     covering: Dict[int, SegmentId] = {}
     uncovered = set(range(num_cubes))
 
-    if force_first_segment_useful and num_seeds > 0:
-        for seed_index in range(num_seeds):
-            useful.add((seed_index, 0))
+    def cover_by_useful() -> None:
         for cube in sorted(uncovered):
-            for segment in embedding.segments_of(cube):
+            for segment in segments_of[cube]:
                 if segment in useful:
                     covering[cube] = segment
                     break
-        uncovered -= set(covering)
+        uncovered.difference_update(covering)
 
-    # Set A: cubes embedded in exactly one segment force that segment useful.
-    set_a = {
-        cube
-        for cube in uncovered
-        if len(embedding.segments_of(cube)) == 1
-    }
-    for cube in sorted(set_a):
-        (segment,) = embedding.segments_of(cube)
-        useful.add(segment)
-        covering[cube] = segment
-    # Every cube (from either set) already covered by a useful segment drops out.
-    for cube in sorted(uncovered):
-        if cube in covering:
-            continue
-        for segment in embedding.segments_of(cube):
-            if segment in useful:
-                covering[cube] = segment
-                break
-    uncovered -= set(covering)
+    if force_first_segment_useful:
+        useful.update((seed_index, 0) for seed_index in range(num_seeds))
+        cover_by_useful()
+    set_a = {cube for cube in uncovered if len(segments_of[cube]) == 1}
+    useful.update(segments_of[cube][0] for cube in set_a)
+    cover_by_useful()
 
-    # Greedy covering of the remaining (set B) cubes.
     greedy_picks: List[SegmentId] = []
     while uncovered:
         best_segment = None
         best_key = None
-        for segment, cubes in embedding.segment_cubes.items():
+        for segment, cubes in segment_cubes.items():
             gain = len(cubes & uncovered)
             if gain == 0:
                 continue
@@ -294,12 +342,12 @@ def select_useful_segments(
             )
         useful.add(best_segment)
         greedy_picks.append(best_segment)
-        for cube in sorted(embedding.cubes_of(best_segment) & uncovered):
+        for cube in segment_cubes[best_segment] & uncovered:
             covering[cube] = best_segment
-        uncovered -= embedding.cubes_of(best_segment)
+        uncovered -= segment_cubes[best_segment]
 
     return UsefulSegmentSelection(
-        segmentation=segmentation,
+        segmentation=embedding.segmentation,
         useful_segments=useful,
         covering_segment=covering,
         set_a_cubes=set_a,

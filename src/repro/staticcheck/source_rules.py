@@ -54,7 +54,8 @@ def _in_src(sf: SourceFile) -> bool:
 # dict-engine-hotpath
 # ----------------------------------------------------------------------
 _REFERENCE_ENTRY_POINTS = frozenset(
-    {"simulate_ternary_reference", "build_embedding_map_reference"}
+    {"simulate_ternary_reference", "build_embedding_map_reference",
+     "select_useful_segments_reference"}
 )
 #: Modules on the simulation hot path: production runs go through them, so a
 #: call into a slow reference oracle there would silently slow every run.

@@ -223,10 +223,10 @@ class TestSet:
         """The stacked ``(cares, values)`` uint64 matrices of all cubes.
 
         Row ``i`` is cube ``i``'s :meth:`TestCube.packed_words` pair, so
-        the embedding matcher's broadcast containment test reads the whole
-        test set as two ``(num_cubes, num_words)`` arrays without
-        re-stacking them per :func:`~repro.skip.selection.build_embedding_map`
-        call -- an (S, k) sweep builds many embedding maps over one test
+        the broadcast containment tests (:func:`~repro.skip.selection.build_cover`,
+        :meth:`uncovered_cubes`) read the whole test set as two
+        ``(num_cubes, num_words)`` arrays without re-stacking them per
+        call -- an (S, k) sweep replays many schedules over one test
         set.  Cached on the instance and, keyed by ``(fingerprint,
         num_cells)``, in a small class-level LRU shared across
         equal-content instances.  The arrays are read-only; treat them as

@@ -4,8 +4,9 @@ Properties of engine pairs that consume the same inputs share one space,
 so they cannot drift apart: the ternary-sim (``tests/test_ternary_golden.py``)
 and drop-batch (``tests/test_perf_golden.py``) properties draw random
 netlists from ``NETLIST_SPACE``; the solver-batch (``tests/test_perf_golden.py``)
-and the embedding and decompressor (``tests/test_ternary_golden.py``)
-properties encode test sets drawn from ``ENCODING_SPACE``.  The
+and the embedding, selection and decompressor
+(``tests/test_ternary_golden.py``) properties encode test sets drawn from
+``ENCODING_SPACE``.  The
 solver-packed property (``tests/test_perf_golden.py``) draws raw GF(2)
 bases and trial batches from ``SOLVER_SPACE``.
 """

@@ -185,6 +185,35 @@ class TestSweepCommand:
         assert reason in message
 
 
+class TestCampaignCommand:
+    def test_campaign_reports_every_context_cache(self, cube_file, tmp_path, capsys):
+        code = main(
+            [
+                "campaign",
+                "--tests",
+                str(cube_file),
+                "--chains",
+                "8",
+                "--windows",
+                "20",
+                "--segments",
+                "4",
+                "10",
+                "--speedups",
+                "3",
+                "6",
+                "--store",
+                str(tmp_path / "store"),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines() if line.startswith("context cache:")]
+        # four (S, k) jobs over one encoding: one cover build, three hits
+        assert "encoding 3/4 hits" in line
+        assert "cover 3/4 hits" in line
+
+
 class TestAtpgCommand:
     def test_atpg_on_bench_file(self, tmp_path, capsys):
         bench_path = tmp_path / "c17.bench"

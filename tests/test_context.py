@@ -126,11 +126,12 @@ class TestStagedPipeline:
             reference = compress(test_set, swept, verify=True)
             assert reduction.to_dict() == reference.reduction.to_dict()
         # the sweep never re-encoded and never re-expanded the windows: the
-        # packed expansion ran once (for verify's integer view) and every
-        # reduce hit it
+        # packed expansion ran once (for verify's integer view), the first
+        # reduce built the cover on it and the other two hit the cover
         assert context.stats.counters["encoding_misses"] == 1
         assert context.stats.counters["packed_window_misses"] == 1
-        assert context.stats.counters["packed_window_hits"] >= 3
+        assert context.stats.counters["cover_misses"] == 1
+        assert context.stats.counters["cover_hits"] == 2
 
     def test_stage_timings_are_recorded(self, test_set):
         context = CompressionContext()
@@ -249,6 +250,9 @@ class TestCampaignSubstrateSharing:
         assert cache["encoding_misses"] == 1
         assert cache["encoding_hits"] == 3
         assert cache["substrate_misses"] == 1
+        # ... and one cover, built by the first job's reduce
+        assert cache["cover_misses"] == 1
+        assert cache["cover_hits"] == 3
         # every computed outcome carries its per-stage timings
         for outcome in result.outcomes:
             assert outcome.stage_timings is not None

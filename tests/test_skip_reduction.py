@@ -102,6 +102,24 @@ class TestEmbeddingAndSelection:
         for seed_index in range(result.num_seeds):
             assert (seed_index, 0) in selection.useful_segments
 
+    def test_forced_first_segments_cover_in_seed_order(self, encoded):
+        """A cube embedded in some first segment is covered by the first one,
+        in seed order, whatever the iteration order of a set."""
+        encoder, test_set, result = encoded
+        seg = WindowSegmentation(result.window_length, 5)
+        embedding = build_embedding_map(result, test_set, encoder.equations, seg)
+        selection = select_useful_segments(
+            embedding, len(test_set), result.num_seeds,
+            force_first_segment_useful=True,
+        )
+        checked = 0
+        for cube in range(len(test_set)):
+            firsts = sorted(s for s, g in embedding.segments_of(cube) if g == 0)
+            if firsts:
+                assert selection.covering_segment[cube] == (firsts[0], 0)
+                checked += 1
+        assert checked > 0
+
     def test_unforced_selection_never_larger(self, encoded):
         encoder, test_set, result = encoded
         seg = WindowSegmentation(result.window_length, 5)

@@ -16,6 +16,7 @@ replaced:
   returned detections vs the fault simulator's own bookkeeping;
 * the uint64-blocked seed-window expansion vs the integer expansion;
 * the vectorized embedding map vs the pure-Python scan on a small grid;
+* the matrix (argmax) useful-segment selection vs the set-based loop;
 * the segment-level decompressor replay vs the clock-level replay.
 
 Each engine pair also has a hypothesis property (``test_*_differential``)
@@ -57,6 +58,8 @@ from repro.skip.segments import WindowSegmentation
 from repro.skip.selection import (
     build_embedding_map,
     build_embedding_map_reference,
+    select_useful_segments,
+    select_useful_segments_reference,
 )
 from repro.testdata.cube import TestCube
 from repro.testdata.profiles import get_profile
@@ -514,7 +517,7 @@ def encoded():
     )
 
 
-#: The random encodings the embedding and decompressor properties draw:
+#: The random encodings the embedding, selection and decompressor properties draw:
 #: the shared encoding space plus segment size S and speedup k.
 _REDUCTION_SPACE = dict(
     ENCODING_SPACE,
@@ -583,8 +586,7 @@ def _assert_maps_identical(encoded, segment_size):
     reference = build_embedding_map_reference(
         encoded.encoding, encoded.test_set, equations, segmentation
     )
-    assert vectorized.cube_segments == reference.cube_segments
-    assert vectorized.segment_cubes == reference.segment_cubes
+    assert np.array_equal(vectorized.matrix, reference.matrix)
 
 
 class TestEmbeddingMapGolden:
@@ -599,27 +601,52 @@ class TestEmbeddingMapGolden:
         _assert_maps_identical(_drawn_encoding(**params), params["segment"])
 
     def test_vectorized_map_from_cached_windows(self, encoded):
-        """Packed, integer and self-expanded inputs all yield the same map."""
+        """A context-cached cover and a self-built one yield the same map."""
         equations = encoded.substrate.equations
         seeds = [record.seed for record in encoded.encoding.seeds]
         segmentation = WindowSegmentation(encoded.encoding.window_length, 5)
-        context = encoded.context
-        from_packed = build_embedding_map(
-            encoded.encoding,
-            encoded.test_set,
-            equations,
-            segmentation,
-            windows_packed=context.packed_windows(encoded.substrate, seeds),
+        cover = encoded.context.cover(encoded.substrate, seeds, encoded.test_set)
+        assert cover.shape == (
+            len(encoded.test_set), len(seeds), -(-encoded.encoding.window_length // 8)
         )
-        from_integers = build_embedding_map(
-            encoded.encoding,
-            encoded.test_set,
-            equations,
-            segmentation,
-            windows=context.expanded_windows(encoded.substrate, seeds),
+        from_cache = build_embedding_map(
+            encoded.encoding, encoded.test_set, equations, segmentation, cover=cover
         )
-        assert from_packed.cube_segments == from_integers.cube_segments
-        assert from_packed.segment_cubes == from_integers.segment_cubes
+        self_built = build_embedding_map(
+            encoded.encoding, encoded.test_set, equations, segmentation
+        )
+        assert np.array_equal(from_cache.matrix, self_built.matrix)
+
+
+def _assert_selections_identical(encoded, segment_size):
+    encoding = encoded.encoding
+    embedding = build_embedding_map(
+        encoding,
+        encoded.test_set,
+        encoded.substrate.equations,
+        WindowSegmentation(encoding.window_length, segment_size),
+    )
+    for force_first in (True, False):
+        args = (embedding, encoding.num_cubes, encoding.num_seeds, force_first)
+        matrix = select_useful_segments(*args)
+        reference = select_useful_segments_reference(*args)
+        assert matrix.useful_segments == reference.useful_segments
+        assert matrix.set_a_cubes == reference.set_a_cubes
+        assert matrix.greedy_picks == reference.greedy_picks
+        assert matrix.covering_segment == reference.covering_segment
+
+
+class TestUsefulSegmentSelectionGolden:
+    @pytest.mark.parametrize("segment_size", [3, 5, 12, 60])
+    def test_matrix_selection_equals_reference(self, encoded, segment_size):
+        _assert_selections_identical(encoded, segment_size)
+
+    @settings(max_examples=5, deadline=None)
+    @given(**_REDUCTION_SPACE)
+    def test_selection_differential(self, **params):
+        """Matrix (argmax) useful-segment selection vs the set-based loop,
+        with and without the forced first segments."""
+        _assert_selections_identical(_drawn_encoding(**params), params["segment"])
 
 
 # ----------------------------------------------------------------------
