@@ -27,7 +27,8 @@ Sub-packages
     Gate-level netlists, fault simulation and ATPG (produces genuine test
     cubes for circuits whose structure is available).
 ``repro.encoding``
-    Window-based and classical LFSR-reseeding seed computation.
+    Window-based LFSR-reseeding seed computation (L = 1 is classical
+    reseeding).
 ``repro.skip``
     The paper's test-sequence-reduction method (Section 3.2).
 ``repro.decompressor``

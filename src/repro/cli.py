@@ -25,15 +25,6 @@ Python:
     ``--max-retries``); Ctrl-C terminates the pool, keeps everything
     already streamed into the store and exits 130.
 
-``lint``
-    Run the static verification subsystem (:mod:`repro.staticcheck`) over
-    ``src/`` and ``tests/``: IR verifiers, repo-specific AST lint
-    rules and concurrency-hazard checks.  One ``path:line: rule-id
-    message`` per violation; exits 0 clean, 1 on violations, 2 on an
-    analyzer internal error.  ``--rules`` selects a subset,
-    ``--format=json`` emits a machine-readable report, ``--fix-hints``
-    appends the per-rule remediation hint.
-
 ``atpg``
     Run the built-in PODEM ATPG on a ``.bench`` netlist (or on a generated
     random circuit) and write the resulting test-cube file.  It runs the
@@ -74,15 +65,12 @@ Examples
         --store results/campaign
     python -m repro stats results/campaign
     python -m repro atpg --bench my_core.bench --output my_core.tests
-    python -m repro lint
-    python -m repro lint --rules bounded-cache,worker-shared-state --fix-hints
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from pathlib import Path
 from typing import List, Optional
 
@@ -106,16 +94,32 @@ def _load_test_set(args: argparse.Namespace) -> TestSet:
     raise ValueError("either --tests or --profile is required")
 
 
-def _config_from_args(args: argparse.Namespace, test_set: TestSet) -> CompressionConfig:
+def _lfsr_size(args: argparse.Namespace, test_set: TestSet) -> Optional[int]:
+    """``--lfsr``, else the profile's LFSR size, else ``None``.
+
+    ``None`` lets :func:`repro.pipeline.encode` size the LFSR at
+    ``s_max + 8``; a size below the densest cube is rejected here, before
+    any encode work.
+    """
     lfsr_size = args.lfsr
     if lfsr_size is None and args.profile:
         lfsr_size = get_profile(args.profile).lfsr_size
+    smax = test_set.max_specified()
+    if lfsr_size is not None and lfsr_size < smax:
+        raise ValueError(
+            f"the densest cube specifies {smax} bits but the LFSR has only "
+            f"{lfsr_size} cells"
+        )
+    return lfsr_size
+
+
+def _config_from_args(args: argparse.Namespace, test_set: TestSet) -> CompressionConfig:
     return CompressionConfig(
         window_length=args.window,
-        segment_size=min(args.segment, args.window),
+        segment_size=args.segment,
         speedup=args.speedup,
         num_scan_chains=args.chains,
-        lfsr_size=lfsr_size,
+        lfsr_size=_lfsr_size(args, test_set),
     )
 
 
@@ -244,11 +248,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         test_set = _load_test_set(args)
-        lfsr_size = args.lfsr
-        if lfsr_size is None and args.profile:
-            lfsr_size = get_profile(args.profile).lfsr_size
-        if lfsr_size is None:
-            lfsr_size = test_set.max_specified() + 8
         # segment_size=1 keeps the base config valid for any window length;
         # the swept (S, k) points are applied per reduction below (the
         # encode stage ignores the reduction knobs either way).  Every point
@@ -257,13 +256,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = CompressionConfig(
             window_length=args.window,
             segment_size=1,
-            num_scan_chains=min(args.chains, test_set.num_cells),
-            lfsr_size=lfsr_size,
+            num_scan_chains=args.chains,
+            lfsr_size=_lfsr_size(args, test_set),
         )
         points = {
-            (k, segment_size): base.with_updates(
-                segment_size=min(segment_size, args.window), speedup=k
-            )
+            (k, segment_size): base.with_updates(segment_size=segment_size, speedup=k)
             for k in args.speedups
             for segment_size in args.segments
         }
@@ -304,18 +301,15 @@ def _build_campaign_spec(args: argparse.Namespace):
         sources.append(TestSource(tests=tests))
     if not sources:
         raise SystemExit("either --spec, --profiles or --tests is required")
-    axes = {}
-    if args.windows:
-        axes["window_length"] = args.windows
-    if args.segments:
-        axes["segment_size"] = args.segments
-    if args.speedups:
-        axes["speedup"] = args.speedups
     return CampaignSpec(
         name=args.name,
         sources=tuple(sources),
         base=CompressionConfig(num_scan_chains=args.chains),
-        axes=axes,
+        axes={
+            "window_length": args.windows,
+            "segment_size": args.segments,
+            "speedup": args.speedups,
+        },
         filter="segment_size <= window_length",
         verify=not args.no_verify,
     )
@@ -567,24 +561,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.staticcheck import format_json, format_text, run_lint
-
-    root = Path(args.root).resolve()
-    paths = [Path(p) for p in args.paths] if args.paths else None
-    rules = [name for group in (args.rules or []) for name in group if name]
-    try:
-        report = run_lint(root, paths=paths, rules=rules or None)
-    except Exception:  # pragma: no cover - analyzer crash guard
-        traceback.print_exc()
-        return 2
-    if args.format == "json":
-        print(format_json(report))
-    else:
-        print(format_text(report, fix_hints=args.fix_hints))
-    return report.exit_code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="State Skip LFSR test set embedding"
@@ -609,9 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser("sweep", help="sweep k and S (Fig. 4 style)")
     _add_common_options(sweep_parser)
     sweep_parser.add_argument(
-        "--speedups", type=int, nargs="*", default=[3, 6, 12, 24]
+        "--speedups", type=int, nargs="+", default=[3, 6, 12, 24]
     )
-    sweep_parser.add_argument("--segments", type=int, nargs="*", default=[4, 10, 20])
+    sweep_parser.add_argument("--segments", type=int, nargs="+", default=[4, 10, 20])
     sweep_parser.set_defaults(func=_cmd_sweep)
 
     campaign_parser = sub.add_parser(
@@ -624,20 +600,20 @@ def build_parser() -> argparse.ArgumentParser:
     grid = campaign_parser.add_argument_group("inline grid (no --spec)")
     grid.add_argument("--name", default="campaign", help="campaign name")
     grid.add_argument(
-        "--profiles", nargs="*", choices=profile_names(),
+        "--profiles", nargs="+", choices=profile_names(),
         help="benchmark profiles to sweep",
     )
     grid.add_argument(
-        "--tests", nargs="*", help="paths to 0/1/X cube files to sweep"
+        "--tests", nargs="+", help="paths to 0/1/X cube files to sweep"
     )
     grid.add_argument("--scale", type=float, default=0.1,
                       help="cube-count scale for profile sources (default 0.1)")
     grid.add_argument("--seed", type=int, default=1, help="generator RNG seed")
-    grid.add_argument("--windows", type=int, nargs="*", default=[100],
+    grid.add_argument("--windows", type=int, nargs="+", default=[100],
                       help="window lengths L to sweep")
-    grid.add_argument("--segments", type=int, nargs="*", default=[4, 10],
+    grid.add_argument("--segments", type=int, nargs="+", default=[4, 10],
                       help="segment sizes S to sweep")
-    grid.add_argument("--speedups", type=int, nargs="*", default=[3, 6, 12, 24],
+    grid.add_argument("--speedups", type=int, nargs="+", default=[3, 6, 12, 24],
                       help="State Skip speedups k to sweep")
     grid.add_argument("--chains", type=int, default=32, help="number of scan chains")
     grid.add_argument("--no-verify", action="store_true",
@@ -691,35 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
              "files written by --trace runs",
     )
     stats_parser.set_defaults(func=_cmd_stats)
-
-    lint_parser = sub.add_parser(
-        "lint",
-        help="static verification: IR verifiers, repo lint rules "
-             "and concurrency-hazard checks (exit 0/1/2)",
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: src/ and tests/ "
-             "under --root)",
-    )
-    lint_parser.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="repo root for relative paths in the report (default .)",
-    )
-    lint_parser.add_argument(
-        "--rules", action="append", metavar="RULE[,RULE...]",
-        type=lambda value: value.split(","),
-        help="run only these rules (repeatable, comma-separated)",
-    )
-    lint_parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
-    )
-    lint_parser.add_argument(
-        "--fix-hints", action="store_true",
-        help="append each rule's remediation hint after its violations",
-    )
-    lint_parser.set_defaults(func=_cmd_lint)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""LFSR-reseeding seed computation (classical and window-based).
+"""Window-based LFSR-reseeding seed computation.
 
 This package implements the encoding side of the flow:
 
@@ -9,16 +9,16 @@ This package implements the encoding side of the flow:
   window-based seed-computation algorithm of Section 2 of the paper (the
   method of reference [11], which is also the "Orig." baseline of the
   evaluation).
-* :func:`~repro.encoding.classical.encode_classical` -- classical LFSR
-  reseeding where every seed expands into a single test vector (L = 1).
 * :class:`~repro.encoding.encoder.ReseedingEncoder` -- the convenience
   front-end that assembles all the pieces for a given test set.
+
+Classical LFSR reseeding, where every seed expands into a single test
+vector, is the window length L = 1.
 """
 
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import CubeEmbedding, EncodingResult, SeedRecord
 from repro.encoding.window import EncodingError, WindowEncoder
-from repro.encoding.classical import encode_classical
 from repro.encoding.encoder import ReseedingEncoder, encode_test_set
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 
@@ -31,7 +31,6 @@ __all__ = [
     "EncoderSubstrate",
     "SubstrateKey",
     "WindowEncoder",
-    "encode_classical",
     "ReseedingEncoder",
     "encode_test_set",
 ]

@@ -13,8 +13,8 @@ low-level encoding layer and the high-level context layer can use it
 without import cycles.
 
 Every module-level cache of the package must be an instance of this class
-(or a ``weakref`` dictionary): the ``bounded-cache`` rule of
-:mod:`repro.staticcheck` enforces the discipline statically.
+(or a ``weakref`` dictionary): the tier-1 ``bounded-cache`` test checks
+the discipline statically.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ Two static validators, each returning a list of human-readable problems
   ``table_rows`` and ``reader_rows`` mirrors that the event engine's hot
   loops trust blindly.
 
-The ``ir-verify`` lint rule runs both over representative circuits on
-every ``repro lint`` invocation, so a broken netlist or plan builder fails
-CI without any simulation running.
+The tier-1 ``ir-verify`` tests run both over random netlists and a
+wide-gate netlist, so a broken netlist or plan builder fails without any
+simulation running; the IR corruption tests plant each broken shape to
+show that it is caught.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.circuits.ternary import (
     _fused_tables,
     _OPCODE,
 )
-from repro.staticcheck.registry import Rule, Violation, register_rule
 
 
 # ----------------------------------------------------------------------
@@ -351,64 +351,3 @@ def _verify_readers_and_fanout(plan: PackedPlan) -> List[str]:
                     f"{expected!r}"
                 )
     return problems
-
-
-# ----------------------------------------------------------------------
-# The ir-verify rule: self-check over representative circuits
-# ----------------------------------------------------------------------
-def _run_ir_verify(context) -> List[Violation]:
-    """Verify netlist/plan invariants on representative circuits.
-
-    ``repro lint`` has no runtime artifacts to inspect, so the rule builds
-    a spread of circuits (every gate arity class, both table and generic
-    rows, fixed seeds) and runs both verifiers over each -- the same
-    functions the mutation tests call.  Any violation means the *builders*
-    (netlist construction, plan compilation) emit broken IR for some shape,
-    caught here before a simulation or a test ever runs one.
-    """
-    from repro.circuits.generator import random_netlist
-    from repro.circuits.netlist import Gate, GateType
-    from repro.circuits.ternary import packed_plan
-
-    wide = Netlist(
-        "lint-wide",
-        inputs=["a", "b", "c", "d", "e"],
-        outputs=["y", "z"],
-        gates=[
-            Gate("w", GateType.AND, ("a", "b", "c", "d")),
-            Gate("x", GateType.XNOR, ("w", "e")),
-            Gate("y", GateType.NOR, ("w", "x", "a", "e")),
-            Gate("z", GateType.NOT, ("y",)),
-        ],
-    )
-    samples = [
-        wide,
-        random_netlist("lint-g60", num_inputs=8, num_gates=60, seed=1),
-        random_netlist("lint-g120", num_inputs=12, num_gates=120, seed=2),
-    ]
-    violations: List[Violation] = []
-    rule = RULE_IR_VERIFY
-    for netlist in samples:
-        pseudo = f"<ir:{netlist.name}>"
-        for problem in verify_netlist(netlist):
-            violations.append(rule.violation(pseudo, 1, problem))
-        plan = packed_plan(netlist)
-        for problem in verify_packed_plan(plan):
-            violations.append(rule.violation(pseudo, 1, problem))
-    return violations
-
-
-RULE_IR_VERIFY = register_rule(
-    Rule(
-        name="ir-verify",
-        description=(
-            "netlist/PackedPlan structural invariants over representative "
-            "circuits"
-        ),
-        run=_run_ir_verify,
-        fix_hint=(
-            "the IR builders emit inconsistent structures; fix the builder "
-            "(Netlist/PackedPlan) rather than the verifier"
-        ),
-    )
-)

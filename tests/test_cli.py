@@ -26,6 +26,17 @@ def cube_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def no_encode(monkeypatch):
+    """Make ``pipeline.encode`` fail: a command checks its input first."""
+    from repro import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command encoded before checking its input")
+
+    monkeypatch.setattr(pipeline, "encode", refuse)
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -65,6 +76,33 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--profile", "s9234", "--speedups"],
+            ["sweep", "--profile", "s9234", "--segments"],
+            ["campaign", "--profiles"],
+            ["campaign", "--tests"],
+            ["campaign", "--profiles", "s9234", "--windows"],
+            ["campaign", "--profiles", "s9234", "--segments"],
+            ["campaign", "--profiles", "s9234", "--speedups"],
+        ],
+        ids=[
+            "sweep-speedups", "sweep-segments", "campaign-profiles",
+            "campaign-tests", "campaign-windows", "campaign-segments",
+            "campaign-speedups",
+        ],
+    )
+    def test_empty_list_option_is_a_usage_error(
+        self, tmp_path, monkeypatch, no_encode, argv
+    ):
+        # An empty list used to run an empty sweep, or a campaign on the
+        # config default in place of the option's documented default.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--scale", "0.03"])
+        assert excinfo.value.code == 2
+
 
 class TestCompressCommand:
     def test_compress_from_cube_file(self, cube_file, capsys):
@@ -98,11 +136,13 @@ class TestCompressCommand:
         "options, reason",
         [
             (["--profile", "s9234", "-S", "0"], "segment_size must be in"),
+            (["--profile", "s9234", "-L", "20", "-S", "30"], "segment_size must be in"),
+            (["--profile", "s9234", "--lfsr", "6"], "the densest cube specifies"),
             (["--profile", "s9234", "--scale", "0"], "scale must be in"),
             (["--tests", "missing.tests"], "No such file"),
             (["--tests", "z.tests"], "invalid cube character 'Z'"),
         ],
-        ids=["S-0", "scale-0", "missing-file", "Z-cube"],
+        ids=["S-0", "S-over-L", "lfsr-below-smax", "scale-0", "missing-file", "Z-cube"],
     )
     def test_compress_rejects_bad_input_in_one_line(
         self, tmp_path, monkeypatch, options, reason
@@ -165,19 +205,15 @@ class TestSweepCommand:
         [
             (["--speedups", "3", "0"], "speedup must be at least 1"),
             (["--segments", "0"], "segment_size must be in"),
+            (["-L", "20", "--segments", "4", "30"], "segment_size must be in"),
+            (["--lfsr", "6"], "the densest cube specifies"),
             (["--scale", "0"], "scale must be in"),
         ],
-        ids=["k-0", "S-0", "scale-0"],
+        ids=["k-0", "S-0", "S-over-L", "lfsr-below-smax", "scale-0"],
     )
     def test_sweep_checks_every_point_before_encoding(
-        self, monkeypatch, options, reason
+        self, no_encode, options, reason
     ):
-        from repro import pipeline
-
-        def no_encode(*args, **kwargs):
-            raise AssertionError("sweep encoded before checking its input")
-
-        monkeypatch.setattr(pipeline, "encode", no_encode)
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--profile", "s9234", "--scale", "0.03", *options])
         message = str(excinfo.value.code)

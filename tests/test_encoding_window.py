@@ -1,9 +1,8 @@
-"""Tests for the window-based and classical reseeding encoders."""
+"""Tests for the window-based reseeding encoder, classical (L = 1) included."""
 
 
 import pytest
 
-from repro.encoding.classical import encode_classical
 from repro.encoding.encoder import ReseedingEncoder, encode_test_set
 from repro.encoding.window import EncodingError, verify_encoding
 from repro.testdata.cube import TestCube
@@ -105,7 +104,7 @@ class TestWindowEncoder:
 class TestClassicalReseeding:
     def test_classical_is_single_vector_windows(self):
         ts = small_test_set(seed=23)
-        result = encode_classical(ts, num_scan_chains=8, lfsr_size=14)
+        result = encode_test_set(ts, window_length=1, num_scan_chains=8, lfsr_size=14)
         assert result.window_length == 1
         assert result.test_sequence_length == result.num_seeds
         assert result.all_cubes_encoded()
@@ -113,7 +112,7 @@ class TestClassicalReseeding:
     def test_classical_uses_more_data_than_windowed(self):
         """The motivation experiment (Table 1): larger L improves TDV."""
         ts = small_test_set(num_cubes=50, seed=29)
-        classical = encode_classical(ts, num_scan_chains=8, lfsr_size=14)
+        classical = encode_test_set(ts, window_length=1, num_scan_chains=8, lfsr_size=14)
         windowed = encode_test_set(
             ts, window_length=20, num_scan_chains=8, lfsr_size=14
         )
@@ -123,7 +122,7 @@ class TestClassicalReseeding:
 
     def test_classical_default_lfsr_size(self):
         ts = small_test_set(seed=31)
-        result = encode_classical(ts, num_scan_chains=8)
+        result = encode_test_set(ts, window_length=1, num_scan_chains=8)
         assert result.lfsr_size == ts.max_specified() + 8
 
 

@@ -194,12 +194,10 @@ class TestNullRecorder:
     def test_disabled_and_noop(self):
         null = NullRecorder()
         assert null.enabled is False
-        # repro-lint: disable=span-pairing
         span = null.span("anything", attr=1)
         with span as inner:
             inner.set("ignored", True)
         # One shared object, no allocation per span.
-        # repro-lint: disable=span-pairing
         assert null.span("other") is span
         null.counter("c")
         null.gauge("g", 1)
