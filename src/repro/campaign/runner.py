@@ -142,19 +142,9 @@ class CampaignResult:
         return sum(1 for outcome in self.outcomes if not outcome.ok)
 
     @property
-    def num_retried(self) -> int:
-        """Jobs that survived at least one worker crash before finishing."""
-        return sum(1 for outcome in self.outcomes if outcome.retried > 0)
-
-    @property
     def total_retries(self) -> int:
         """Summed worker-crash retries across all jobs."""
         return sum(outcome.retried for outcome in self.outcomes)
-
-    @property
-    def all_cached(self) -> bool:
-        """True when the run recomputed nothing (a fully warm store)."""
-        return self.num_jobs > 0 and self.num_cached == self.num_jobs
 
     @property
     def total_elapsed_s(self) -> float:

@@ -131,18 +131,6 @@ class TestSource:
         path = Path(self.tests)
         return TestSet.from_text(path.read_text(), name=path.stem), None
 
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {}
-        if self.profile is not None:
-            data["profile"] = self.profile
-            if self.scale is not None:
-                data["scale"] = self.scale
-            if self.seed != 1:
-                data["seed"] = self.seed
-        else:
-            data["tests"] = self.tests
-        return data
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -222,10 +210,6 @@ class CampaignSpec:
             raise ValueError(f"campaign {self.name!r} expands to zero jobs")
         return jobs
 
-    @property
-    def num_jobs(self) -> int:
-        return len(self.jobs())
-
     def _passes_filter(self, source: TestSource, overrides: Dict[str, object]) -> bool:
         if self.filter is None:
             return True
@@ -235,20 +219,8 @@ class CampaignSpec:
         return evaluate_filter(self.filter, scope)
 
     # ------------------------------------------------------------------
-    # Serialisation
+    # Loading
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "name": self.name,
-            "sources": [source.to_dict() for source in self.sources],
-            "base": self.base.to_dict(),
-            "axes": {name: list(values) for name, values in self.axes.items()},
-            "verify": self.verify,
-        }
-        if self.filter is not None:
-            data["filter"] = self.filter
-        return data
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
         sources = tuple(

@@ -31,7 +31,7 @@ import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 try:  # pragma: no cover - fcntl is always present on POSIX
     import fcntl
@@ -196,18 +196,8 @@ class ResultStore:
     def path(self) -> Path:
         return self._path
 
-    @property
-    def read_only(self) -> bool:
-        return self._read_only
-
     def __len__(self) -> int:
         return len(self._index)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def __iter__(self) -> Iterator[StoredResult]:
-        return iter(self._index.values())
 
     def get(self, key: str) -> Optional[StoredResult]:
         return self._index.get(key)
@@ -220,14 +210,6 @@ class ResultStore:
     def records(self) -> List[StoredResult]:
         """All current records (one per key, insertion order)."""
         return list(self._index.values())
-
-    def rows(self) -> List[Dict[str, object]]:
-        """The summary rows of every successful record."""
-        return [
-            dict(record.summary)
-            for record in self._index.values()
-            if record.ok and record.summary is not None
-        ]
 
     # ------------------------------------------------------------------
     # Writer lock

@@ -6,8 +6,7 @@ tool chain for circuits whose structure *is* available:
 
 * :class:`~repro.circuits.netlist.Netlist` -- combinational gate-level
   netlists with topological evaluation order.
-* :mod:`~repro.circuits.bench` -- reader/writer for the ISCAS ``.bench``
-  format.
+* :mod:`~repro.circuits.bench` -- reader for the ISCAS ``.bench`` format.
 * :mod:`~repro.circuits.simulator` -- two- and three-valued logic simulation,
   including 64-pattern-parallel bit-packed simulation, and the ``ENGINES``
   names: the fault simulator and PODEM run the ``events`` engine, and take
@@ -20,26 +19,22 @@ tool chain for circuits whose structure *is* available:
   that produces partially specified cubes (the input the reseeding encoders
   expect).
 * :mod:`~repro.circuits.generator` -- a reproducible random-circuit generator
-  for scaling experiments beyond the small built-in circuits.
-* :mod:`~repro.circuits.library` -- built-in example circuits (c17, adders,
-  comparators).
+  for scaling experiments.
 """
 
 from repro.circuits.netlist import Gate, GateType, Netlist
-from repro.circuits.bench import parse_bench, write_bench
+from repro.circuits.bench import parse_bench
 from repro.circuits.simulator import simulate, simulate_parallel, simulate_ternary
 from repro.circuits.faults import StuckAtFault, all_faults, collapse_faults
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.atpg import AtpgResult, PodemAtpg, generate_test_set_for_netlist
 from repro.circuits.generator import random_netlist
-from repro.circuits.library import c17, carry_ripple_adder, majority_voter, parity_tree
 
 __all__ = [
     "Gate",
     "GateType",
     "Netlist",
     "parse_bench",
-    "write_bench",
     "simulate",
     "simulate_parallel",
     "simulate_ternary",
@@ -51,8 +46,4 @@ __all__ = [
     "PodemAtpg",
     "generate_test_set_for_netlist",
     "random_netlist",
-    "c17",
-    "carry_ripple_adder",
-    "majority_voter",
-    "parity_tree",
 ]

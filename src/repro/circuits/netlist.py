@@ -174,9 +174,6 @@ class Netlist:
         """All nets: primary inputs first, then gate outputs in topo order."""
         return self._inputs + list(self._topo_order)
 
-    def evaluation_order(self) -> List[str]:
-        return list(self._topo_order)
-
     def fanout(self) -> Dict[str, List[str]]:
         """Mapping net -> gate outputs that read it."""
         out: Dict[str, List[str]] = {net: [] for net in self.nets()}

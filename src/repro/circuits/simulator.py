@@ -35,8 +35,6 @@ from repro.circuits.ternary import (
     eval_ternary,
     evaluation_plan,
     packed_plan,
-    seed_ternary_inputs,
-    ternary_state_to_dict,
 )
 
 __all__ = [
@@ -90,9 +88,24 @@ def simulate_ternary(
 ) -> Dict[str, Optional[int]]:
     """Three-valued (0/1/X) simulation; missing inputs default to X."""
     plan = packed_plan(netlist)
-    values, cares = seed_ternary_inputs(plan, input_values)
+    values = [0] * plan.num_nets
+    cares = [0] * plan.num_nets
+    nets = plan.nets
+    for i in range(plan.num_inputs):
+        bit = input_values.get(nets[i])
+        if bit is None:
+            continue
+        if bit not in (0, 1):
+            raise ValueError(
+                f"input {nets[i]!r} must be 0, 1 or None, got {bit!r}"
+            )
+        values[i] = bit
+        cares[i] = 1
     eval_ternary(plan, values, cares, 1)
-    return ternary_state_to_dict(plan, values, cares)
+    return {
+        net: (values[i] & 1 if cares[i] & 1 else None)
+        for i, net in enumerate(nets)
+    }
 
 
 def simulate_parallel(

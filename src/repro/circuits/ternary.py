@@ -462,7 +462,7 @@ class TernaryEventEngine:
 
     Every overwritten word pair is pushed onto an **undo log**;
     :meth:`assign` returns the log position before the update, and
-    :meth:`undo` rewinds to it.  That is exactly the shape of PODEM's
+    :meth:`rewind` rewinds to it.  That is exactly the shape of PODEM's
     decision stack: assign a primary input, recurse, and on backtrack
     restore the previous state in O(changed cone) instead of re-simulating
     the netlist.
@@ -560,15 +560,11 @@ class TernaryEventEngine:
             force_value=force_value,
         )
 
-    def checkpoint(self) -> int:
-        """The current undo-log position (rewind target for :meth:`undo`)."""
-        return len(self._undo)
-
     def assign(self, index: int, bit: Optional[int]) -> int:
         """Set primary input ``index`` to 0, 1 or X on every pattern.
 
         Returns the undo token taken *before* the update; passing it to
-        :meth:`undo` restores the exact prior state.
+        :meth:`rewind` restores the exact prior state.
         """
         token = len(self._undo)
         mask = self.mask
@@ -592,10 +588,6 @@ class TernaryEventEngine:
             self.max_undo_depth = len(self._undo)
         return token
 
-    def changed_indices(self, token: int) -> List[int]:
-        """Net indices written since ``token`` (each at most once per assign)."""
-        return [entry[0] for entry in self._undo[token:]]
-
     def changed_entries(self, token: int) -> List[Tuple[int, int, int]]:
         """The raw ``(index, value, care)`` log slice since ``token``.
 
@@ -604,27 +596,16 @@ class TernaryEventEngine:
         """
         return self._undo[token:]
 
-    def undo(self, token: int) -> List[int]:
-        """Rewind to a token returned by :meth:`assign`; returns the restored nets."""
-        undo = self._undo
-        values, cares = self.values, self.cares
-        restored = []
-        while len(undo) > token:
-            index, value, care = undo.pop()
-            values[index] = value
-            cares[index] = care
-            restored.append(index)
-        return restored
-
     def rewind(self, token: int) -> List[Tuple[int, int, int]]:
-        """:meth:`undo`, returning the restored ``(index, value, care)`` log slice.
+        """Rewind to a token returned by :meth:`assign` (or :meth:`reforce`).
 
-        The slice is in log (chronological) order; entries are replayed
-        newest first, so when an index was overwritten several times since
-        the token its *earliest* entry is the one left in the state.  A
-        caller tracking derived per-net bookkeeping can read the restored
-        words straight off the entries (iterating the slice in reverse)
-        instead of re-indexing the state lists.
+        Returns the restored ``(index, value, care)`` log slice.  The slice
+        is in log (chronological) order; entries are replayed newest first,
+        so when an index was overwritten several times since the token its
+        *earliest* entry is the one left in the state.  A caller tracking
+        derived per-net bookkeeping can read the restored words straight off
+        the entries (iterating the slice in reverse) instead of re-indexing
+        the state lists.
         """
         undo = self._undo
         entries = undo[token:]
@@ -917,49 +898,3 @@ class TernaryEventEngine:
             events += len(bucket)
             del bucket[:]
         self.events_processed += events
-
-
-# ----------------------------------------------------------------------
-# Packing helpers
-# ----------------------------------------------------------------------
-def seed_ternary_inputs(
-    plan: PackedPlan,
-    input_values: Dict[str, Optional[int]],
-    patterns: int = 1,
-) -> Tuple[List[int], List[int]]:
-    """Fresh ``(values, cares)`` state lists seeded from a 0/1/X input dict.
-
-    Missing inputs default to X.  Each specified input is replicated across
-    all ``patterns`` bits (the PODEM dual machine then overlays its faulty
-    pattern on top).
-    """
-    full = (1 << patterns) - 1
-    values = [0] * plan.num_nets
-    cares = [0] * plan.num_nets
-    nets = plan.nets
-    for i in range(plan.num_inputs):
-        bit = input_values.get(nets[i], None)
-        if bit is None:
-            continue
-        if bit not in (0, 1):
-            raise ValueError(
-                f"input {nets[i]!r} must be 0, 1 or None, got {bit!r}"
-            )
-        cares[i] = full
-        if bit:
-            values[i] = full
-    return values, cares
-
-
-def ternary_state_to_dict(
-    plan: PackedPlan, values: Sequence[int], cares: Sequence[int], pattern: int = 0
-) -> Dict[str, Optional[int]]:
-    """One pattern of a packed ternary state as the classic 0/1/None dict."""
-    bit = 1 << pattern
-    out: Dict[str, Optional[int]] = {}
-    for i, net in enumerate(plan.nets):
-        if cares[i] & bit:
-            out[net] = 1 if values[i] & bit else 0
-        else:
-            out[net] = None
-    return out

@@ -57,21 +57,30 @@ class CompressionConfig:
 
     def __post_init__(self):
         if self.window_length < 1:
-            raise ValueError("window_length must be positive")
+            raise ValueError(f"window_length {self.window_length} must be positive")
         if not 1 <= self.segment_size <= self.window_length:
-            raise ValueError("segment_size must be in [1, window_length]")
+            raise ValueError(
+                f"segment_size {self.segment_size} must be in "
+                f"[1, window_length {self.window_length}]"
+            )
         if self.speedup < 1:
-            raise ValueError("speedup must be at least 1")
+            raise ValueError(f"speedup {self.speedup} must be at least 1")
         if self.num_scan_chains < 1:
-            raise ValueError("num_scan_chains must be positive")
+            raise ValueError(
+                f"num_scan_chains {self.num_scan_chains} must be positive"
+            )
         if self.lfsr_size is not None and self.lfsr_size < 2:
-            raise ValueError("lfsr_size must be at least 2")
+            raise ValueError(f"lfsr_size {self.lfsr_size} must be at least 2")
         if self.phase_taps < 1:
-            raise ValueError("phase_taps must be at least 1")
+            raise ValueError(f"phase_taps {self.phase_taps} must be at least 1")
         if self.alignment not in ("exact", "ideal"):
-            raise ValueError("alignment must be 'exact' or 'ideal'")
+            raise ValueError(
+                f"alignment {self.alignment!r} must be 'exact' or 'ideal'"
+            )
         if self.max_phase_retries < 0:
-            raise ValueError("max_phase_retries must be non-negative")
+            raise ValueError(
+                f"max_phase_retries {self.max_phase_retries} must be non-negative"
+            )
 
     # ------------------------------------------------------------------
     # Presets
@@ -80,19 +89,6 @@ class CompressionConfig:
     def paper_soc(cls) -> "CompressionConfig":
         """The multi-core SoC setting of Section 4: L=200, S=10, k=10."""
         return cls(window_length=200, segment_size=10, speedup=10)
-
-    @classmethod
-    def fast(cls) -> "CompressionConfig":
-        """A small-window setting for quick experiments and unit tests."""
-        return cls(window_length=30, segment_size=5, speedup=6)
-
-    def with_window(self, window_length: int) -> "CompressionConfig":
-        """Copy with a different window length (segment size clipped)."""
-        return replace(
-            self,
-            window_length=window_length,
-            segment_size=min(self.segment_size, window_length),
-        )
 
     def with_updates(self, **changes) -> "CompressionConfig":
         """Copy with arbitrary field changes (validated by the constructor)."""

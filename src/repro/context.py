@@ -73,11 +73,11 @@ class ContextStats:
     Since the telemetry subsystem landed this is a compatibility façade
     over a :class:`~repro.telemetry.metrics.MetricsRegistry`: counters are
     registry counters, timings are registry counters named ``<stage>_s``
-    (the suffix :meth:`snapshot` always used on the wire).  The public
-    surface -- ``count`` / ``add_timing`` / ``counters`` / ``timings`` /
-    ``snapshot`` / ``delta`` -- is unchanged, but a context's stats can now
-    be bound to a recorder's registry (``ContextStats(registry=...)``) so
-    cache activity flows into campaign telemetry with no extra plumbing.
+    (the suffix :meth:`snapshot` always used on the wire).  The surface is
+    ``count`` / ``add_timing`` / ``counters`` / ``snapshot`` / ``delta``,
+    and a context's stats can be bound to a recorder's registry
+    (``ContextStats(registry=...)``) so cache activity flows into campaign
+    telemetry with no extra plumbing.
     """
 
     __slots__ = ("registry",)
@@ -100,16 +100,6 @@ class ContextStats:
             name: value
             for name, value in self.registry.counters.items()
             if not name.endswith(self._TIMING_SUFFIX)
-        }
-
-    @property
-    def timings(self) -> Dict[str, float]:
-        """Copy of the per-stage wall-time totals, keyed by stage name."""
-        suffix = len(self._TIMING_SUFFIX)
-        return {
-            name[:-suffix]: value
-            for name, value in self.registry.counters.items()
-            if name.endswith(self._TIMING_SUFFIX)
         }
 
     def snapshot(self) -> Dict[str, float]:
@@ -298,13 +288,3 @@ class CompressionContext:
         if self.caching:
             self._covers.put(key, cover)
         return cover
-
-    # ------------------------------------------------------------------
-    # Housekeeping
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop every cached object (stats are kept)."""
-        self._substrates.clear()
-        self._encodings.clear()
-        self._packed_windows.clear()
-        self._covers.clear()

@@ -74,16 +74,9 @@ class ModeSelectUnit:
     def num_seeds(self) -> int:
         return len(self._per_seed)
 
-    @property
-    def segments_per_window(self) -> int:
-        return self._segments_per_window
-
     def groups(self) -> Dict[int, List[int]]:
         """Seed indices per group (key = useful segments per seed)."""
         return {count: list(seeds) for count, seeds in sorted(self._groups.items())}
-
-    def useful_segments(self, seed_index: int) -> Tuple[int, ...]:
-        return self._per_seed[seed_index]
 
     def mode(self, seed_index: int, segment_index: int) -> int:
         """Mode signal for a segment of a seed: 1 = Normal (useful), 0 = skip."""
@@ -92,11 +85,6 @@ class ModeSelectUnit:
         if not 0 <= segment_index < self._segments_per_window:
             raise IndexError(f"segment {segment_index} out of range")
         return 1 if segment_index in self._per_seed[seed_index] else 0
-
-    def segments_to_generate(self, seed_index: int) -> int:
-        """Segments the controller traverses before loading the next seed."""
-        segments = self._per_seed[seed_index]
-        return (segments[-1] + 1) if segments else 0
 
     # ------------------------------------------------------------------
     # Cost model

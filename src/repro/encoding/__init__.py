@@ -9,8 +9,9 @@ This package implements the encoding side of the flow:
   window-based seed-computation algorithm of Section 2 of the paper (the
   method of reference [11], which is also the "Orig." baseline of the
   evaluation).
-* :class:`~repro.encoding.encoder.ReseedingEncoder` -- the convenience
-  front-end that assembles all the pieces for a given test set.
+* :func:`~repro.encoding.encoder.encode_with_retries` -- the phase-shifter
+  retry loop every encode goes through, on a cached or fresh
+  :class:`~repro.encoding.substrate.EncoderSubstrate`.
 
 Classical LFSR reseeding, where every seed expands into a single test
 vector, is the window length L = 1.
@@ -19,7 +20,7 @@ vector, is the window length L = 1.
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import CubeEmbedding, EncodingResult, SeedRecord
 from repro.encoding.window import EncodingError, WindowEncoder
-from repro.encoding.encoder import ReseedingEncoder, encode_test_set
+from repro.encoding.encoder import encode_with_retries
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 
 __all__ = [
@@ -31,6 +32,5 @@ __all__ = [
     "EncoderSubstrate",
     "SubstrateKey",
     "WindowEncoder",
-    "ReseedingEncoder",
-    "encode_test_set",
+    "encode_with_retries",
 ]

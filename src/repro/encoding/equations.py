@@ -218,14 +218,6 @@ class EquationSystem:
     def architecture(self) -> ScanArchitecture:
         return self._architecture
 
-    @property
-    def phase_shifter(self) -> PhaseShifter:
-        return self._phase_shifter
-
-    @property
-    def transition(self) -> GF2Matrix:
-        return self._transition
-
     # ------------------------------------------------------------------
     # Equations
     # ------------------------------------------------------------------

@@ -43,13 +43,6 @@ class SeedRecord:
         """Number of test cubes deterministically encoded in this seed."""
         return sum(1 for e in self.embeddings if e.deterministic)
 
-    def positions(self) -> List[int]:
-        """Window positions occupied by deterministically encoded cubes."""
-        return sorted(e.position for e in self.embeddings if e.deterministic)
-
-    def cube_indices(self) -> List[int]:
-        return [e.cube_index for e in self.embeddings]
-
 
 @dataclass
 class EncodingResult:
@@ -86,10 +79,6 @@ class EncodingResult:
         """TSL in vectors for the original window-based scheme."""
         return self.num_seeds * self.window_length
 
-    def seed_vectors(self) -> List[BitVector]:
-        """The seed values in application order."""
-        return [record.seed for record in self.seeds]
-
     def cube_assignment(self) -> Dict[int, CubeEmbedding]:
         """Mapping ``cube index -> its deterministic embedding``."""
         assignment: Dict[int, CubeEmbedding] = {}
@@ -111,10 +100,6 @@ class EncodingResult:
         """Deterministically encoded cube count of every seed."""
         return [record.num_cubes for record in self.seeds]
 
-    def all_cubes_encoded(self) -> bool:
-        """True when every cube of the test set has a deterministic embedding."""
-        return len(self.cube_assignment()) == self.num_cubes
-
     def summary(self) -> Dict[str, float]:
         """Compact numeric summary used by the reporting helpers."""
         per_seed = self.cubes_per_seed()
@@ -133,10 +118,13 @@ class EncodingResult:
         }
 
     # ------------------------------------------------------------------
-    # Serialisation (campaign result store)
+    # Canonical form
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """Full JSON-safe serialisation (seeds as bit strings)."""
+        """Every seed and embedding as JSON-safe data (seeds as bit strings).
+
+        The canonical form the golden tests compare.
+        """
         return {
             "circuit": self.circuit,
             "lfsr_size": self.lfsr_size,
@@ -156,31 +144,3 @@ class EncodingResult:
                 for record in self.seeds
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "EncodingResult":
-        """Rebuild an equivalent result from :meth:`to_dict` output."""
-        seeds = [
-            SeedRecord(
-                index=entry["index"],
-                seed=BitVector.from_string(entry["seed"]),
-                embeddings=[
-                    CubeEmbedding(
-                        cube_index=cube_index,
-                        position=position,
-                        deterministic=bool(deterministic),
-                    )
-                    for cube_index, position, deterministic in entry["embeddings"]
-                ],
-            )
-            for entry in data["seeds"]
-        ]
-        return cls(
-            circuit=data["circuit"],
-            lfsr_size=data["lfsr_size"],
-            window_length=data["window_length"],
-            num_scan_chains=data["num_scan_chains"],
-            chain_length=data["chain_length"],
-            seeds=seeds,
-            num_cubes=data["num_cubes"],
-        )

@@ -100,13 +100,6 @@ class WindowEncoder:
         self._fill_seed = fill_seed
         self._batch_trials = batch_trials
 
-    @property
-    def equations(self) -> EquationSystem:
-        return self._equations
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def encode(self, test_set: TestSet) -> EncodingResult:
         """Compute seeds until every cube of ``test_set`` is encoded."""
         arch = self._equations.architecture

@@ -100,10 +100,6 @@ class GF2Matrix:
         """Row ``i`` as a packed integer (fast path for inner loops)."""
         return self._rows[i]
 
-    def row_masks(self) -> List[int]:
-        """All rows as packed integers (a copy)."""
-        return list(self._rows)
-
     def column(self, j: int) -> BitVector:
         """Column ``j`` as a :class:`BitVector`."""
         if not 0 <= j < self._ncols:
@@ -113,22 +109,6 @@ class GF2Matrix:
             if (row >> j) & 1:
                 value |= 1 << i
         return BitVector(len(self._rows), value)
-
-    def column_masks(self) -> List[int]:
-        """All columns as packed integers (bit i of column j is entry (i, j)).
-
-        This is the transposed packed representation, used for fast
-        vector-times-matrix products.
-        """
-        cols = [0] * self._ncols
-        for i, row in enumerate(self._rows):
-            v = row
-            while v:
-                low = v & -v
-                j = low.bit_length() - 1
-                cols[j] |= 1 << i
-                v ^= low
-        return cols
 
     def __getitem__(self, index: Tuple[int, int]) -> int:
         i, j = index
@@ -224,12 +204,13 @@ class GF2Matrix:
             v ^= low
         return BitVector(self._ncols, acc)
 
-    def transpose(self) -> "GF2Matrix":
-        """The transposed matrix."""
-        return GF2Matrix(self._ncols, len(self._rows), self.column_masks())
-
     def power(self, exponent: int) -> "GF2Matrix":
-        """``self`` raised to a non-negative integer power (square matrices)."""
+        """``self`` raised to a non-negative integer power (square matrices).
+
+        Plain square-and-multiply with no memo: the reference the shared
+        :class:`~repro.lfsr.transition.TransitionPowerCache` is tested
+        against.
+        """
         if len(self._rows) != self._ncols:
             raise ValueError("matrix power requires a square matrix")
         if exponent < 0:
@@ -261,69 +242,6 @@ class GF2Matrix:
                 rank += 1
         return rank
 
-    def is_invertible(self) -> bool:
-        """True when the matrix is square and full rank."""
-        return len(self._rows) == self._ncols and self.rank() == self._ncols
-
-    def inverse(self) -> "GF2Matrix":
-        """Inverse of a square invertible matrix (Gauss-Jordan)."""
-        n = len(self._rows)
-        if n != self._ncols:
-            raise ValueError("only square matrices can be inverted")
-        # Augment each row with the identity in the high bits.
-        aug = [self._rows[i] | (1 << (n + i)) for i in range(n)]
-        row_idx = 0
-        for col in range(n):
-            pivot = None
-            for r in range(row_idx, n):
-                if (aug[r] >> col) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[row_idx], aug[pivot] = aug[pivot], aug[row_idx]
-            for r in range(n):
-                if r != row_idx and ((aug[r] >> col) & 1):
-                    aug[r] ^= aug[row_idx]
-            row_idx += 1
-        mask = (1 << n) - 1
-        inv_rows = [(aug[i] >> n) & mask for i in range(n)]
-        return GF2Matrix(n, n, inv_rows)
-
-    def kernel_basis(self) -> List[BitVector]:
-        """A basis of the right null space ``{x : self @ x = 0}``."""
-        n = self._ncols
-        # Work on the transpose so that elimination is by columns of self.
-        rows = list(self._rows)
-        # Reduced row echelon form, tracking pivot columns.
-        pivots: List[int] = []
-        reduced: List[int] = []
-        for row in rows:
-            cur = row
-            for pcol, prow in zip(pivots, reduced):
-                if (cur >> pcol) & 1:
-                    cur ^= prow
-            if cur:
-                pcol = cur.bit_length() - 1
-                # Use the highest set bit as pivot; normalise previous rows.
-                for k in range(len(reduced)):
-                    if (reduced[k] >> pcol) & 1:
-                        reduced[k] ^= cur
-                pivots.append(pcol)
-                reduced.append(cur)
-        pivot_set = set(pivots)
-        free_cols = [j for j in range(n) if j not in pivot_set]
-        basis = []
-        for free in free_cols:
-            vec = 1 << free
-            # Solve for pivot variables so that each reduced row evaluates to 0.
-            for pcol, prow in zip(pivots, reduced):
-                rest = prow & ~(1 << pcol)
-                if (rest & vec).bit_count() & 1:
-                    vec |= 1 << pcol
-            basis.append(BitVector(n, vec))
-        return basis
-
     # ------------------------------------------------------------------
     # Pretty printing
     # ------------------------------------------------------------------
@@ -346,13 +264,3 @@ def identity(n: int) -> GF2Matrix:
 def zeros(nrows: int, ncols: int) -> GF2Matrix:
     """An all-zero matrix."""
     return GF2Matrix(nrows, ncols)
-
-
-def vandermonde_rows(matrix: GF2Matrix, count: int) -> List[GF2Matrix]:
-    """Return ``[I, A, A^2, ..., A^(count-1)]`` computed incrementally."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("vandermonde_rows requires a square matrix")
-    out = [identity(matrix.ncols)]
-    for _ in range(1, count):
-        out.append(out[-1] @ matrix)
-    return out

@@ -4,10 +4,9 @@ Characteristic (feedback) polynomials of LFSRs live here.  A polynomial is
 stored as a packed integer where bit ``i`` is the coefficient of ``x^i``, e.g.
 ``x^4 + x + 1`` is ``0b10011``.
 
-The module provides multiplication, division with remainder, gcd, modular
-exponentiation of ``x`` (used by the irreducibility test) and a Rabin-style
-irreducibility test, all with plain integer bit tricks so that degrees in the
-hundreds remain instantaneous.
+The module provides multiplication, division with remainder, gcd and a
+Rabin-style irreducibility test, all with plain integer bit tricks so that
+degrees in the hundreds remain instantaneous.
 """
 
 from __future__ import annotations
@@ -61,19 +60,6 @@ def _poly_gcd(a: int, b: int) -> int:
 
 def _poly_mulmod(a: int, b: int, modulus: int) -> int:
     return _poly_mod(_poly_mul(a, b), modulus)
-
-
-def _poly_powmod_x(exponent: int, modulus: int) -> int:
-    """Compute ``x^exponent mod modulus`` by repeated squaring."""
-    result = 1  # the polynomial "1"
-    base = 2  # the polynomial "x"
-    e = exponent
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus)
-        base = _poly_mulmod(base, base, modulus)
-        e >>= 1
-    return result
 
 
 class GF2Polynomial:

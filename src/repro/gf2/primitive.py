@@ -22,7 +22,7 @@ fill looks uniform.  This module provides:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.gf2.polynomial import GF2Polynomial
 
@@ -182,8 +182,3 @@ def primitive_polynomial(degree: int) -> GF2Polynomial:
 def default_feedback_polynomial(degree: int) -> GF2Polynomial:
     """The feedback polynomial policy used across the library."""
     return primitive_polynomial(degree)
-
-
-def known_degrees() -> List[int]:
-    """Degrees covered by the curated tap table."""
-    return sorted(PRIMITIVE_TAPS)

@@ -193,20 +193,6 @@ class IncrementalSolver:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def num_variables(self) -> int:
-        return self._n
-
-    @property
-    def rank(self) -> int:
-        """Number of pinned (pivot) variables."""
-        return len(self._pivots)
-
-    @property
-    def free_variables(self) -> int:
-        """Number of variables not yet pinned by any committed equation."""
-        return self._n - len(self._pivots)
-
-    @property
     def epoch(self) -> int:
         """Monotonic counter of committed state changes.
 
@@ -226,10 +212,6 @@ class IncrementalSolver:
         such no-op trials entirely.
         """
         return self._pivot_mask
-
-    def pivot_columns(self) -> List[int]:
-        """Sorted list of pivot variable indices."""
-        return sorted(self._pivots)
 
     def copy(self) -> "IncrementalSolver":
         """An independent copy of the solver state."""
@@ -486,13 +468,6 @@ class IncrementalSolver:
         if changed:
             self._epoch += 1
 
-    def add_equations(self, equations: Iterable[Equation]) -> TrialResult:
-        """Evaluate and, if consistent, immediately commit a batch."""
-        trial = self.try_equations(equations)
-        if trial.consistent:
-            self.commit(trial)
-        return trial
-
     def solution(self, free_fill: Optional[Sequence[int]] = None) -> BitVector:
         """An explicit solution of the committed system.
 
@@ -523,26 +498,3 @@ class IncrementalSolver:
             else:
                 value &= ~(1 << pivot)
         return BitVector(self._n, value)
-
-    def is_determined(self, var: int) -> bool:
-        """True when variable ``var`` is a pivot (pinned by the system)."""
-        return var in self._pivots
-
-    def check_solution(self, candidate: BitVector, equations: Iterable[Equation]) -> bool:
-        """Verify that ``candidate`` satisfies every given equation."""
-        value = candidate.value
-        for eq in equations:
-            if ((eq.coeffs & value).bit_count() & 1) != eq.rhs:
-                return False
-        return True
-
-
-def gaussian_solve(
-    equations: Sequence[Equation], num_variables: int
-) -> Optional[BitVector]:
-    """One-shot solve of a batch of equations; ``None`` if inconsistent."""
-    solver = IncrementalSolver(num_variables)
-    trial = solver.add_equations(equations)
-    if not trial.consistent:
-        return None
-    return solver.solution()

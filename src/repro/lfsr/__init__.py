@@ -3,16 +3,16 @@
 The paper's contribution lives in this package:
 
 * :class:`~repro.lfsr.lfsr.LFSR` -- a linear finite-state machine defined by
-  an arbitrary GF(2) transition matrix, with Fibonacci (external-XOR) and
-  Galois (internal-XOR) constructors and symbolic simulation.
+  an arbitrary GF(2) transition matrix, with a Fibonacci (external-XOR)
+  constructor.
 * :class:`~repro.lfsr.state_skip.StateSkipLFSR` -- an LFSR augmented with the
   State Skip circuit implementing ``A^k``; it can advance either one state per
   clock (Normal mode) or ``k`` states per clock (State Skip mode).
 * :class:`~repro.lfsr.phase_shifter.PhaseShifter` -- the linear network that
   spreads the LFSR cells onto the ``m`` scan-chain inputs while breaking the
   structural correlation of adjacent channels.
-* :mod:`~repro.lfsr.transition` -- transition-matrix constructors, including
-  the exact 4-bit example of Fig. 2 of the paper.
+* :mod:`~repro.lfsr.transition` -- the Fibonacci transition matrix and the
+  shared, memoized powers ``A^k`` of a transition matrix.
 """
 
 from repro.lfsr.lfsr import LFSR, LFSRMode
@@ -21,11 +21,8 @@ from repro.lfsr.state_skip import StateSkipCircuit, StateSkipLFSR
 from repro.lfsr.transition import (
     TransitionPowerCache,
     fibonacci_transition_matrix,
-    galois_transition_matrix,
-    paper_example_matrix,
     power_cache,
     state_skip_expressions,
-    symbolic_states,
     transition_power,
 )
 
@@ -37,10 +34,7 @@ __all__ = [
     "StateSkipLFSR",
     "TransitionPowerCache",
     "fibonacci_transition_matrix",
-    "galois_transition_matrix",
-    "paper_example_matrix",
     "power_cache",
     "state_skip_expressions",
-    "symbolic_states",
     "transition_power",
 ]

@@ -3,9 +3,8 @@
 The :class:`LFSR` class keeps the machinery deliberately general: any square
 GF(2) transition matrix defines a valid linear FSM, and the reseeding
 algorithms never look inside the matrix.  Convenience constructors build the
-two standard hardware structures (Fibonacci / Galois) from a characteristic
-polynomial, or the standard structure for a given size using the library's
-default primitive polynomial table.
+Fibonacci (external-XOR) structure from a characteristic polynomial, or for a
+given size from the library's default primitive polynomial table.
 """
 
 from __future__ import annotations
@@ -18,11 +17,7 @@ from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import GF2Matrix
 from repro.gf2.polynomial import GF2Polynomial
 from repro.gf2.primitive import default_feedback_polynomial
-from repro.lfsr.transition import (
-    fibonacci_transition_matrix,
-    galois_transition_matrix,
-    transition_power,
-)
+from repro.lfsr.transition import fibonacci_transition_matrix
 
 
 class LFSRMode(Enum):
@@ -36,7 +31,7 @@ class LFSRMode(Enum):
 class LFSRStructure:
     """Describes how an LFSR was constructed (for hardware book-keeping)."""
 
-    style: str  # "fibonacci", "galois" or "custom"
+    style: str  # "fibonacci" or "custom"
     polynomial: Optional[GF2Polynomial]
 
 
@@ -88,25 +83,9 @@ class LFSR:
         )
 
     @classmethod
-    def galois(
-        cls, polynomial: GF2Polynomial, initial_state: Optional[BitVector] = None
-    ) -> "LFSR":
-        """Internal-XOR LFSR for the given characteristic polynomial."""
-        return cls(
-            galois_transition_matrix(polynomial),
-            initial_state,
-            LFSRStructure("galois", polynomial),
-        )
-
-    @classmethod
-    def of_size(cls, size: int, style: str = "fibonacci") -> "LFSR":
-        """An LFSR of the given size using the default feedback polynomial."""
-        poly = default_feedback_polynomial(size)
-        if style == "fibonacci":
-            return cls.fibonacci(poly)
-        if style == "galois":
-            return cls.galois(poly)
-        raise ValueError(f"unknown LFSR style {style!r}")
+    def of_size(cls, size: int) -> "LFSR":
+        """A Fibonacci LFSR of the given size with the default polynomial."""
+        return cls.fibonacci(default_feedback_polynomial(size))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -127,12 +106,8 @@ class LFSR:
         return self._state
 
     @property
-    def structure(self) -> LFSRStructure:
-        return self._structure
-
-    @property
     def polynomial(self) -> Optional[GF2Polynomial]:
-        """The characteristic polynomial when known (Fibonacci/Galois forms)."""
+        """The characteristic polynomial when known (Fibonacci form)."""
         return self._structure.polynomial
 
     def copy(self) -> "LFSR":
@@ -159,15 +134,6 @@ class LFSR:
             state = self._transition.mul_vector(state)
         self._state = state
         return state
-
-    def jump(self, cycles: int) -> BitVector:
-        """Advance by ``cycles`` using matrix exponentiation (O(log cycles))."""
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        self._state = transition_power(self._transition, cycles).mul_vector(
-            self._state
-        )
-        return self._state
 
     def states(self, count: int) -> Iterator[BitVector]:
         """Yield the next ``count`` states, starting with the current one.

@@ -26,7 +26,6 @@ from typing import List
 
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import GF2Matrix
-from repro.lfsr.state_skip import XOR2_GE
 
 
 class PhaseShifter:
@@ -128,25 +127,12 @@ class PhaseShifter:
     def lfsr_size(self) -> int:
         return self._matrix.ncols
 
-    def output_taps(self, output: int) -> List[int]:
-        """LFSR cells XOR-ed onto the given output."""
-        return self._matrix.row(output).support()
-
     # ------------------------------------------------------------------
     # Operation
     # ------------------------------------------------------------------
     def apply(self, state: BitVector) -> BitVector:
         """Channel values for a given LFSR state."""
         return self._matrix.mul_vector(state)
-
-    def output_rows(self, symbolic_state: GF2Matrix) -> GF2Matrix:
-        """Rows ``P @ A^t`` for a symbolic LFSR state ``A^t``.
-
-        Row ``j`` of the result expresses channel ``j`` at that cycle as a
-        linear function of the seed variables -- the raw material of the
-        encoding equations.
-        """
-        return self._matrix @ symbolic_state
 
     # ------------------------------------------------------------------
     # Hardware cost
@@ -159,10 +145,6 @@ class PhaseShifter:
             if weight >= 2:
                 total += weight - 1
         return total
-
-    def gate_equivalents(self, xor_ge: float = XOR2_GE) -> float:
-        """Gate-equivalent cost of the XOR network."""
-        return self.xor_gate_count() * xor_ge
 
     def __repr__(self) -> str:
         return (

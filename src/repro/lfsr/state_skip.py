@@ -134,9 +134,9 @@ class StateSkipLFSR:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def of_size(cls, size: int, k: int, style: str = "fibonacci") -> "StateSkipLFSR":
+    def of_size(cls, size: int, k: int) -> "StateSkipLFSR":
         """Build from the default feedback polynomial for ``size``."""
-        return cls(LFSR.of_size(size, style=style), k)
+        return cls(LFSR.of_size(size), k)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -149,10 +149,6 @@ class StateSkipLFSR:
     def k(self) -> int:
         """Speedup factor of the integrated State Skip circuit."""
         return self._circuit.k
-
-    @property
-    def mode(self) -> LFSRMode:
-        return self._mode
 
     @property
     def state(self) -> BitVector:
@@ -200,47 +196,6 @@ class StateSkipLFSR:
                 state = self._circuit.evaluate(state)
             self._lfsr.load(state)
         return state
-
-    def states_advanced_per_clock(self) -> int:
-        """How many LFSR states one clock cycle advances in the current mode."""
-        return 1 if self._mode is LFSRMode.NORMAL else self._circuit.k
-
-    def run_normal(self, count: int) -> List[BitVector]:
-        """Collect ``count`` states in Normal mode (starting from the current)."""
-        self.set_mode(LFSRMode.NORMAL)
-        return self._lfsr.run(count)
-
-    def run_skip(self, count: int) -> List[BitVector]:
-        """Collect ``count`` states in State Skip mode (every k-th state)."""
-        self.set_mode(LFSRMode.STATE_SKIP)
-        out = []
-        for _ in range(count):
-            out.append(self._lfsr.state)
-            self.step()
-        return out
-
-    # ------------------------------------------------------------------
-    # Verification and cost
-    # ------------------------------------------------------------------
-    def verify_skip_equivalence(self, seed: BitVector, jumps: int = 8) -> bool:
-        """Check that ``jumps`` State Skip steps equal ``jumps * k`` normal steps.
-
-        This is the functional-correctness property of the State Skip circuit
-        (equation (1) of the paper holds for every ``i``), verified by direct
-        simulation from the given seed.
-        """
-        normal = LFSR(self._lfsr.transition, seed)
-        skip_state = seed
-        for _ in range(jumps):
-            skip_state = self._circuit.evaluate(skip_state)
-        normal.step(jumps * self._circuit.k)
-        return normal.state == skip_state
-
-    def skip_cost(
-        self, xor_ge: float = XOR2_GE, mux_ge: float = MUX2_GE
-    ) -> StateSkipCost:
-        """Gate-equivalent cost of the added State Skip hardware."""
-        return self._circuit.cost(xor_ge=xor_ge, mux_ge=mux_ge)
 
     def __repr__(self) -> str:
         return (

@@ -1,11 +1,11 @@
-"""LFSR transition matrices and symbolic simulation.
+"""LFSR transition matrices and their shared powers.
 
 An LFSR with cells ``c0 .. c(n-1)`` is a linear finite-state machine: the next
 state is ``A @ state`` for a fixed GF(2) matrix ``A`` determined by the LFSR
-structure (Fibonacci or Galois) and its characteristic polynomial.  The linear
-expressions ``F_0^k .. F_{n-1}^k`` of the paper (equation (1)) are simply the
-rows of ``A^k``: integrating them as a second feedback network is what turns a
-normal LFSR into a State Skip LFSR.
+structure and its characteristic polynomial.  The linear expressions
+``F_0^k .. F_{n-1}^k`` of the paper (equation (1)) are simply the rows of
+``A^k``: integrating them as a second feedback network is what turns a normal
+LFSR into a State Skip LFSR.
 
 Conventions used throughout the library
 ---------------------------------------
@@ -15,20 +15,15 @@ Conventions used throughout the library
   ``p(x) = x^n + sum_{t in taps} x^t + 1`` the register shifts from high index
   to low index: ``c_i(t+1) = c_{i+1}(t)`` for ``i < n-1`` and the new value of
   ``c_{n-1}`` is the XOR of the tap cells.
-* For the **Galois** (internal-XOR) form the output of ``c_{n-1}`` wraps to
-  ``c_0`` and is XOR-ed into the cells selected by the polynomial taps.
 
-The exact structure matters only for hardware-cost book-keeping and for
-matching the paper's Fig. 2 example; every algorithm in the library works on
-the transition matrix alone.
+The exact structure matters only for hardware-cost book-keeping; every
+algorithm in the library works on the transition matrix alone.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List
 
-from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import GF2Matrix, identity
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lru import LRUCache
@@ -56,23 +51,19 @@ class TransitionPowerCache:
             raise ValueError("matrix powers require a square matrix")
         self._matrix = matrix
         self._squares: List[GF2Matrix] = [matrix]
-        self._powers: "OrderedDict[int, GF2Matrix]" = OrderedDict([(1, matrix)])
-
-    @property
-    def matrix(self) -> GF2Matrix:
-        return self._matrix
+        self._powers = LRUCache(self._MAX_MEMOIZED_POWERS)
+        self._powers.put(1, matrix)
 
     def power(self, exponent: int) -> GF2Matrix:
         """``A^exponent`` (non-negative), memoized."""
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         if exponent == 0:
-            # Not served from the LRU dict: the square-and-multiply loop
-            # below would produce None for an evicted 0-entry.
+            # Not served from the LRU: the square-and-multiply loop below
+            # would produce None for an evicted 0-entry.
             return identity(self._matrix.ncols)
         cached = self._powers.get(exponent)
         if cached is not None:
-            self._powers.move_to_end(exponent)
             return cached
         while (1 << len(self._squares)) <= exponent:
             last = self._squares[-1]
@@ -86,9 +77,7 @@ class TransitionPowerCache:
                 result = square if result is None else result @ square
             e >>= 1
             index += 1
-        self._powers[exponent] = result
-        while len(self._powers) > self._MAX_MEMOIZED_POWERS:
-            self._powers.popitem(last=False)
+        self._powers.put(exponent, result)
         return result
 
 
@@ -146,68 +135,6 @@ def fibonacci_transition_matrix(poly: GF2Polynomial) -> GF2Matrix:
     return GF2Matrix(n, n, rows)
 
 
-def galois_transition_matrix(poly: GF2Polynomial) -> GF2Matrix:
-    """Transition matrix of the Galois (internal-XOR) LFSR for ``poly``.
-
-    The register shifts ``c_i(t+1) = c_{i-1}(t)`` with the output of the last
-    cell wrapping around to ``c_0``; that same output is XOR-ed into cell
-    ``c_i`` for every non-zero tap ``x^i`` of the polynomial (``0 < i < n``).
-    """
-    n = _validate_polynomial(poly)
-    last = n - 1
-    rows = []
-    for i in range(n):
-        if i == 0:
-            row = 1 << last
-        else:
-            row = 1 << (i - 1)
-            if poly.coefficient(i):
-                row |= 1 << last
-        rows.append(row)
-    return GF2Matrix(n, n, rows)
-
-
-def paper_example_matrix() -> GF2Matrix:
-    """The 4-bit LFSR of Fig. 2 of the paper.
-
-    The symbolic state table of the figure corresponds to the transition
-
-    ====  ==========================
-    cell  next value
-    ====  ==========================
-    c0    c3
-    c1    c0 XOR c3
-    c2    c1
-    c3    c2 XOR c3
-    ====  ==========================
-    """
-    return GF2Matrix.from_rows(
-        [
-            [0, 0, 0, 1],  # c0' = c3
-            [1, 0, 0, 1],  # c1' = c0 + c3
-            [0, 1, 0, 0],  # c2' = c1
-            [0, 0, 1, 1],  # c3' = c2 + c3
-        ]
-    )
-
-
-def symbolic_states(transition: GF2Matrix, cycles: int) -> List[GF2Matrix]:
-    """Symbolic LFSR contents for cycles ``t0 .. t_cycles``.
-
-    Entry ``t`` is the matrix whose row ``i`` gives cell ``c_i`` at cycle
-    ``t`` as a linear expression of the initial contents ``a0 .. a(n-1)``
-    (exactly the table in Fig. 2 of the paper).  Entry 0 is the identity.
-    """
-    if transition.nrows != transition.ncols:
-        raise ValueError("transition matrix must be square")
-    if cycles < 0:
-        raise ValueError("cycles must be non-negative")
-    states = [identity(transition.ncols)]
-    for _ in range(cycles):
-        states.append(transition @ states[-1])
-    return states
-
-
 def state_skip_expressions(transition: GF2Matrix, k: int) -> GF2Matrix:
     """The linear expressions ``F_0^k .. F_{n-1}^k`` of equation (1).
 
@@ -220,49 +147,3 @@ def state_skip_expressions(transition: GF2Matrix, k: int) -> GF2Matrix:
     if transition.nrows != transition.ncols:
         raise ValueError("transition matrix must be square")
     return transition_power(transition, k)
-
-
-def output_sequence(
-    transition: GF2Matrix, initial_state: BitVector, cycles: int, cell: int = 0
-) -> List[int]:
-    """Logic values of one LFSR cell over a number of cycles (cycle 0 first)."""
-    if initial_state.length != transition.ncols:
-        raise ValueError("initial state length does not match the LFSR size")
-    if not 0 <= cell < transition.ncols:
-        raise IndexError(f"cell {cell} out of range")
-    state = initial_state
-    out = []
-    for _ in range(cycles):
-        out.append(state[cell])
-        state = transition.mul_vector(state)
-    return out
-
-
-def characteristic_order(transition: GF2Matrix, limit: int = 1 << 20) -> int:
-    """Multiplicative order of the transition matrix (state-sequence period).
-
-    Walks powers of the matrix applied to a unit vector until the identity
-    recurs; raises :class:`ValueError` when the order exceeds ``limit`` (which
-    protects against accidentally walking a 2^80 state space).
-    """
-    n = transition.ncols
-    state = identity(n)
-    for step in range(1, limit + 1):
-        state = state @ transition
-        if state == identity(n):
-            return step
-    raise ValueError(f"order exceeds limit {limit}")
-
-
-def expand_states(
-    transition: GF2Matrix, seed: BitVector, count: int
-) -> List[BitVector]:
-    """The state sequence ``seed, A seed, A^2 seed, ...`` (``count`` entries)."""
-    if seed.length != transition.ncols:
-        raise ValueError("seed length does not match the LFSR size")
-    states = []
-    state = seed
-    for _ in range(count):
-        states.append(state)
-        state = transition.mul_vector(state)
-    return states

@@ -120,17 +120,16 @@ class CompressionReport:
         }
 
     # ------------------------------------------------------------------
-    # Serialisation (campaign result store)
+    # Canonical form
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe serialisation of the whole report.
+        """The whole report as JSON-safe data.
 
         Nests the :meth:`to_dict` forms of the config, encoding, reduction
-        and hardware results plus the flat :meth:`summary` row, so stored
-        campaign records can be reloaded either as typed objects
-        (:meth:`from_dict`) or consumed as plain rows by the reporting
-        helpers.  The clock-level simulation trace, when present, is reduced
-        to its scalar outcome (vector counts and clock totals).
+        and hardware results plus the flat :meth:`summary` row: the
+        canonical form the golden tests compare.  The clock-level
+        simulation trace, when present, is reduced to its scalar outcome
+        (vector counts and clock totals).
         """
         simulation = None
         if self.simulation is not None:
@@ -154,39 +153,6 @@ class CompressionReport:
             "simulation": simulation,
             "summary": self.summary(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CompressionReport":
-        """Rebuild a report from :meth:`to_dict` output.
-
-        The returned report answers every figure-of-merit query (TDV, TSL,
-        improvement, GE breakdown) identically to the original; the
-        simulation trace is restored as a vector-less
-        :class:`SimulationOutcome` when one was stored.
-        """
-        simulation = None
-        if data.get("simulation") is not None:
-            stored = data["simulation"]
-            simulation = SimulationOutcome(
-                seeds_applied=stored["seeds_applied"],
-                vectors_applied=stored["vectors_applied"],
-                useful_vectors=[],
-                lfsr_clocks=stored["lfsr_clocks"],
-                skip_clocks=stored["skip_clocks"],
-                group_sizes={
-                    int(count): size
-                    for count, size in stored["group_sizes"].items()
-                },
-            )
-        return cls(
-            circuit=data["circuit"],
-            config=CompressionConfig.from_dict(data["config"]),
-            encoding=EncodingResult.from_dict(data["encoding"]),
-            reduction=ReductionResult.from_dict(data["reduction"]),
-            hardware=HardwareReport.from_dict(data["hardware"]),
-            encoding_verified=bool(data["encoding_verified"]),
-            simulation=simulation,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -398,11 +364,7 @@ def simulate(
     return outcome
 
 
-#: Stage-function aliases for call sites where the public names are shadowed
-#: (``compress`` takes ``simulate``/``verify`` flags of the same name).
-_encode_stage = encode
-_reduce_stage = reduce
-_hardware_stage = hardware
+#: ``compress`` takes a ``simulate`` flag that shadows the stage function.
 _simulate_stage = simulate
 
 
@@ -445,11 +407,9 @@ def compress(
     """
     config = config or CompressionConfig()
     context = context or CompressionContext()
-    encoded = _encode_stage(test_set, config, context=context, verify=verify)
-    reduction = _reduce_stage(encoded, config, context=context)
-    hardware = _hardware_stage(
-        encoded, reduction, cost_model=cost_model, context=context
-    )
+    encoded = encode(test_set, config, context=context, verify=verify)
+    reduction = reduce(encoded, config, context=context)
+    cost = hardware(encoded, reduction, cost_model=cost_model, context=context)
     simulation = None
     if simulate:
         simulation = _simulate_stage(encoded, reduction, context=context)
@@ -458,7 +418,7 @@ def compress(
         config=config,
         encoding=encoded.encoding,
         reduction=reduction,
-        hardware=hardware,
+        hardware=cost,
         encoding_verified=verify,
         simulation=simulation,
     )

@@ -97,17 +97,6 @@ class ScanArchitecture:
         """Shift cycle (0-based, within one vector load) that fills the cell."""
         return self._chain_length - 1 - self.depth_of(cell)
 
-    def cell_at(self, chain: int, depth: int) -> int:
-        """Flat cell index for a (chain, depth) coordinate."""
-        if not 0 <= chain < self._num_chains:
-            raise IndexError(f"chain {chain} out of range")
-        if not 0 <= depth < self._chain_length:
-            raise IndexError(f"depth {depth} out of range")
-        cell = depth * self._num_chains + chain
-        if cell >= self._num_cells:
-            raise IndexError(f"(chain={chain}, depth={depth}) is a padding slot")
-        return cell
-
     def cell(self, index: int) -> ScanCell:
         """Full placement record for a cell."""
         return ScanCell(

@@ -33,7 +33,6 @@ from repro.skip.reduction import (
     ReductionResult,
     SeedSchedule,
     SequenceReducer,
-    reduce_sequence,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "ReductionResult",
     "SeedSchedule",
     "SequenceReducer",
-    "reduce_sequence",
 ]

@@ -20,7 +20,7 @@ TDV) and the per-seed schedule that the decompressor simulation replays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import EncodingResult
@@ -100,18 +100,13 @@ class SeedSchedule:
     def vectors_applied(self) -> int:
         return sum(plan.vectors_applied for plan in self.segments)
 
-    @property
-    def last_useful_segment(self) -> Optional[int]:
-        return self.useful_segments[-1] if self.useful_segments else None
-
 
 @dataclass
 class ReductionResult:
     """Complete outcome of the State Skip reduction for one encoding.
 
-    ``selection`` and ``embedding`` carry the full analysis maps of a live
-    reduction; results rebuilt from :meth:`from_dict` leave them ``None``
-    (the schedules alone determine every figure of merit).
+    ``selection`` and ``embedding`` carry the analysis maps the schedules
+    were derived from.
     """
 
     circuit: str
@@ -121,8 +116,8 @@ class ReductionResult:
     schedules: List[SeedSchedule]
     original_tsl: int
     test_data_volume: int
-    selection: Optional[UsefulSegmentSelection] = None
-    embedding: Optional[EmbeddingMap] = None
+    selection: UsefulSegmentSelection
+    embedding: EmbeddingMap
 
     @property
     def test_sequence_length(self) -> int:
@@ -136,13 +131,7 @@ class ReductionResult:
 
     @property
     def num_useful_segments(self) -> int:
-        if self.selection is not None:
-            return self.selection.num_useful
-        return sum(schedule.num_useful for schedule in self.schedules)
-
-    @property
-    def num_seeds(self) -> int:
-        return len(self.schedules)
+        return self.selection.num_useful
 
     def seed_groups(self) -> Dict[int, List[int]]:
         """Seeds grouped by useful-segment count (the Group Counter layout)."""
@@ -151,36 +140,14 @@ class ReductionResult:
             groups.setdefault(schedule.num_useful, []).append(schedule.seed_index)
         return {count: groups[count] for count in sorted(groups)}
 
-    def application_order(self) -> List[int]:
-        """Seed application order: groups ascending, original order within."""
-        order = []
-        for _, seeds in self.seed_groups().items():
-            order.extend(seeds)
-        return order
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "circuit": self.circuit,
-            "segment_size": self.config.segment_size,
-            "speedup": self.config.speedup,
-            "num_seeds": self.num_seeds,
-            "tdv_bits": self.test_data_volume,
-            "orig_tsl": self.original_tsl,
-            "prop_tsl": self.test_sequence_length,
-            "improvement_pct": self.improvement_percent,
-            "useful_segments": self.num_useful_segments,
-        }
-
     # ------------------------------------------------------------------
-    # Serialisation (campaign result store)
+    # Canonical form
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe serialisation of the schedules and figures of merit.
+        """The schedules and figures of merit as JSON-safe data.
 
-        The analysis maps (``selection``, ``embedding``) are not stored;
-        a result loaded back with :meth:`from_dict` reports the same TSL,
-        improvement and per-seed schedules but cannot answer which cube is
-        covered by which segment.
+        The canonical form the golden tests compare; the analysis maps
+        (``selection``, ``embedding``) are left out.
         """
         return {
             "circuit": self.circuit,
@@ -214,38 +181,6 @@ class ReductionResult:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ReductionResult":
-        """Rebuild a schedule-level result from :meth:`to_dict` output."""
-        schedules = [
-            SeedSchedule(
-                seed_index=entry["seed_index"],
-                useful_segments=list(entry["useful_segments"]),
-                segments=[
-                    SegmentPlan(
-                        segment_index=index,
-                        useful=bool(useful),
-                        vector_range=(vector_range[0], vector_range[1]),
-                        vectors_applied=vectors_applied,
-                        lfsr_clocks=lfsr_clocks,
-                        skip_clocks=skip_clocks,
-                    )
-                    for index, useful, vector_range, vectors_applied,
-                    lfsr_clocks, skip_clocks in entry["segments"]
-                ],
-            )
-            for entry in data["schedules"]
-        ]
-        return cls(
-            circuit=data["circuit"],
-            config=ReductionConfig(**data["config"]),
-            window_length=data["window_length"],
-            num_segments_per_window=data["num_segments_per_window"],
-            schedules=schedules,
-            original_tsl=data["original_tsl"],
-            test_data_volume=data["test_data_volume"],
-        )
-
 
 class SequenceReducer:
     """Applies the Section 3.2 reduction to a window-based encoding."""
@@ -258,14 +193,6 @@ class SequenceReducer:
         self._segmentation = WindowSegmentation(
             equations.window_length, config.segment_size
         )
-
-    @property
-    def segmentation(self) -> WindowSegmentation:
-        return self._segmentation
-
-    @property
-    def config(self) -> ReductionConfig:
-        return self._config
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -358,22 +285,3 @@ class SequenceReducer:
             lfsr_clocks=clocks,
             skip_clocks=skip_clocks,
         )
-
-
-def reduce_sequence(
-    result: EncodingResult,
-    test_set: TestSet,
-    equations: EquationSystem,
-    segment_size: int,
-    speedup: int,
-    alignment: str = "exact",
-    force_first_segment_useful: bool = True,
-) -> ReductionResult:
-    """One-call State Skip reduction of an encoding result."""
-    config = ReductionConfig(
-        segment_size=segment_size,
-        speedup=speedup,
-        alignment=alignment,
-        force_first_segment_useful=force_first_segment_useful,
-    )
-    return SequenceReducer(equations, config).reduce(result, test_set)

@@ -13,7 +13,7 @@ always uses divisors but nothing in the method requires it.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 
 class WindowSegmentation:
@@ -69,11 +69,6 @@ class WindowSegmentation:
         """Number of vectors in a segment (the last one may be shorter)."""
         start, end = self.bounds(segment)
         return end - start
-
-    def positions(self, segment: int) -> List[int]:
-        """Window-vector positions belonging to a segment."""
-        start, end = self.bounds(segment)
-        return list(range(start, end))
 
     def __repr__(self) -> str:
         return (

@@ -55,9 +55,6 @@ class EmbeddingMap:
         seeds, segments = np.nonzero(self.matrix[cube_index])
         return set(zip(seeds.tolist(), segments.tolist()))
 
-    def cubes_of(self, segment: SegmentId) -> Set[int]:
-        return set(np.flatnonzero(self.matrix[:, segment[0], segment[1]]).tolist())
-
 
 @dataclass
 class UsefulSegmentSelection:

@@ -108,18 +108,6 @@ class Histogram:
             "max": self.max,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Histogram":
-        histogram = cls()
-        histogram.buckets = {
-            int(e): int(c) for e, c in dict(data.get("buckets", {})).items()
-        }
-        histogram.count = int(data.get("count", 0))
-        histogram.total = float(data.get("sum", 0.0))
-        histogram.min = data.get("min")
-        histogram.max = data.get("max")
-        return histogram
-
     def merge(self, data: Dict[str, object]) -> None:
         """Fold another histogram's :meth:`to_dict` form into this one."""
         for exponent, count in dict(data.get("buckets", {})).items():
@@ -201,9 +189,6 @@ class MetricsRegistry:
     @property
     def histograms(self) -> Dict[str, Histogram]:
         return self._histograms
-
-    def counter_value(self, name: str) -> float:
-        return self._counters.get(name, 0)
 
     def snapshot_counters(self) -> Dict[str, float]:
         """Flat copy of every counter (the ContextStats snapshot form)."""

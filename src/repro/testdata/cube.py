@@ -144,17 +144,6 @@ class TestCube:
         common = self._care_mask & other._care_mask
         return (self._care_value ^ other._care_value) & common == 0
 
-    def merge(self, other: "TestCube") -> "TestCube":
-        """The intersection cube of two compatible cubes."""
-        self._check_width(other)
-        if not self.compatible(other):
-            raise ValueError("cannot merge incompatible cubes")
-        return TestCube(
-            self._num_cells,
-            self._care_mask | other._care_mask,
-            self._care_value | other._care_value,
-        )
-
     def contains(self, other: "TestCube") -> bool:
         """True when every specified bit of ``other`` is specified identically here."""
         self._check_width(other)
@@ -187,17 +176,6 @@ class TestCube:
             self._packed_words = cached
         return cached
 
-    def conflicts(self, other: "TestCube") -> List[int]:
-        """Cells on which the two cubes disagree."""
-        self._check_width(other)
-        diff = (self._care_value ^ other._care_value) & self._care_mask & other._care_mask
-        out = []
-        while diff:
-            low = diff & -diff
-            out.append(low.bit_length() - 1)
-            diff ^= low
-        return out
-
     def _check_width(self, other: "TestCube") -> None:
         if self._num_cells != other._num_cells:
             raise ValueError(
@@ -207,18 +185,6 @@ class TestCube:
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
-    def with_bit(self, cell: int, bit: int) -> "TestCube":
-        """A copy with one additional/overridden specified bit."""
-        if not 0 <= cell < self._num_cells:
-            raise IndexError(f"cell {cell} out of range")
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        mask = self._care_mask | (1 << cell)
-        value = self._care_value & ~(1 << cell)
-        if bit:
-            value |= 1 << cell
-        return TestCube(self._num_cells, mask, value)
-
     def fill(self, fill_bits: int) -> int:
         """Fully specify the cube using ``fill_bits`` for the don't-cares.
 

@@ -58,11 +58,6 @@ class CircuitProfile:
     mean_specified: float
     sigma: float = 0.65
 
-    @property
-    def chain_length(self) -> int:
-        """Scan-chain length ``r`` for the balanced architecture."""
-        return -(-self.scan_cells // self.scan_chains)
-
     def scaled(self, scale: float) -> "CircuitProfile":
         """A profile with the cube count scaled by ``scale`` (for quick runs).
 

@@ -40,10 +40,6 @@ class SyntheticTestSetGenerator:
         self._profile = profile
         self._seed = seed
 
-    @property
-    def profile(self) -> CircuitProfile:
-        return self._profile
-
     # ------------------------------------------------------------------
     # Distribution helpers
     # ------------------------------------------------------------------

@@ -143,32 +143,6 @@ class TestSet:
         )
         return TestSet(self._name, ordered)
 
-    def compacted(self) -> "TestSet":
-        """Greedy static compaction by compatibility merging.
-
-        Repeatedly merges each cube into the first compatible accumulated
-        cube.  The paper works with *uncompacted* test sets (and so do the
-        benchmarks), but compaction is a common pre-processing step and is
-        used by some of the comparison baselines.
-        """
-        merged: List[TestCube] = []
-        for cube in sorted(
-            self._cubes, key=lambda c: c.specified_count(), reverse=True
-        ):
-            for i, existing in enumerate(merged):
-                if existing.compatible(cube):
-                    merged[i] = existing.merge(cube)
-                    break
-            else:
-                merged.append(cube)
-        return TestSet(self._name, merged)
-
-    def subset(self, count: int) -> "TestSet":
-        """The first ``count`` cubes (used by scaled-down benchmark runs)."""
-        if count < 1:
-            raise ValueError("count must be positive")
-        return TestSet(self._name, self._cubes[: min(count, len(self._cubes))])
-
     # ------------------------------------------------------------------
     # Coverage checking
     # ------------------------------------------------------------------

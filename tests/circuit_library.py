@@ -1,8 +1,9 @@
-"""Built-in example circuits.
+"""Small example circuits for the tests.
 
-The circuits here are small but genuine: they feed the unit tests, the
-documentation examples and the quickstart ATPG flow.  Each function returns a
-fresh :class:`~repro.circuits.netlist.Netlist`.
+The circuits here are small but genuine: c17, ripple-carry adders, a
+majority voter and parity trees.  Each function returns a fresh
+:class:`~repro.circuits.netlist.Netlist`.  Imported by the test modules
+(this file is not collected: no ``test_`` prefix).
 """
 
 from __future__ import annotations

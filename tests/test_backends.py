@@ -19,12 +19,9 @@ from repro.circuits.simulator import (
     simulate_ternary,
     simulate_ternary_reference,
 )
-from repro.circuits.ternary import (
-    TernaryEventEngine,
-    packed_plan,
-    ternary_state_to_dict,
-)
+from repro.circuits.ternary import TernaryEventEngine, packed_plan
 from repro.config import CompressionConfig
+from ternary_adapters import ternary_state_to_dict
 
 
 def _engine_ternary(engine, netlist, assignment):

@@ -94,7 +94,7 @@ class TestSpec:
             "camp_core:speedup=6,segment_size=10",
         ]
         assert ids == [job.job_id for job in spec.jobs()]  # stable
-        assert spec.num_jobs == 4
+        assert len(spec.jobs()) == 4
 
     def test_filter_prunes_combinations(self, cube_file):
         spec = CampaignSpec(
@@ -141,7 +141,7 @@ class TestSpec:
         spec = CampaignSpec.from_file(path)
         assert spec.name == "json-campaign"
         assert spec.base.window_length == 20
-        assert spec.num_jobs == 2
+        assert len(spec.jobs()) == 2
 
     def test_from_toml_file(self, tmp_path, cube_file):
         pytest.importorskip("tomllib")
@@ -159,7 +159,7 @@ class TestSpec:
         path.write_text(text)
         spec = CampaignSpec.from_file(path)
         assert spec.name == "toml-campaign"
-        assert spec.num_jobs == 3
+        assert len(spec.jobs()) == 3
 
     def test_base_typo_in_spec_rejected(self, cube_file):
         data = {
@@ -182,7 +182,13 @@ class TestSpec:
             spec.jobs()
         for expression in ("__import__('os')", "speedup.bit_length()"):
             bad = CampaignSpec.from_dict(
-                dict(spec.to_dict(), filter=expression)
+                {
+                    "name": "evil",
+                    "sources": [{"tests": str(cube_file)}],
+                    "base": {"num_scan_chains": 8},
+                    "axes": {"speedup": [3]},
+                    "filter": expression,
+                }
             )
             with pytest.raises(ValueError, match="disallowed syntax"):
                 bad.jobs()
@@ -206,8 +212,17 @@ class TestSpec:
             axes={"speedup": [3, 6]},
             filter="speedup > 1",
         )
-        clone = CampaignSpec.from_dict(spec.to_dict())
+        clone = CampaignSpec.from_dict(
+            {
+                "name": "rt",
+                "sources": [{"tests": str(cube_file)}],
+                "base": {"window_length": 20, "num_scan_chains": 8},
+                "axes": {"speedup": [3, 6]},
+                "filter": "speedup > 1",
+            }
+        )
         assert [j.job_id for j in clone.jobs()] == [j.job_id for j in spec.jobs()]
+        assert [j.config for j in clone.jobs()] == [j.config for j in spec.jobs()]
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +251,9 @@ class TestStore:
         record = reloaded.get(key)
         assert record.ok
         assert record.summary == report.summary()
-        assert reloaded.rows() == [report.summary()]
+        assert [record.summary for record in reloaded.records()] == [
+            report.summary()
+        ]
         assert reloaded.completed(key)
 
     def test_last_record_wins(self, tmp_path, tiny_config):
@@ -587,12 +604,12 @@ class TestRunner:
         assert first.num_jobs == 4
         assert first.num_computed == 4
         assert first.num_failed == 0
-        assert not first.all_cached
+        assert first.num_cached < first.num_jobs
         stored_lines = store.path.read_text().count("\n")
         assert stored_lines == 4
 
         second = CampaignRunner(spec, store, jobs=1).run()
-        assert second.all_cached
+        assert second.num_cached == second.num_jobs
         assert second.num_computed == 0
         assert second.num_cached == 4
         # zero recomputation: nothing new was appended to the store
@@ -623,7 +640,7 @@ class TestRunner:
         circuits = {row["circuit"] for row in result.rows()}
         assert circuits == {"s13207@0.03", "s9234@0.03"}
         # every job's summary landed in the store
-        assert len(store.rows()) == 12
+        assert len(store.records()) == 12
         # the profile's LFSR size was injected into each job config
         assert {row["lfsr_size"] for row in result.rows()} == {24, 44}
 
@@ -631,15 +648,15 @@ class TestRunner:
         """Acceptance: >=12 jobs over >=2 profiles with --jobs 4, then a
         resumed invocation reports every job as a cache hit."""
         spec = _small_two_profile_spec()
-        assert spec.num_jobs >= 12
+        assert len(spec.jobs()) >= 12
         store = ResultStore(tmp_path / "store")
         first = CampaignRunner(spec, store, jobs=4).run()
         assert first.num_failed == 0
-        assert len(store.rows()) == spec.num_jobs
+        assert len(store.records()) == len(spec.jobs())
 
         resumed = CampaignRunner(spec, store, jobs=4).run()
-        assert resumed.all_cached
-        assert resumed.num_cached == spec.num_jobs
+        assert resumed.num_cached == resumed.num_jobs
+        assert resumed.num_cached == len(spec.jobs())
         assert resumed.num_computed == 0
         assert all(outcome.status == "cached" for outcome in resumed.outcomes)
 

@@ -4,6 +4,13 @@ fault simulation, ATPG, generation)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circuit_library import (
+    builtin_circuits,
+    c17,
+    carry_ripple_adder,
+    majority_voter,
+    parity_tree,
+)
 from repro.circuits.atpg import PodemAtpg, generate_test_set_for_netlist
 from repro.circuits.bench import parse_bench, write_bench
 from repro.circuits.fault_sim import FaultSimulator
@@ -14,13 +21,6 @@ from repro.circuits.faults import (
     fault_coverage,
 )
 from repro.circuits.generator import random_netlist
-from repro.circuits.library import (
-    builtin_circuits,
-    c17,
-    carry_ripple_adder,
-    majority_voter,
-    parity_tree,
-)
 from repro.circuits.netlist import Gate, GateType, Netlist
 from repro.circuits.simulator import (
     X,
@@ -81,7 +81,7 @@ class TestNetlist:
         net = c17()
         fanout = net.fanout()
         assert set(fanout["G11"]) == {"G16", "G19"}
-        order = net.evaluation_order()
+        order = [gate.output for gate in net.gates()]
         assert order.index("G10") < order.index("G22")
 
     def test_input_index(self):

@@ -2,8 +2,8 @@
 
 import pytest
 
+from circuit_library import c17
 from repro.circuits.bench import write_bench
-from repro.circuits.library import c17
 from repro.cli import build_parser, main
 from repro.testdata.profiles import custom_profile
 from repro.testdata.synthetic import generate_test_set
@@ -128,6 +128,14 @@ class TestCompressCommand:
         assert "Decompressor hardware" in out
         assert "all 25 cubes delivered" in out
 
+    def test_no_encode_sees_compress(self, cube_file, no_encode):
+        # Positive control of the fixture: a valid compress reaches
+        # pipeline.encode, so the check-before-encode tests can see an
+        # encode that runs before the input is checked.
+        with pytest.raises(AssertionError, match="encoded before checking"):
+            main(["compress", "--tests", str(cube_file), "--chains", "8",
+                  "-L", "20", "-S", "4", "-k", "6"])
+
     def test_compress_requires_source(self):
         with pytest.raises(SystemExit):
             main(["compress", "-L", "10"])
@@ -135,8 +143,11 @@ class TestCompressCommand:
     @pytest.mark.parametrize(
         "options, reason",
         [
-            (["--profile", "s9234", "-S", "0"], "segment_size must be in"),
-            (["--profile", "s9234", "-L", "20", "-S", "30"], "segment_size must be in"),
+            (["--profile", "s9234", "-S", "0"], "segment_size 0 must be in"),
+            (
+                ["--profile", "s9234", "-L", "20", "-S", "30"],
+                "segment_size 30 must be in [1, window_length 20]",
+            ),
             (["--profile", "s9234", "--lfsr", "6"], "the densest cube specifies"),
             (["--profile", "s9234", "--scale", "0"], "scale must be in"),
             (["--tests", "missing.tests"], "No such file"),
@@ -203,9 +214,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "options, reason",
         [
-            (["--speedups", "3", "0"], "speedup must be at least 1"),
-            (["--segments", "0"], "segment_size must be in"),
-            (["-L", "20", "--segments", "4", "30"], "segment_size must be in"),
+            (["--speedups", "3", "0"], "speedup 0 must be at least 1"),
+            (["--segments", "0"], "segment_size 0 must be in"),
+            (
+                ["-L", "20", "--segments", "4", "30"],
+                "segment_size 30 must be in [1, window_length 20]",
+            ),
             (["--lfsr", "6"], "the densest cube specifies"),
             (["--scale", "0"], "scale must be in"),
         ],
@@ -222,6 +236,25 @@ class TestSweepCommand:
 
 
 class TestCampaignCommand:
+    @pytest.mark.parametrize(
+        "options, reason",
+        [
+            (["--speedups", "3", "0"], "speedup 0 must be at least 1"),
+            (["--segments", "4", "0"], "segment_size 0 must be in"),
+        ],
+        ids=["k-0", "S-0"],
+    )
+    def test_campaign_checks_every_point_before_encoding(
+        self, tmp_path, no_encode, options, reason
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--profiles", "s9234", "--scale", "0.03",
+                  "--windows", "20", "--jobs", "1",
+                  "--store", str(tmp_path / "store"), *options])
+        message = str(excinfo.value.code)
+        assert message.startswith("campaign failed: ")
+        assert reason in message
+
     def test_campaign_reports_every_context_cache(self, cube_file, tmp_path, capsys):
         code = main(
             [
@@ -284,6 +317,29 @@ class TestAtpgCommand:
         message = str(excinfo.value.code)
         assert message.startswith("repro atpg: ")
         assert reason in message
+
+
+class TestTraceOption:
+    def test_compress_trace_prints_summary_and_persists(
+        self, cube_file, tmp_path, capsys
+    ):
+        import json
+
+        trace_dir = tmp_path / "traces"
+        code = main(
+            ["compress", "--tests", str(cube_file), "--chains", "8", "-L", "20",
+             "-S", "4", "-k", "6", "--trace", "--trace-dir", str(trace_dir)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "compress telemetry" in out
+        assert "stage.encode" in out
+        (trace_path,) = trace_dir.glob("telemetry/*.trace.json")
+        trace = json.loads(trace_path.read_text())
+        names = {event["name"] for event in trace["traceEvents"]}
+        assert "stage.encode" in names
+        (events_path,) = trace_dir.glob("telemetry/*.events.jsonl")
+        assert events_path.read_text().strip()
 
 
 class TestProfileStats:

@@ -21,7 +21,6 @@ from repro.campaign.spec import CampaignSpec, TestSource
 from repro.campaign.store import ResultStore
 from repro.config import CompressionConfig
 from repro.context import CompressionContext, ContextStats, SubstrateKey
-from repro.encoding.encoder import ReseedingEncoder
 from repro.encoding.substrate import EncoderSubstrate
 from repro.pipeline import compress
 from repro.testdata.profiles import custom_profile
@@ -136,11 +135,10 @@ class TestStagedPipeline:
     def test_stage_timings_are_recorded(self, test_set):
         context = CompressionContext()
         compress(test_set, _config(), verify=True, context=context)
-        timings = context.stats.timings
-        for stage in ("encode", "reduce", "hardware"):
-            assert timings[stage] >= 0.0
         snapshot = context.stats.snapshot()
-        assert "encode_s" in snapshot and "encoding_misses" in snapshot
+        for stage in ("encode", "reduce", "hardware"):
+            assert snapshot[f"{stage}_s"] >= 0.0
+        assert "encoding_misses" in snapshot
 
     def test_verification_runs_once_per_cached_encoding(self, test_set):
         context = CompressionContext()
@@ -184,20 +182,6 @@ class TestContextCaches:
         second = context.substrate(key)
         assert first is not second
         assert context.stats.counters["substrate_misses"] == 2
-
-    def test_encoder_accepts_matching_substrate_only(self, test_set):
-        key = SubstrateKey(test_set.num_cells, 8, 16, 10)
-        substrate = EncoderSubstrate(key)
-        encoder = ReseedingEncoder(
-            num_cells=test_set.num_cells, num_scan_chains=8,
-            lfsr_size=16, window_length=10, substrate=substrate,
-        )
-        assert encoder.equations is substrate.equations
-        with pytest.raises(ValueError, match="substrate key"):
-            ReseedingEncoder(
-                num_cells=test_set.num_cells, num_scan_chains=8,
-                lfsr_size=16, window_length=12, substrate=substrate,
-            )
 
     def test_encode_cache_key_ignores_reduction_knobs(self):
         base = _config()
@@ -286,7 +270,7 @@ class TestCampaignSubstrateSharing:
         by_key = {outcome.key: outcome for outcome in first.outcomes}
 
         resumed = CampaignRunner(spec, store, jobs=1).run()
-        assert resumed.all_cached
+        assert resumed.num_cached == resumed.num_jobs
         for outcome in resumed.outcomes:
             original = by_key[outcome.key]
             # the honest elapsed_s fix: cached outcomes report the stored

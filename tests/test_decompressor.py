@@ -20,11 +20,12 @@ from repro.decompressor.hardware import (
     state_skip_cost,
 )
 from repro.decompressor.mode_select import ModeSelectUnit
-from repro.encoding.encoder import ReseedingEncoder
+from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
+from repro.encoding.window import WindowEncoder
 from repro.lfsr import state_skip
 from repro.lfsr.state_skip import StateSkipCircuit
 from repro.lfsr.transition import transition_power
-from repro.skip.reduction import reduce_sequence
+from repro.skip.reduction import ReductionConfig, SequenceReducer
 from repro.testdata.profiles import custom_profile
 from repro.testdata.synthetic import generate_test_set
 
@@ -42,14 +43,14 @@ def flow():
         lfsr_size=14,
     )
     test_set = generate_test_set(profile, seed=5)
-    encoder = ReseedingEncoder(
-        num_cells=60, num_scan_chains=6, lfsr_size=14, window_length=30
+    substrate = EncoderSubstrate(
+        SubstrateKey(num_cells=60, num_scan_chains=6, lfsr_size=14, window_length=30)
     )
-    encoding = encoder.encode(test_set)
-    reduction = reduce_sequence(
-        encoding, test_set, encoder.equations, segment_size=5, speedup=6
-    )
-    return encoder, test_set, encoding, reduction
+    encoding = WindowEncoder(substrate.equations).encode(test_set)
+    reduction = SequenceReducer(
+        substrate.equations, ReductionConfig(segment_size=5, speedup=6)
+    ).reduce(encoding, test_set)
+    return substrate, test_set, encoding, reduction
 
 
 class TestCounters:
@@ -85,9 +86,7 @@ class TestModeSelect:
         assert unit.mode(0, 3) == 1
         assert unit.mode(0, 2) == 0
         assert unit.mode(1, 1) == 0
-        assert unit.segments_to_generate(0) == 4
-        assert unit.segments_to_generate(1) == 1
-        assert unit.segments_to_generate(2) == 6
+        assert unit.mode(2, 5) == 1
 
     def test_groups(self):
         unit = ModeSelectUnit([[0, 3], [0], [0, 1, 5]], segments_per_window=8)
@@ -115,13 +114,13 @@ class TestModeSelect:
 
 class TestSimulation:
     def test_simulation_matches_reduction_accounting(self, flow):
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
         outcome = simulate_decompression(
             encoding,
             reduction,
-            encoder.lfsr.transition,
-            encoder.phase_shifter,
-            encoder.architecture,
+            substrate.lfsr.transition,
+            substrate.phase_shifter,
+            substrate.architecture,
         )
         assert outcome.seeds_applied == encoding.num_seeds
         assert outcome.vectors_applied == reduction.test_sequence_length
@@ -129,30 +128,30 @@ class TestSimulation:
 
     def test_simulation_covers_every_cube(self, flow):
         """End-to-end correctness: the hardware really applies every cube."""
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
         outcome = simulate_decompression(
             encoding,
             reduction,
-            encoder.lfsr.transition,
-            encoder.phase_shifter,
-            encoder.architecture,
+            substrate.lfsr.transition,
+            substrate.phase_shifter,
+            substrate.architecture,
         )
         assert outcome.uncovered_cubes(test_set) == []
         assert outcome.covers(test_set)
 
     def test_simulation_agrees_with_equation_expansion(self, flow):
         """The shift-register datapath and the algebraic expansion agree."""
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
         decompressor = Decompressor(
-            encoder.lfsr.transition,
-            encoder.phase_shifter,
-            encoder.architecture,
+            substrate.lfsr.transition,
+            substrate.phase_shifter,
+            substrate.architecture,
             reduction.config.speedup,
         )
         seed = encoding.seeds[0].seed
         decompressor.load_seed(seed)
-        chain_length = encoder.architecture.chain_length
-        window = encoder.equations.expand_seed(seed)
+        chain_length = substrate.architecture.chain_length
+        window = substrate.equations.expand_seed(seed)
         for _ in range(chain_length):
             decompressor.shift_clock()
         assert decompressor.captured_vector() == window[0]
@@ -161,39 +160,39 @@ class TestSimulation:
         assert decompressor.captured_vector() == window[1]
 
     def test_simulation_requires_exact_alignment(self, flow):
-        encoder, test_set, encoding, _ = flow
-        ideal = reduce_sequence(
-            encoding, test_set, encoder.equations, 5, 6, alignment="ideal"
-        )
+        substrate, test_set, encoding, _ = flow
+        ideal = SequenceReducer(
+            substrate.equations, ReductionConfig(5, 6, alignment="ideal")
+        ).reduce(encoding, test_set)
         with pytest.raises(ValueError):
             simulate_decompression(
                 encoding,
                 ideal,
-                encoder.lfsr.transition,
-                encoder.phase_shifter,
-                encoder.architecture,
+                substrate.lfsr.transition,
+                substrate.phase_shifter,
+                substrate.architecture,
             )
 
     def test_speedup_mismatch_rejected(self, flow):
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
         decompressor = Decompressor(
-            encoder.lfsr.transition,
-            encoder.phase_shifter,
-            encoder.architecture,
+            substrate.lfsr.transition,
+            substrate.phase_shifter,
+            substrate.architecture,
             speedup=reduction.config.speedup + 1,
         )
         with pytest.raises(ValueError):
             DecompressionController(decompressor).run(encoding, reduction)
 
     def test_seed_width_must_match_lfsr(self, flow):
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
         first = encoding.seeds[0]
         narrow_seed = replace(first, seed=first.seed.slice(0, 13))
         narrow = replace(encoding, seeds=[narrow_seed] + encoding.seeds[1:])
         decompressor = Decompressor(
-            encoder.lfsr.transition,
-            encoder.phase_shifter,
-            encoder.architecture,
+            substrate.lfsr.transition,
+            substrate.phase_shifter,
+            substrate.architecture,
             reduction.config.speedup,
         )
         message = "seed length 13 does not match LFSR size 14"
@@ -203,9 +202,9 @@ class TestSimulation:
             simulate_decompression(
                 narrow,
                 reduction,
-                encoder.lfsr.transition,
-                encoder.phase_shifter,
-                encoder.architecture,
+                substrate.lfsr.transition,
+                substrate.phase_shifter,
+                substrate.architecture,
             )
 
     def test_useless_segments_run_through_the_skip_circuit(self, flow, monkeypatch):
@@ -214,13 +213,13 @@ class TestSimulation:
         A replay that jumped useless segments with powers of A instead of
         the circuit's own matrix would still deliver every cube here.
         """
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
 
         def replay_both():
             args = (
-                encoder.lfsr.transition,
-                encoder.phase_shifter,
-                encoder.architecture,
+                substrate.lfsr.transition,
+                substrate.phase_shifter,
+                substrate.architecture,
             )
             decompressor = Decompressor(*args, reduction.config.speedup)
             return (
@@ -245,24 +244,24 @@ class TestSimulation:
 class TestHardwareModel:
     def test_lfsr_cost_components(self):
         model = GateCostModel()
-        encoder = ReseedingEncoder(60, 6, 14, window_length=4)
-        cost = lfsr_cost(encoder.lfsr.transition, model)
+        substrate = EncoderSubstrate(SubstrateKey(60, 6, 14, window_length=4))
+        cost = lfsr_cost(substrate.lfsr.transition, model)
         assert cost >= 14 * model.dff
 
     def test_state_skip_cost_grows_with_k(self):
         model = GateCostModel()
-        encoder = ReseedingEncoder(60, 6, 24, window_length=4)
-        small = state_skip_cost(StateSkipCircuit(encoder.lfsr.transition, 2), model)
-        large = state_skip_cost(StateSkipCircuit(encoder.lfsr.transition, 16), model)
+        substrate = EncoderSubstrate(SubstrateKey(60, 6, 24, window_length=4))
+        small = state_skip_cost(StateSkipCircuit(substrate.lfsr.transition, 2), model)
+        large = state_skip_cost(StateSkipCircuit(substrate.lfsr.transition, 16), model)
         assert large > small
 
     def test_full_breakdown(self, flow):
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
         report = decompressor_cost(
-            transition=encoder.lfsr.transition,
+            transition=substrate.lfsr.transition,
             speedup=reduction.config.speedup,
-            phase_shifter=encoder.phase_shifter,
-            chain_length=encoder.architecture.chain_length,
+            phase_shifter=substrate.phase_shifter,
+            chain_length=substrate.architecture.chain_length,
             segment_size=reduction.config.segment_size,
             segments_per_window=reduction.num_segments_per_window,
             useful_segments_per_seed=[
@@ -276,12 +275,12 @@ class TestHardwareModel:
         assert report.lfsr > 0 and report.state_skip > 0
 
     def test_soc_sharing(self, flow):
-        encoder, test_set, encoding, reduction = flow
+        substrate, test_set, encoding, reduction = flow
         report = decompressor_cost(
-            transition=encoder.lfsr.transition,
+            transition=substrate.lfsr.transition,
             speedup=reduction.config.speedup,
-            phase_shifter=encoder.phase_shifter,
-            chain_length=encoder.architecture.chain_length,
+            phase_shifter=substrate.phase_shifter,
+            chain_length=substrate.architecture.chain_length,
             segment_size=reduction.config.segment_size,
             segments_per_window=reduction.num_segments_per_window,
             useful_segments_per_seed=[

@@ -38,8 +38,6 @@ class TestConstruction:
         assert system.lfsr_size == 16
         assert system.window_length == 6
         assert system.architecture is arch
-        assert system.phase_shifter is ps
-        assert system.transition == lfsr.transition
 
 
 class TestExpansion:

@@ -3,8 +3,10 @@
 
 import pytest
 
-from repro.encoding.encoder import ReseedingEncoder, encode_test_set
-from repro.encoding.window import EncodingError, verify_encoding
+from repro import pipeline
+from repro.config import CompressionConfig
+from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
+from repro.encoding.window import EncodingError, WindowEncoder, verify_encoding
 from repro.testdata.cube import TestCube
 from repro.testdata.profiles import custom_profile
 from repro.testdata.synthetic import generate_test_set
@@ -23,31 +25,41 @@ def small_test_set(num_cells=48, num_cubes=30, max_spec=10, seed=7):
     return generate_test_set(profile, seed=seed)
 
 
+def encode(test_set, window_length, num_scan_chains, lfsr_size=None):
+    """Encode through the pipeline's encode stage (phase-shifter retries on)."""
+    config = CompressionConfig(
+        window_length=window_length,
+        segment_size=1,
+        num_scan_chains=num_scan_chains,
+        lfsr_size=lfsr_size,
+    )
+    return pipeline.encode(test_set, config, verify=False).encoding
+
+
+def all_cubes_encoded(result):
+    return len(result.cube_assignment()) == result.num_cubes
+
+
 class TestWindowEncoder:
     def test_all_cubes_encoded_and_verified(self):
         ts = small_test_set()
-        encoder = ReseedingEncoder(
-            num_cells=ts.num_cells,
-            num_scan_chains=8,
-            lfsr_size=14,
-            window_length=12,
-        )
-        result = encoder.encode(ts)
-        assert result.all_cubes_encoded()
+        substrate = EncoderSubstrate(SubstrateKey(ts.num_cells, 8, 14, 12))
+        result = WindowEncoder(substrate.equations).encode(ts)
+        assert all_cubes_encoded(result)
         assert result.num_cubes == len(ts)
-        assert verify_encoding(result, ts, encoder.equations) == []
+        assert verify_encoding(result, ts, substrate.equations) == []
 
     def test_first_embedding_of_every_seed_is_position_zero(self):
         ts = small_test_set(seed=11)
-        encoder = ReseedingEncoder(ts.num_cells, 8, 14, window_length=10)
-        result = encoder.encode(ts)
+        substrate = EncoderSubstrate(SubstrateKey(ts.num_cells, 8, 14, 10))
+        result = WindowEncoder(substrate.equations).encode(ts)
         for record in result.seeds:
             assert record.embeddings, "every seed must encode at least one cube"
             assert record.embeddings[0].position == 0
 
     def test_tdv_and_tsl_accounting(self):
         ts = small_test_set(seed=3)
-        result = encode_test_set(ts, window_length=8, num_scan_chains=8, lfsr_size=14)
+        result = encode(ts, window_length=8, num_scan_chains=8, lfsr_size=14)
         assert result.test_data_volume == result.num_seeds * 14
         assert result.test_sequence_length == result.num_seeds * 8
         summary = result.summary()
@@ -56,7 +68,7 @@ class TestWindowEncoder:
 
     def test_each_cube_encoded_exactly_once(self):
         ts = small_test_set(seed=5)
-        result = encode_test_set(ts, window_length=8, num_scan_chains=8, lfsr_size=14)
+        result = encode(ts, window_length=8, num_scan_chains=8, lfsr_size=14)
         seen = []
         for record in result.seeds:
             seen.extend(e.cube_index for e in record.embeddings if e.deterministic)
@@ -65,55 +77,52 @@ class TestWindowEncoder:
     def test_larger_window_needs_no_more_seeds(self):
         """A larger window can only help the encoding (fewer or equal seeds)."""
         ts = small_test_set(num_cubes=40, seed=13)
-        small = encode_test_set(ts, window_length=2, num_scan_chains=8, lfsr_size=14)
-        large = encode_test_set(ts, window_length=16, num_scan_chains=8, lfsr_size=14)
+        small = encode(ts, window_length=2, num_scan_chains=8, lfsr_size=14)
+        large = encode(ts, window_length=16, num_scan_chains=8, lfsr_size=14)
         assert large.num_seeds <= small.num_seeds
 
     def test_lfsr_too_small_raises(self):
         ts = small_test_set(max_spec=12, seed=2)
         with pytest.raises(ValueError):
-            encode_test_set(ts, window_length=4, num_scan_chains=8, lfsr_size=8)
+            encode(ts, window_length=4, num_scan_chains=8, lfsr_size=8)
 
     def test_width_mismatch_raises(self):
         ts = small_test_set()
-        encoder = ReseedingEncoder(
-            num_cells=ts.num_cells + 4, num_scan_chains=8, lfsr_size=14,
-            window_length=4,
-        )
+        substrate = EncoderSubstrate(SubstrateKey(ts.num_cells + 4, 8, 14, 4))
         with pytest.raises(ValueError):
-            encoder.encode(ts)
+            WindowEncoder(substrate.equations).encode(ts)
 
     def test_deterministic_given_same_seeds(self):
         ts = small_test_set(seed=17)
-        a = encode_test_set(ts, window_length=6, num_scan_chains=8, lfsr_size=14)
-        b = encode_test_set(ts, window_length=6, num_scan_chains=8, lfsr_size=14)
+        a = encode(ts, window_length=6, num_scan_chains=8, lfsr_size=14)
+        b = encode(ts, window_length=6, num_scan_chains=8, lfsr_size=14)
         assert [r.seed for r in a.seeds] == [r.seed for r in b.seeds]
         assert a.cube_assignment() == b.cube_assignment()
 
     def test_seed_of_cube_lookup(self):
         ts = small_test_set(seed=19)
-        result = encode_test_set(ts, window_length=6, num_scan_chains=8, lfsr_size=14)
+        result = encode(ts, window_length=6, num_scan_chains=8, lfsr_size=14)
         for cube_index in range(len(ts)):
             seed_index = result.seed_of_cube(cube_index)
             assert seed_index is not None
             record = result.seeds[seed_index]
-            assert cube_index in record.cube_indices()
+            assert cube_index in [e.cube_index for e in record.embeddings]
         assert result.seed_of_cube(10_000) is None
 
 
 class TestClassicalReseeding:
     def test_classical_is_single_vector_windows(self):
         ts = small_test_set(seed=23)
-        result = encode_test_set(ts, window_length=1, num_scan_chains=8, lfsr_size=14)
+        result = encode(ts, window_length=1, num_scan_chains=8, lfsr_size=14)
         assert result.window_length == 1
         assert result.test_sequence_length == result.num_seeds
-        assert result.all_cubes_encoded()
+        assert all_cubes_encoded(result)
 
     def test_classical_uses_more_data_than_windowed(self):
         """The motivation experiment (Table 1): larger L improves TDV."""
         ts = small_test_set(num_cubes=50, seed=29)
-        classical = encode_test_set(ts, window_length=1, num_scan_chains=8, lfsr_size=14)
-        windowed = encode_test_set(
+        classical = encode(ts, window_length=1, num_scan_chains=8, lfsr_size=14)
+        windowed = encode(
             ts, window_length=20, num_scan_chains=8, lfsr_size=14
         )
         assert windowed.test_data_volume <= classical.test_data_volume
@@ -122,7 +131,7 @@ class TestClassicalReseeding:
 
     def test_classical_default_lfsr_size(self):
         ts = small_test_set(seed=31)
-        result = encode_test_set(ts, window_length=1, num_scan_chains=8)
+        result = encode(ts, window_length=1, num_scan_chains=8)
         assert result.lfsr_size == ts.max_specified() + 8
 
 
@@ -130,14 +139,14 @@ class TestEncodingEdgeCases:
     def test_single_cube_test_set(self):
         cube = TestCube.from_assignments(32, {0: 1, 5: 0, 17: 1})
         ts = TestSet("single", [cube])
-        result = encode_test_set(ts, window_length=4, num_scan_chains=4, lfsr_size=8)
+        result = encode(ts, window_length=4, num_scan_chains=4, lfsr_size=8)
         assert result.num_seeds == 1
         assert result.seeds[0].embeddings[0].position == 0
 
     def test_identical_cubes_share_one_seed(self):
         cube = TestCube.from_assignments(32, {1: 1, 9: 0})
         ts = TestSet("dupes", [cube, cube, cube])
-        result = encode_test_set(ts, window_length=4, num_scan_chains=4, lfsr_size=8)
+        result = encode(ts, window_length=4, num_scan_chains=4, lfsr_size=8)
         assert result.num_seeds == 1
         assert result.seeds[0].num_cubes == 3
 
@@ -147,7 +156,7 @@ class TestEncodingEdgeCases:
         a = TestCube.from_assignments(16, {i: 1 for i in range(8)})
         b = TestCube.from_assignments(16, {i: 0 for i in range(8)})
         ts = TestSet("conflict", [a, b])
-        result = encode_test_set(ts, window_length=1, num_scan_chains=4, lfsr_size=12)
+        result = encode(ts, window_length=1, num_scan_chains=4, lfsr_size=12)
         assert result.num_seeds == 2
 
     def test_unencodable_cube_raises_encoding_error(self):
@@ -157,8 +166,6 @@ class TestEncodingEdgeCases:
         dense = TestCube.from_assignments(24, {i: (i * 7) % 2 for i in range(24)})
         filler = TestCube.from_assignments(24, {0: 1})
         ts = TestSet("too_dense", [dense, filler])
-        encoder = ReseedingEncoder(
-            num_cells=24, num_scan_chains=8, lfsr_size=12, window_length=3
-        )
+        substrate = EncoderSubstrate(SubstrateKey(24, 8, 12, 3))
         with pytest.raises((EncodingError, ValueError)):
-            encoder.encode(ts)
+            WindowEncoder(substrate.equations).encode(ts)

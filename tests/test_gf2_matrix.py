@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gf2.bitvec import BitVector
-from repro.gf2.matrix import GF2Matrix, identity, vandermonde_rows, zeros
+from repro.gf2.matrix import GF2Matrix, identity, zeros
 
 
 def random_matrix_strategy(max_dim=8):
@@ -82,10 +82,6 @@ class TestAccess:
         with pytest.raises(IndexError):
             _ = mat[2, 0]
 
-    def test_column_masks_matches_transpose(self):
-        mat = GF2Matrix.from_rows([[1, 0, 1], [1, 1, 0]])
-        assert mat.column_masks() == mat.transpose().row_masks()
-
     def test_density_and_weight(self):
         mat = GF2Matrix.from_rows([[1, 0], [1, 1]])
         assert mat.total_weight() == 3
@@ -136,35 +132,6 @@ class TestAlgebra:
         mat = GF2Matrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
         assert mat.rank() == 2  # third row is the sum of the first two
 
-    def test_inverse_roundtrip(self):
-        mat = GF2Matrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-        inv = mat.inverse()
-        assert mat @ inv == identity(3)
-        assert inv @ mat == identity(3)
-
-    def test_inverse_singular_rejected(self):
-        mat = GF2Matrix.from_rows([[1, 1], [1, 1]])
-        assert not mat.is_invertible()
-        with pytest.raises(ValueError):
-            mat.inverse()
-
-    def test_kernel_basis(self):
-        mat = GF2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-        basis = mat.kernel_basis()
-        assert len(basis) == 1
-        for vec in basis:
-            assert mat.mul_vector(vec).is_zero()
-
-    def test_kernel_of_full_rank_square_is_empty(self):
-        assert identity(4).kernel_basis() == []
-
-    def test_vandermonde_rows(self):
-        mat = GF2Matrix.from_rows([[0, 1], [1, 1]])
-        powers = vandermonde_rows(mat, 4)
-        assert powers[0] == identity(2)
-        assert powers[2] == mat @ mat
-        assert powers[3] == mat.power(3)
-
 
 # ----------------------------------------------------------------------
 # Property-based tests
@@ -180,31 +147,10 @@ def test_power_matches_repeated_matmul(mat):
 
 @settings(max_examples=40, deadline=None)
 @given(square_matrix_strategy())
-def test_transpose_involution(mat):
-    assert mat.transpose().transpose() == mat
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_matrix_strategy())
 def test_rank_bounded_and_transpose_invariant(mat):
     r = mat.rank()
     assert 0 <= r <= mat.ncols
-    assert mat.transpose().rank() == r
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_matrix_strategy())
-def test_kernel_dimension_plus_rank_is_n(mat):
-    assert mat.rank() + len(mat.kernel_basis()) == mat.ncols
-    for vec in mat.kernel_basis():
-        assert mat.mul_vector(vec).is_zero()
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_matrix_strategy())
-def test_inverse_property_when_invertible(mat):
-    if mat.is_invertible():
-        assert mat @ mat.inverse() == identity(mat.ncols)
+    assert GF2Matrix.from_columns(mat.to_lists()).rank() == r
 
 
 @settings(max_examples=30, deadline=None)

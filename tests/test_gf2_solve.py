@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import GF2Matrix
-from repro.gf2.solve import Equation, IncrementalSolver, SolveOutcome, gaussian_solve
+from repro.gf2.solve import Equation, IncrementalSolver, SolveOutcome
 
 
 def _pack(coeff_bits):
@@ -20,6 +20,26 @@ def _pack(coeff_bits):
 def eq(coeff_bits, rhs):
     """Shorthand for an Equation from a coefficient string (char i = var i)."""
     return Equation(_pack(coeff_bits), rhs)
+
+
+def add_equations(solver, equations):
+    """Try a batch and, if consistent, commit it."""
+    trial = solver.try_equations(equations)
+    if trial.consistent:
+        solver.commit(trial)
+    return trial
+
+
+def rank(solver):
+    """Pinned (pivot) variables of the committed system."""
+    return solver.pivot_mask.bit_count()
+
+
+def satisfies(solution, equations):
+    """True when ``solution`` satisfies every equation."""
+    return all(
+        ((e.coeffs & solution.value).bit_count() & 1) == e.rhs for e in equations
+    )
 
 
 class TestEquation:
@@ -41,7 +61,8 @@ class TestIncrementalSolver:
     def test_simple_consistent_system(self):
         solver = IncrementalSolver(3)
         # x0 ^ x1 = 1, x1 = 1, x2 = 0
-        trial = solver.add_equations(
+        trial = add_equations(
+            solver,
             [eq("110", 1), eq("010", 1), eq("001", 0)]
         )
         assert trial.consistent
@@ -50,7 +71,7 @@ class TestIncrementalSolver:
 
     def test_inconsistent_system_detected(self):
         solver = IncrementalSolver(2)
-        assert solver.add_equations([eq("10", 1)]).consistent
+        assert add_equations(solver, [eq("10", 1)]).consistent
         trial = solver.try_equations([eq("10", 0)])
         assert trial.outcome is SolveOutcome.INCONSISTENT
 
@@ -58,13 +79,13 @@ class TestIncrementalSolver:
         solver = IncrementalSolver(3)
         trial = solver.try_equations([eq("100", 1)])
         assert trial.consistent
-        assert solver.rank == 0
+        assert rank(solver) == 0
         solver.commit(trial)
-        assert solver.rank == 1
+        assert rank(solver) == 1
 
     def test_new_pivot_counting(self):
         solver = IncrementalSolver(4)
-        solver.add_equations([eq("1000", 1)])
+        add_equations(solver, [eq("1000", 1)])
         trial = solver.try_equations([eq("1100", 0), eq("0010", 1)])
         # x0 already pinned, so the batch pins x1 and x2 -> 2 new pivots.
         assert trial.consistent
@@ -72,14 +93,14 @@ class TestIncrementalSolver:
 
     def test_redundant_equation_adds_no_pivot(self):
         solver = IncrementalSolver(3)
-        solver.add_equations([eq("110", 1), eq("011", 0)])
+        add_equations(solver, [eq("110", 1), eq("011", 0)])
         trial = solver.try_equations([eq("101", 1)])  # sum of the two
         assert trial.consistent
         assert trial.new_pivots == 0
 
     def test_free_variable_fill(self):
         solver = IncrementalSolver(4)
-        solver.add_equations([eq("1000", 1)])
+        add_equations(solver, [eq("1000", 1)])
         zeros_fill = solver.solution(free_fill=[0])
         ones_fill = solver.solution(free_fill=[1])
         assert zeros_fill[0] == 1 and ones_fill[0] == 1
@@ -89,10 +110,10 @@ class TestIncrementalSolver:
     def test_solution_satisfies_committed_equations(self):
         equations = [eq("1101", 1), eq("0110", 0), eq("0011", 1), eq("1000", 0)]
         solver = IncrementalSolver(4)
-        trial = solver.add_equations(equations)
+        trial = add_equations(solver, equations)
         assert trial.consistent
         solution = solver.solution(free_fill=[1, 0, 1])
-        assert solver.check_solution(solution, equations)
+        assert satisfies(solution, equations)
 
     def test_commit_inconsistent_rejected(self):
         solver = IncrementalSolver(2)
@@ -102,24 +123,22 @@ class TestIncrementalSolver:
 
     def test_copy_is_independent(self):
         solver = IncrementalSolver(3)
-        solver.add_equations([eq("100", 1)])
+        add_equations(solver, [eq("100", 1)])
         clone = solver.copy()
-        clone.add_equations([eq("010", 1)])
-        assert solver.rank == 1
-        assert clone.rank == 2
+        add_equations(clone, [eq("010", 1)])
+        assert rank(solver) == 1
+        assert rank(clone) == 2
 
     def test_rank_and_free_variables(self):
         solver = IncrementalSolver(5)
-        solver.add_equations([eq("10000", 0), eq("01000", 1)])
-        assert solver.rank == 2
-        assert solver.free_variables == 3
-        assert solver.pivot_columns() == [0, 1]
-        assert solver.is_determined(0)
-        assert not solver.is_determined(4)
+        add_equations(solver, [eq("10000", 0), eq("01000", 1)])
+        assert rank(solver) == 2
+        assert 5 - rank(solver) == 3  # free variables
+        assert solver.pivot_mask == 0b00011  # x0 and x1 pinned, x4 free
 
     def test_try_masks_matches_try_equations(self):
         solver = IncrementalSolver(4)
-        solver.add_equations([eq("1100", 1)])
+        add_equations(solver, [eq("1100", 1)])
         eqs = [eq("0110", 1), eq("0011", 0)]
         masks = [(e.coeffs, e.rhs) for e in eqs]
         t1 = solver.try_equations(eqs)
@@ -131,14 +150,15 @@ class TestIncrementalSolver:
 class TestGaussianSolve:
     def test_solves_invertible_system(self):
         equations = [eq("110", 1), eq("011", 1), eq("001", 1)]
-        solution = gaussian_solve(equations, 3)
-        assert solution is not None
+        solver = IncrementalSolver(3)
+        assert add_equations(solver, equations).consistent
+        solution = solver.solution()
         for e in equations:
             assert (BitVector(3, e.coeffs) & solution).weight() % 2 == e.rhs
 
     def test_returns_none_for_inconsistent(self):
         equations = [eq("110", 1), eq("110", 0)]
-        assert gaussian_solve(equations, 3) is None
+        assert not add_equations(IncrementalSolver(3), equations).consistent
 
 
 # ----------------------------------------------------------------------
@@ -164,10 +184,10 @@ def test_random_satisfiable_systems(num_vars, data):
         coeffs = BitVector.from_bits(coeff_bits)
         equations.append(Equation(coeffs.value, coeffs.dot(secret)))
     solver = IncrementalSolver(num_vars)
-    trial = solver.add_equations(equations)
+    trial = add_equations(solver, equations)
     assert trial.consistent
     solution = solver.solution()
-    assert solver.check_solution(solution, equations)
+    assert satisfies(solution, equations)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,8 +205,8 @@ def test_incremental_matches_batch_rank(num_vars, data):
     solver = IncrementalSolver(num_vars)
     for row in rows:
         coeffs = BitVector.from_bits(row)
-        solver.add_equations([Equation(coeffs.value, 0)])  # rhs 0: always consistent
-    assert solver.rank == GF2Matrix.from_rows(rows).rank()
+        add_equations(solver, [Equation(coeffs.value, 0)])  # rhs 0: always consistent
+    assert rank(solver) == GF2Matrix.from_rows(rows).rank()
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,7 +224,7 @@ def test_new_pivots_equals_rank_increase(num_vars, data):
         )
         coeffs = BitVector.from_bits(coeff_bits)
         equation = Equation(coeffs.value, coeffs.dot(secret))
-        before = solver.rank
+        before = rank(solver)
         trial = solver.try_equations([equation])
         solver.commit(trial)
-        assert solver.rank - before == trial.new_pivots
+        assert rank(solver) - before == trial.new_pivots

@@ -7,20 +7,16 @@ symbolic state table and the k = 2 State Skip relations).
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfsr_fixtures import paper_example_matrix, symbolic_states
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import identity
-from repro.gf2.polynomial import GF2Polynomial
+from repro.gf2.polynomial import GF2Polynomial, _prime_divisors
 from repro.gf2.primitive import primitive_polynomial
+from repro.lfsr.lfsr import LFSR
 from repro.lfsr.transition import (
     TransitionPowerCache,
-    characteristic_order,
-    expand_states,
     fibonacci_transition_matrix,
-    galois_transition_matrix,
-    output_sequence,
-    paper_example_matrix,
     state_skip_expressions,
-    symbolic_states,
     transition_power,
 )
 
@@ -103,8 +99,8 @@ class TestPaperExample:
         # state of the normal-mode sequence.
         A = paper_example_matrix()
         seed = bits("1011")
-        normal = expand_states(A, seed, 8)
-        skip = expand_states(state_skip_expressions(A, 2), seed, 4)
+        normal = LFSR(A, seed).run(8)
+        skip = LFSR(state_skip_expressions(A, 2), seed).run(4)
         assert skip == normal[::2]
 
 
@@ -119,32 +115,17 @@ class TestConstructors:
         # Feedback: taps at x^1 and x^0 -> cells 1 and 0
         assert set(A.row(3).support()) == {0, 1}
 
-    def test_galois_structure(self):
-        poly = GF2Polynomial.from_exponents([4, 1, 0])
-        A = galois_transition_matrix(poly)
-        assert A.row(0).support() == [3]  # wrap-around
-        assert set(A.row(1).support()) == {0, 3}  # tap at x^1
-        assert A.row(2).support() == [1]
-        assert A.row(3).support() == [2]
-
     def test_rejects_degree_below_two(self):
         with pytest.raises(ValueError):
             fibonacci_transition_matrix(GF2Polynomial.from_exponents([1, 0]))
 
     def test_rejects_missing_constant_term(self):
         with pytest.raises(ValueError):
-            galois_transition_matrix(GF2Polynomial.from_exponents([4, 1]))
-
-    def test_both_forms_share_characteristic_order(self):
-        poly = primitive_polynomial(5)
-        fib = fibonacci_transition_matrix(poly)
-        gal = galois_transition_matrix(poly)
-        assert characteristic_order(fib) == characteristic_order(gal) == 31
+            fibonacci_transition_matrix(GF2Polynomial.from_exponents([4, 1]))
 
     def test_transition_matrices_are_invertible(self):
         poly = primitive_polynomial(8)
-        assert fibonacci_transition_matrix(poly).is_invertible()
-        assert galois_transition_matrix(poly).is_invertible()
+        assert fibonacci_transition_matrix(poly).rank() == 8
 
 
 class TestSymbolicAndSequences:
@@ -167,33 +148,15 @@ class TestSymbolicAndSequences:
         with pytest.raises(ValueError):
             state_skip_expressions(paper_example_matrix(), 0)
 
-    def test_output_sequence_matches_states(self):
-        A = fibonacci_transition_matrix(primitive_polynomial(4))
-        seed = bits("1000")
-        seq = output_sequence(A, seed, 10, cell=0)
-        states = expand_states(A, seed, 10)
-        assert seq == [s[0] for s in states]
-
-    def test_output_sequence_validation(self):
-        A = paper_example_matrix()
-        with pytest.raises(ValueError):
-            output_sequence(A, bits("10"), 4)
-        with pytest.raises(IndexError):
-            output_sequence(A, bits("1000"), 4, cell=7)
-
-    def test_expand_states_length_check(self):
-        with pytest.raises(ValueError):
-            expand_states(paper_example_matrix(), bits("10101"), 3)
-
     def test_characteristic_order_of_primitive_polynomials(self):
+        # The order of A is 2^n - 1: A^(2^n - 1) = I, and no proper divisor
+        # (2^n - 1) / q of it, q prime, is an exponent that gives I.
         for degree in (3, 4, 5, 6, 7):
             A = fibonacci_transition_matrix(primitive_polynomial(degree))
-            assert characteristic_order(A) == (1 << degree) - 1
-
-    def test_characteristic_order_limit(self):
-        A = fibonacci_transition_matrix(primitive_polynomial(6))
-        with pytest.raises(ValueError):
-            characteristic_order(A, limit=5)
+            period = (1 << degree) - 1
+            assert A.power(period) == identity(degree)
+            for q in _prime_divisors(period):
+                assert A.power(period // q) != identity(degree)
 
 
 # ----------------------------------------------------------------------
@@ -222,4 +185,4 @@ def test_state_skip_equivalence_property(degree, k, seed_value):
 @given(st.integers(min_value=3, max_value=9), st.integers(min_value=2, max_value=12))
 def test_skip_matrix_is_invertible(degree, k):
     A = fibonacci_transition_matrix(primitive_polynomial(degree))
-    assert state_skip_expressions(A, k).is_invertible()
+    assert state_skip_expressions(A, k).rank() == degree

@@ -14,14 +14,14 @@ import random
 
 from hypothesis import assume, given, settings
 
+from circuit_library import carry_ripple_adder, parity_tree
 from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, SOLVER_SPACE, drawn_test_set
 from repro.circuits.atpg import generate_test_set_for_netlist
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
-from repro.circuits.library import carry_ripple_adder, parity_tree
 from repro.circuits.simulator import simulate_parallel
-from repro.encoding.encoder import ReseedingEncoder
-from repro.encoding.window import EncodingError
+from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
+from repro.encoding.window import EncodingError, WindowEncoder
 from repro.gf2 import solve
 from repro.gf2.solve import Equation, IncrementalSolver
 from repro.testdata.profiles import get_profile
@@ -37,13 +37,11 @@ def _encode_both(test_set, num_chains, lfsr_size, window_length):
     A side that cannot encode the test set yields ``None``.
     """
     results = []
+    key = SubstrateKey(test_set.num_cells, num_chains, lfsr_size, window_length)
     for batch_trials in (True, False):
-        encoder = ReseedingEncoder(
-            num_cells=test_set.num_cells,
-            num_scan_chains=num_chains,
-            lfsr_size=lfsr_size,
-            window_length=window_length,
-            batch_trials=batch_trials,
+        # A fresh substrate per side: no equation cache is shared.
+        encoder = WindowEncoder(
+            EncoderSubstrate(key).equations, batch_trials=batch_trials
         )
         try:
             results.append(encoder.encode(test_set))
@@ -180,14 +178,24 @@ def test_drop_batch_differential(seed, num_inputs, num_gates, patterns):
 # ----------------------------------------------------------------------
 # Solver: batched position trials vs sequential trials
 # ----------------------------------------------------------------------
+def _add_equations(solver, equations):
+    """Commit a batch of equations if it is consistent."""
+    trial = solver.try_equations(equations)
+    if trial.consistent:
+        solver.commit(trial)
+
+
 def test_try_positions_matches_sequential_trials():
     rng = random.Random(77)
     for _ in range(40):
         n = rng.randint(2, 130)
         solver = IncrementalSolver(n)
-        solver.add_equations(
-            Equation(rng.getrandbits(n), rng.getrandbits(1))
-            for _ in range(rng.randint(0, n))
+        _add_equations(
+            solver,
+            [
+                Equation(rng.getrandbits(n), rng.getrandbits(1))
+                for _ in range(rng.randint(0, n))
+            ],
         )
         rows_each = rng.randint(1, 10)
         batches = [
@@ -207,7 +215,7 @@ def test_try_positions_matches_sequential_trials():
                 left, right = solver.copy(), solver.copy()
                 left.commit(seq)
                 right.commit(bat)
-                assert left.pivot_columns() == right.pivot_columns()
+                assert sorted(left._pivots) == sorted(right._pivots)
                 assert left.solution().value == right.solution().value
 
 
@@ -267,8 +275,9 @@ def test_solver_packed_differential(
     rank = max(0, n - free_columns)
     pinned = range(rank) if rng.getrandbits(1) else rng.sample(range(n), rank)
     for column in pinned:
-        solver.add_equations(
-            [Equation((1 << column) | rng.getrandbits(column), rng.getrandbits(1))]
+        _add_equations(
+            solver,
+            [Equation((1 << column) | rng.getrandbits(column), rng.getrandbits(1))],
         )
     basis_rows = list(solver._pivots.values())
     candidates = -(-solve._BATCH_MIN_ROWS // rows_each) + extra_candidates

@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.config import CompressionConfig
 from repro.encoding.window import EncodingError
-from repro.pipeline import CompressionReport, compress, compress_profile
+from repro.pipeline import compress, compress_profile
 from repro.reporting import (
     comparison_row,
     format_table,
@@ -80,13 +80,11 @@ class TestConfig:
     def test_presets_and_updates(self):
         soc = CompressionConfig.paper_soc()
         assert (soc.window_length, soc.segment_size, soc.speedup) == (200, 10, 10)
-        fast = CompressionConfig.fast()
-        assert fast.window_length < soc.window_length
-        shrunk = soc.with_window(8)
-        assert shrunk.window_length == 8
-        assert shrunk.segment_size <= 8
         updated = soc.with_updates(speedup=24)
         assert updated.speedup == 24
+        assert soc.speedup == 10  # frozen: updates return a copy
+        with pytest.raises(ValueError):
+            soc.with_updates(window_length=8)  # S = 10 no longer fits
 
 
 class TestPipeline:
@@ -129,7 +127,7 @@ class TestPipeline:
         )
         report = compress_profile(profile, config, scale=0.05, seed=2)
         assert report.encoding.lfsr_size == profile.lfsr_size
-        assert report.encoding.all_cubes_encoded()
+        assert len(report.encoding.cube_assignment()) == report.encoding.num_cubes
         assert report.state_skip_tsl <= report.window_tsl
 
     def test_lazy_top_level_exports(self):
@@ -146,21 +144,22 @@ class TestPipeline:
             num_scan_chains=8, lfsr_size=16,
         )
         report = compress(test_set, config, verify=True, simulate=True)
-        blob = json.dumps(report.to_dict())  # must be JSON-safe
-        clone = CompressionReport.from_dict(json.loads(blob))
-        assert clone.summary() == report.summary()
-        assert clone.hardware.breakdown() == report.hardware.breakdown()
-        assert clone.config == report.config
-        assert clone.encoding.seed_vectors() == report.encoding.seed_vectors()
-        assert clone.encoding.cube_assignment() == report.encoding.cube_assignment()
-        assert (
-            clone.reduction.test_sequence_length
-            == report.reduction.test_sequence_length
+        data = report.to_dict()
+        assert json.loads(json.dumps(data)) == data  # JSON-safe, loss-free
+        assert data["summary"] == report.summary()
+        assert data["config"] == report.config.to_dict()
+        assert data["hardware"] == report.hardware.to_dict()
+        assert [entry["seed"] for entry in data["encoding"]["seeds"]] == [
+            record.seed.to_string() for record in report.encoding.seeds
+        ]
+        assert data["reduction"]["original_tsl"] == report.window_tsl
+        assert data["simulation"]["vectors_applied"] == (
+            report.simulation.vectors_applied
         )
-        assert clone.reduction.num_useful_segments \
-            == report.reduction.num_useful_segments
-        assert clone.simulation.vectors_applied == report.simulation.vectors_applied
-        assert clone.simulation.group_sizes == report.simulation.group_sizes
+        assert data["simulation"]["group_sizes"] == {
+            str(count): size
+            for count, size in report.simulation.group_sizes.items()
+        }
 
     def test_test_set_fingerprint_tracks_content(self, small_profile):
         first = generate_test_set(small_profile, seed=3)
@@ -172,26 +171,39 @@ class TestPipeline:
         assert renamed.fingerprint() != first.fingerprint()
 
     def test_encode_retry_exhaustion_is_descriptive(self, monkeypatch):
-        from repro.encoding.encoder import ReseedingEncoder, encode_test_set
+        from repro.context import CompressionContext
+        from repro.encoding.encoder import encode_with_retries
+        from repro.encoding.substrate import EncoderSubstrate
+        from repro.encoding.window import WindowEncoder
 
         phase_seeds = []
 
         def always_conflicts(self, test_set):
-            phase_seeds.append(self.substrate.key.phase_seed)
             raise EncodingError("synthetic hard conflict")
 
-        monkeypatch.setattr(ReseedingEncoder, "encode", always_conflicts)
+        real_substrate = CompressionContext.substrate
+
+        def recorded_substrate(self, key):
+            phase_seeds.append(key.phase_seed)
+            return real_substrate(self, key)
+
+        def fresh_substrate(key):
+            phase_seeds.append(key.phase_seed)
+            return EncoderSubstrate(key)
+
+        monkeypatch.setattr(WindowEncoder, "encode", always_conflicts)
+        monkeypatch.setattr(CompressionContext, "substrate", recorded_substrate)
         test_set = TestSet("retry_unit", [TestCube.from_string("11XX")])
         config = CompressionConfig(
             window_length=4, segment_size=2, speedup=2,
             num_scan_chains=2, lfsr_size=8, max_phase_retries=2,
         )
-        # The pipeline and the one-call encoder share one retry loop.
+        # The pipeline and a direct call share one retry loop.
         entry_points = [
             lambda: compress(test_set, config),
-            lambda: encode_test_set(
-                test_set, window_length=4, num_scan_chains=2, lfsr_size=8,
-                max_phase_retries=2,
+            lambda: encode_with_retries(
+                test_set, fresh_substrate, num_scan_chains=2, lfsr_size=8,
+                window_length=4, max_phase_retries=2,
             ),
         ]
         for run in entry_points:

@@ -30,7 +30,7 @@ class TestScanArchitecture:
         for cell in range(100):
             chain = arch.chain_of(cell)
             depth = arch.depth_of(cell)
-            assert arch.cell_at(chain, depth) == cell
+            assert depth * arch.num_chains + chain == cell
 
     def test_load_cycle_convention(self):
         arch = ScanArchitecture(num_cells=64, num_chains=8)
@@ -65,15 +65,17 @@ class TestScanArchitecture:
         with pytest.raises(IndexError):
             arch.chain_of(10)
         with pytest.raises(IndexError):
-            arch.cell_at(5, 0)
+            arch.depth_of(-1)
         with pytest.raises(IndexError):
-            arch.cell_at(0, 99)
+            arch.load_cycle(99)
 
     def test_padding_slot_rejected(self):
         arch = ScanArchitecture(num_cells=10, num_chains=3)
-        # 10 cells over 3 chains -> r = 4, padding slots exist at depth 3.
-        with pytest.raises(IndexError):
-            arch.cell_at(2, 3)
+        # 10 cells over 3 chains -> r = 4, padding slots exist at depth 3:
+        # no cell maps to chain 2, depth 3.
+        assert arch.chain_length == 4
+        slots = {(arch.chain_of(c), arch.depth_of(c)) for c in range(10)}
+        assert (2, 3) not in slots
 
 
 @settings(max_examples=60, deadline=None)

@@ -33,19 +33,18 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from circuit_library import builtin_circuits
 from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, SEEDS, drawn_test_set
 from repro import pipeline
 from repro.circuits import simulator
 from repro.circuits.atpg import PodemAtpg
 from repro.circuits.faults import collapse_faults
 from repro.circuits.generator import random_netlist
-from repro.circuits.library import builtin_circuits
 from repro.circuits.simulator import (
     simulate,
     simulate_ternary,
     simulate_ternary_reference,
 )
-from repro.circuits.ternary import ternary_state_to_dict
 from repro.config import CompressionConfig
 from repro.context import CompressionContext
 from repro.decompressor.architecture import (
@@ -64,6 +63,7 @@ from repro.skip.selection import (
 from repro.testdata.cube import TestCube
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
+from ternary_adapters import seed_ternary_inputs, ternary_state_to_dict
 
 
 def _random_assignment(rng, netlist, specified_fraction):
@@ -166,12 +166,7 @@ class TestEventEngineGolden:
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_random_assign_undo_walk_matches_full_eval(self, seed):
-        from repro.circuits.ternary import (
-            TernaryEventEngine,
-            eval_ternary,
-            packed_plan,
-            seed_ternary_inputs,
-        )
+        from repro.circuits.ternary import TernaryEventEngine, eval_ternary, packed_plan
 
         rng = random.Random(seed)
         netlist = random_netlist(
@@ -189,12 +184,12 @@ class TestEventEngineGolden:
             if action < 0.6 or not tokens:
                 net = rng.choice(netlist.inputs)
                 bit = rng.getrandbits(1)
-                tokens.append((net, assignment.get(net), engine.checkpoint()))
-                engine.assign(plan.index[net], bit)
+                token = engine.assign(plan.index[net], bit)
+                tokens.append((net, assignment.get(net), token))
                 assignment[net] = bit
             else:
                 net, previous, token = tokens.pop()
-                engine.undo(token)
+                engine.rewind(token)
                 if previous is None:
                     assignment.pop(net, None)
                 else:
@@ -251,12 +246,7 @@ class TestEventEngineGolden:
         after every step.  Odd seeds use the 2-bit mask (the table-driven
         propagation), even seeds a wider mask (the generic fused loop).
         """
-        from repro.circuits.ternary import (
-            TernaryEventEngine,
-            eval_ternary,
-            packed_plan,
-            seed_ternary_inputs,
-        )
+        from repro.circuits.ternary import TernaryEventEngine, eval_ternary, packed_plan
 
         netlist = random_netlist(f"walk{seed}", num_inputs, num_gates, seed=seed)
         plan = packed_plan(netlist)
@@ -286,12 +276,12 @@ class TestEventEngineGolden:
             elif action < 0.75 or not undo_stack:
                 net = rng.choice(netlist.inputs)
                 bit = rng.getrandbits(1)
-                undo_stack.append((net, assignment.get(net), engine.checkpoint()))
-                engine.assign(plan.index[net], bit)
+                token = engine.assign(plan.index[net], bit)
+                undo_stack.append((net, assignment.get(net), token))
                 assignment[net] = bit
             else:
                 net, previous, token = undo_stack.pop()
-                engine.undo(token)
+                engine.rewind(token)
                 if previous is None:
                     assignment.pop(net, None)
                 else:

@@ -52,20 +52,11 @@ class TestConstruction:
 
 
 class TestRelations:
-    def test_compatible_and_merge(self):
-        a = TestCube.from_string("1X0X")
-        b = TestCube.from_string("XX01")
-        assert a.compatible(b)
-        merged = a.merge(b)
-        assert merged.to_string() == "1X01"
-
     def test_incompatible(self):
         a = TestCube.from_string("1X")
         b = TestCube.from_string("0X")
         assert not a.compatible(b)
-        assert a.conflicts(b) == [0]
-        with pytest.raises(ValueError):
-            a.merge(b)
+        assert a.compatible(TestCube.from_string("X0"))
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -93,19 +84,6 @@ class TestRelations:
 
 
 class TestTransformation:
-    def test_with_bit(self):
-        cube = TestCube.from_string("XXX")
-        cube2 = cube.with_bit(1, 1)
-        assert cube2.to_string() == "X1X"
-        assert cube.to_string() == "XXX"  # original unchanged
-
-    def test_with_bit_validation(self):
-        cube = TestCube.from_string("XX")
-        with pytest.raises(IndexError):
-            cube.with_bit(5, 1)
-        with pytest.raises(ValueError):
-            cube.with_bit(0, 3)
-
     def test_fill(self):
         cube = TestCube.from_string("1X0X")
         filled = cube.fill(0b1111)
@@ -141,21 +119,6 @@ def test_roundtrip_property(text):
 def test_fill_always_matches(text, fill_bits):
     cube = TestCube.from_string(text)
     assert cube.matches_vector(cube.fill(fill_bits))
-
-
-@given(cube_strings, cube_strings)
-@settings(max_examples=80)
-def test_merge_contains_both(a_text, b_text):
-    n = min(len(a_text), len(b_text))
-    a = TestCube.from_string(a_text[:n])
-    b = TestCube.from_string(b_text[:n])
-    if a.compatible(b):
-        merged = a.merge(b)
-        assert merged.contains(a)
-        assert merged.contains(b)
-        assert merged.specified_count() <= a.specified_count() + b.specified_count()
-    else:
-        assert len(a.conflicts(b)) >= 1
 
 
 @given(cube_strings)

@@ -93,20 +93,6 @@ class TestTestSet:
         counts = [c.specified_count() for c in ordered]
         assert counts == sorted(counts, reverse=True)
 
-    def test_compacted_covers_all_cubes(self):
-        ts = small_set()
-        compacted = ts.compacted()
-        assert len(compacted) <= len(ts)
-        # Every original cube must be contained in some compacted cube.
-        for cube in ts:
-            assert any(merged.contains(cube) for merged in compacted)
-
-    def test_subset(self):
-        assert len(small_set().subset(2)) == 2
-        assert len(small_set().subset(100)) == 4
-        with pytest.raises(ValueError):
-            small_set().subset(0)
-
     def test_coverage_checks(self):
         ts = small_set()
         # Vector 0b1001: bit0=1, bit1=0, bit2=0, bit3=1
@@ -160,7 +146,6 @@ class TestProfiles:
             assert profile.lfsr_size == literature.TABLE1[name]["lfsr"]
             assert profile.max_specified <= profile.lfsr_size
             assert profile.scan_chains == 32
-            assert profile.chain_length == -(-profile.scan_cells // 32)
 
     def test_get_profile_unknown(self):
         with pytest.raises(KeyError):
