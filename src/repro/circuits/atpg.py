@@ -25,9 +25,12 @@ Three engines drive the loop, selected by ``engine=``:
   (:class:`~repro.circuits.ternary.TernaryEventEngine`): each targeted
   fault re-forces its overlay onto the live baseline and releases it when
   done (no per-fault rebuild), each decision assigns one primary input and
-  re-evaluates only that input's fanout cone through per-level bucket
-  queues, and each backtrack rewinds an undo log -- O(changed cone) per
-  decision node instead of O(netlist);
+  re-evaluates only the part of that input's fanout cone that lies in the
+  fault's region (the fanin closure of the fault's fanout cone, the only
+  nets PODEM reads; the engine fences every other row), and each backtrack
+  rewinds an undo log -- O(changed cone) per decision node instead of
+  O(netlist).  Outside the region the engine state goes stale, which no
+  decision can see;
 * ``engine="packed"`` selects the **packed full-pass** oracle, which
   evaluates the good and the faulty machine together in one
   2-bit-per-net pass of the two-word ternary core
@@ -124,11 +127,6 @@ class PodemAtpg:
         self._engine_name = check_engine(engine)
         self._fanout = netlist.fanout()
         self._plan: PackedPlan = packed_plan(netlist)
-        # Gate row lookup by output index for the packed backtrace.
-        self._row_by_output = {
-            output: (inputs, inverting)
-            for output, _op, inputs, inverting in self._plan.rows
-        }
         # One event engine serves every targeted fault: after each fault the
         # undo log rewinds it to the empty-assignment checkpoint and the
         # next fault's overlay is re-forced (see _event_engine), so the two
@@ -149,9 +147,6 @@ class PodemAtpg:
         # _sync_state so the detected check is one truthiness test instead
         # of a scan over every output per decision node.
         self._diff_outputs: Set[int] = set()
-        self._is_output = bytearray(self._plan.num_nets)
-        for index in self._plan.output_indices:
-            self._is_output[index] = 1
 
     # ------------------------------------------------------------------
     # Public API
@@ -641,9 +636,11 @@ class PodemAtpg:
     ) -> Tuple[str, int]:
         """Map an objective back to an unassigned primary input (by name)."""
         net, value = objective
+        rows = self._plan.rows
         num_inputs = self._plan.num_inputs
         while net >= num_inputs:
-            inputs, inverting = self._row_by_output[net]
+            # Gate nets follow the inputs in row order.
+            _output, _op, inputs, inverting = rows[net - num_inputs]
             if inverting:
                 value = 1 - value
             # Choose an input with unknown good value to continue the trace.
@@ -698,14 +695,17 @@ class PodemAtpg:
         node; here the engine state persists across the recursion, every
         input assignment updates only that input's fanout cone through the
         per-level bucket queues, and backtracking rewinds the undo log --
-        O(changed cone) per decision instead of O(netlist).  ``_diff`` (the
-        nets currently carrying the fault difference) and ``_frontier_rows``
-        (the rows reading at least one of them) are kept in sync from the
-        nets each update touched, so the X-path check reads the set and the
-        objective search reads a maintained D-frontier instead of rescanning
-        every net or plan row.  The status check, objective search and
-        backtrace read the same two-word state, so all three engines take
-        identical decisions node for node.
+        O(changed cone) per decision instead of O(netlist).  The engine is
+        fenced to the fault's region, so the cone is cut to the rows PODEM
+        can read: every net read below is a region net, exact as in the
+        packed engine's full pass.  ``_diff`` (the nets currently carrying
+        the fault difference) and ``_frontier_rows`` (the rows reading at
+        least one of them) are kept in sync from the nets each update
+        touched, so the X-path check reads the set and the objective search
+        reads a maintained D-frontier instead of rescanning every net or
+        plan row.  The status check, objective search and backtrace read
+        the same two-word state, so all three engines take identical
+        decisions node for node.
         """
         values, cares = engine.values, engine.cares
         status = self._evaluate_events(fault, values, cares, self._diff)
@@ -754,7 +754,7 @@ class PodemAtpg:
         counts = self._diff_in_count
         frontier = self._frontier_rows
         reader_rows = self._plan.reader_rows
-        is_output = self._is_output
+        is_output = self._plan.is_output
         diff_outputs = self._diff_outputs
         for entry in touched:
             index = entry[0]
@@ -793,7 +793,7 @@ class PodemAtpg:
         counts = self._diff_in_count
         frontier = self._frontier_rows
         reader_rows = self._plan.reader_rows
-        is_output = self._is_output
+        is_output = self._plan.is_output
         diff_outputs = self._diff_outputs
         for index, value, care in reversed(entries):
             if care & _BOTH == _BOTH and (value ^ (value >> 1)) & 1:
@@ -861,7 +861,7 @@ class PodemAtpg:
             return True
         plan = self._plan
         fanout = plan.fanout
-        is_output = self._is_output
+        is_output = self._plan.is_output
         reachable: Set[int] = set()
         stack = list(diff)
         while stack:
@@ -933,9 +933,10 @@ class _PendingFills:
     Each appended fill is evaluated fault-free at 1-bit width (the same
     per-pattern cost the unbatched path pays) and OR-merged into the
     block's packed good state -- binary evaluation is bit-sliced, so the
-    merged words equal one wide evaluation of all pending patterns.  The
-    fault simulator then screens and drops against the whole block at
-    once.
+    merged words equal one wide evaluation of all pending patterns.
+    ``good_words`` lists them by plan net index, the form the fault
+    simulator's cone evaluation reads; it screens and drops against the
+    whole block at once.
     """
 
     __slots__ = ("plan", "capacity", "patterns", "good_words")
@@ -947,7 +948,7 @@ class _PendingFills:
 
     def reset(self) -> None:
         self.patterns: List[Dict[str, int]] = []
-        self.good_words: Dict[str, int] = {net: 0 for net in self.plan.nets}
+        self.good_words: List[int] = [0] * self.plan.num_nets
 
     @property
     def num_patterns(self) -> int:
@@ -960,11 +961,11 @@ class _PendingFills:
         for i in range(plan.num_inputs):
             values[i] = filled[nets[i]]
         eval_binary(plan, values, 1)
-        position = len(self.patterns)
-        good = self.good_words
-        for net, value in zip(nets, values):
-            if value:
-                good[net] |= 1 << position
+        bit = 1 << len(self.patterns)
+        self.good_words = [
+            word | bit if value else word
+            for word, value in zip(self.good_words, values)
+        ]
         self.patterns.append(filled)
 
 

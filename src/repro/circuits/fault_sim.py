@@ -13,8 +13,11 @@ Per-fault work is bounded three ways: the shared fault-free block evaluation
 is memoized and reused by every fault, a fault whose site already carries the
 stuck value under every pattern of the block is skipped outright (it cannot
 be activated), and only the gates in the fault's fanout cone are re-evaluated
--- event-driven, so propagation stops as soon as the faulty values converge
-back to the good ones.
+-- a row is skipped unless one of its inputs differs from the good block, so
+propagation stops as soon as the faulty values converge back to the good
+ones.  The cones come from the netlist's
+:class:`~repro.circuits.ternary.PackedPlan` cone table, which PODEM's engine
+shares, and the good block is a list of words in plan net order.
 
 ``engine="events"`` (the default) runs the fanout-cone propagation above;
 the ``packed`` and ``reference`` oracles keep the original dense
@@ -26,21 +29,17 @@ this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.circuits.faults import StuckAtFault, collapse_faults
 from repro.circuits.netlist import Netlist
-from repro.circuits.simulator import (
-    check_engine,
-    evaluation_plan,
-    pack_patterns,
-    simulate_parallel,
-)
+from repro.circuits.simulator import check_engine, pack_patterns
 from repro.circuits.ternary import (
     OP_AND as _OP_AND,
     OP_OR as _OP_OR,
     OP_XOR as _OP_XOR,
-    PlanRow,
+    eval_binary,
+    packed_plan,
 )
 from repro.telemetry import get_recorder
 
@@ -77,17 +76,12 @@ class FaultSimulator:
         self._netlist = netlist
         self._word_width = word_width
         self._cone = check_engine(engine) == "events"
+        self._plan = packed_plan(netlist)
         self._remaining: Set[StuckAtFault] = set(
             faults if faults is not None else collapse_faults(netlist)
         )
         self._detected: Set[StuckAtFault] = set()
         self._initial_count = len(self._remaining)
-        # Cone-evaluation state, all built lazily on the first cone query so
-        # the dense configurations pay nothing for it.
-        self._output_set: Optional[frozenset] = None
-        self._fanout: Optional[Dict[str, List[str]]] = None
-        self._cones: Dict[str, List[PlanRow]] = {}
-        self._plan_index: Optional[Dict[str, Tuple[int, PlanRow]]] = None
         # Activation-screen telemetry: plain int increments in the hot path,
         # flushed to the recorder as deltas once per block.
         self._screen_calls = 0
@@ -166,15 +160,17 @@ class FaultSimulator:
         return self.simulate_patterns(patterns, drop=drop)
 
     def detect_block(
-        self, good: Dict[str, int], num_patterns: int, drop: bool = True
+        self, good: Sequence[int], num_patterns: int, drop: bool = True
     ) -> FaultSimResult:
         """Detect remaining faults against a precomputed fault-free block.
 
-        ``good`` maps every net (primary inputs included) to its packed
-        fault-free word over ``num_patterns`` patterns -- exactly what the
-        batched ATPG fill block accumulates one pattern at a time.  Skipping
-        the redundant re-evaluation of the fault-free circuit is what makes
-        handing a whole fill block over in one call worthwhile.
+        ``good`` holds every net's packed fault-free word over
+        ``num_patterns`` patterns, indexed like ``packed_plan(netlist).nets``
+        (primary inputs first, then gate outputs in evaluation order) --
+        exactly what the batched ATPG fill block accumulates one pattern at
+        a time.  Skipping the redundant re-evaluation of the fault-free
+        circuit is what makes handing a whole fill block over in one call
+        worthwhile.
         """
         result = FaultSimResult(detected=self._detect_block(good, num_patterns))
         if drop:
@@ -184,14 +180,14 @@ class FaultSimulator:
         return result
 
     def detection_word(
-        self, good: Dict[str, int], num_patterns: int, fault: StuckAtFault
+        self, good: Sequence[int], num_patterns: int, fault: StuckAtFault
     ) -> int:
         """Detection word of one fault against a precomputed fault-free block.
 
-        A pure query: nothing is dropped.  The batched ATPG loop screens
-        each upcoming fault against the pending fills with one such call
-        (one fanout-cone evaluation over all pending patterns, instead of
-        one per fill).
+        ``good`` is indexed as in :meth:`detect_block`.  A pure query:
+        nothing is dropped.  The batched ATPG loop screens each upcoming
+        fault against the pending fills with one such call (one fanout-cone
+        evaluation over all pending patterns, instead of one per fill).
         """
         return self._detector()(good, (1 << num_patterns) - 1, fault)
 
@@ -204,7 +200,11 @@ class FaultSimulator:
         words = pack_patterns(self._netlist, block)
         # The fault-free evaluation is computed once and shared by every
         # fault of the block (each fault only overlays its fanout cone).
-        good = simulate_parallel(self._netlist, words, num_patterns)
+        plan = self._plan
+        good = [0] * plan.num_nets
+        for index, net in enumerate(self._netlist.inputs):
+            good[index] = words[net]
+        eval_binary(plan, good, (1 << num_patterns) - 1)
         detected = self._detect_block(good, num_patterns)
         self._flush_block_telemetry(num_patterns, len(detected))
         return detected
@@ -230,7 +230,7 @@ class FaultSimulator:
             self._screen_flushed_hits = self._screen_hits
 
     def _detect_block(
-        self, good: Dict[str, int], num_patterns: int
+        self, good: Sequence[int], num_patterns: int
     ) -> Dict[StuckAtFault, int]:
         mask = (1 << num_patterns) - 1
         detected: Dict[StuckAtFault, int] = {}
@@ -251,7 +251,7 @@ class FaultSimulator:
         return self._cone_diff if self._cone else self._dense_diff
 
     def _dense_diff(
-        self, good: Dict[str, int], mask: int, fault: StuckAtFault
+        self, good: Sequence[int], mask: int, fault: StuckAtFault
     ) -> int:
         """Output difference word via dense full-circuit re-evaluation.
 
@@ -261,90 +261,61 @@ class FaultSimulator:
         num_patterns = mask.bit_length()
         faulty = self._simulate_with_fault(good, num_patterns, fault)
         diff = 0
-        for net in self._netlist.outputs:
+        for net in self._plan.output_indices:
             diff |= (good[net] ^ faulty[net]) & mask
             if diff == mask:
                 break
         return diff
 
-    def _cone_plan(self, net: str) -> List[PlanRow]:
-        """Evaluation-ordered plan rows of every gate in ``net``'s fanout."""
-        cached = self._cones.get(net)
-        if cached is not None:
-            return cached
-        if self._fanout is None:
-            self._fanout = self._netlist.fanout()
-        if self._plan_index is None:
-            self._plan_index = {
-                row[0]: (position, row)
-                for position, row in enumerate(evaluation_plan(self._netlist))
-            }
-        reached: Set[str] = set()
-        stack = list(self._fanout[net])
-        while stack:
-            output = stack.pop()
-            if output in reached:
-                continue
-            reached.add(output)
-            stack.extend(self._fanout[output])
-        indexed = sorted(self._plan_index[output] for output in reached)
-        cached = [row for _, row in indexed]
-        self._cones[net] = cached
-        return cached
-
-    def _cone_diff(self, good: Dict[str, int], mask: int, fault: StuckAtFault) -> int:
+    def _cone_diff(
+        self, good: Sequence[int], mask: int, fault: StuckAtFault
+    ) -> int:
         """Output difference word of one fault, via its fanout cone only."""
+        site = self._plan.index[fault.net]
         stuck_word = mask if fault.stuck_value else 0
         self._screen_calls += 1
-        if good[fault.net] == stuck_word:
+        if good[site] == stuck_word:
             # The site never deviates from the stuck value in this block, so
             # the fault cannot be activated by any of its patterns.
             self._screen_hits += 1
             return 0
-        changed: Dict[str, int] = {fault.net: stuck_word}
-        changed_get = changed.get
-        for output, op, inputs, inverting in self._cone_plan(fault.net):
-            dirty = False
+        is_output = self._plan.is_output
+        faulty = list(good)
+        faulty[site] = stuck_word
+        changed = {site}
+        diff = stuck_word ^ good[site] if is_output[site] else 0
+        for output, op, inputs, inverting in self._plan.cone_rows(site):
             for net in inputs:
                 if net in changed:
-                    dirty = True
                     break
-            if not dirty:
+            else:
                 continue
             if op == _OP_AND:
                 result = mask
                 for net in inputs:
-                    value = changed_get(net)
-                    result &= good[net] if value is None else value
+                    result &= faulty[net]
             elif op == _OP_OR:
                 result = 0
                 for net in inputs:
-                    value = changed_get(net)
-                    result |= good[net] if value is None else value
+                    result |= faulty[net]
             elif op == _OP_XOR:
                 result = 0
                 for net in inputs:
-                    value = changed_get(net)
-                    result ^= good[net] if value is None else value
+                    result ^= faulty[net]
             else:
-                value = changed_get(inputs[0])
-                result = good[inputs[0]] if value is None else value
+                result = faulty[inputs[0]]
             if inverting:
                 result = ~result & mask
             if result != good[output]:
-                changed[output] = result
-        diff = 0
-        output_set = self._output_set
-        if output_set is None:
-            output_set = self._output_set = frozenset(self._netlist.outputs)
-        for net, value in changed.items():
-            if net in output_set:
-                diff |= value ^ good[net]
+                faulty[output] = result
+                changed.add(output)
+                if is_output[output]:
+                    diff |= result ^ good[output]
         return diff & mask
 
     def _simulate_with_fault(
-        self, words: Dict[str, int], num_patterns: int, fault: StuckAtFault
-    ) -> Dict[str, int]:
+        self, words: Sequence[int], num_patterns: int, fault: StuckAtFault
+    ) -> List[int]:
         """Dense faulty-circuit evaluation via the shared packed overlay.
 
         The stuck-at injection is the same overlay PODEM's faulty machine
@@ -352,15 +323,12 @@ class FaultSimulator:
         sites are forced before the plan runs, gate sites right after their
         row evaluates.
         """
-        from repro.circuits.ternary import eval_binary, packed_plan
-
         mask = (1 << num_patterns) - 1
         stuck_word = mask if fault.stuck_value else 0
-        plan = packed_plan(self._netlist)
+        plan = self._plan
         values = [0] * plan.num_nets
-        nets = plan.nets
         for i in range(plan.num_inputs):
-            values[i] = words[nets[i]] & mask
+            values[i] = words[i] & mask
         fault_index = plan.index[fault.net]
         if fault_index < plan.num_inputs:
             values[fault_index] = stuck_word
@@ -369,4 +337,4 @@ class FaultSimulator:
             eval_binary(
                 plan, values, mask, force_index=fault_index, force_word=stuck_word
             )
-        return dict(zip(nets, values))
+        return values

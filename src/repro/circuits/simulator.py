@@ -30,18 +30,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.circuits.netlist import Gate, GateType, Netlist
-from repro.circuits.ternary import (
-    eval_binary,
-    eval_ternary,
-    evaluation_plan,
-    packed_plan,
-)
+from repro.circuits.ternary import eval_binary, eval_ternary, packed_plan
 
 __all__ = [
     "ENGINES",
     "X",
     "check_engine",
-    "evaluation_plan",
     "pack_patterns",
     "simulate",
     "simulate_parallel",

@@ -42,16 +42,26 @@ The compiled plan (:func:`packed_plan`) indexes nets by position --
 primary inputs first, then gate outputs in evaluation order -- so the hot
 loops run on flat lists instead of name dictionaries.
 
+Every plan also carries a **cone table** (:meth:`PackedPlan.cone_rows`,
+:meth:`PackedPlan.fault_region`): per net, the rows of its fanout cone and
+its fault region, the fanin closure of that cone.  A stuck-at fault can
+only change its cone, and a test for it can only depend on its region, so
+the fault simulator evaluates cones and PODEM's engine never leaves the
+region.
+
 Besides the two batch evaluators (:func:`eval_binary`, :func:`eval_ternary`)
 the module provides :class:`TernaryEventEngine`: a persistent state that
 updates incrementally when one primary input changes, re-evaluating only the
 dirty fanout cone through per-level bucket queues and recording every
 overwrite in an undo log so a caller (PODEM's backtracking search) can
-rewind in O(changed cone).
+rewind in O(changed cone).  While a fault overlay is installed the engine is
+fenced to the fault's region.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -71,35 +81,6 @@ _OPCODE = {
     GateType.BUF: OP_BUF,
     GateType.NOT: OP_BUF,
 }
-
-#: Name-based plan rows: ``(output, opcode, inputs, inverting)`` in
-#: evaluation order (the fault simulator's fanout cones slice these).
-PlanRow = Tuple[str, int, Tuple[str, ...], bool]
-
-_PLAN_CACHE: "WeakKeyDictionary[Netlist, List[PlanRow]]" = WeakKeyDictionary()
-
-
-def evaluation_plan(netlist: Netlist) -> List[PlanRow]:
-    """The netlist's gates compiled to flat dispatch rows, cached.
-
-    Resolving gate type to an opcode + inverting flag once per netlist (and
-    not per gate visit) is what keeps every packed inner loop to a few
-    integer operations per gate.
-    """
-    plan = _PLAN_CACHE.get(netlist)
-    if plan is None:
-        plan = [
-            (
-                gate.output,
-                _OPCODE[gate.gate_type],
-                gate.inputs,
-                gate.gate_type.inverting,
-            )
-            for gate in netlist.gate_sequence()
-        ]
-        _PLAN_CACHE[netlist] = plan
-    return plan
-
 
 #: Plan rows with integer net indices: ``(output, opcode, inputs, inverting)``.
 IndexedRow = Tuple[int, int, Tuple[int, ...], bool]
@@ -197,6 +178,11 @@ TableRow = Tuple[
 ]
 
 
+def _mask_bits(mask: int, width: int) -> str:
+    """``mask`` as ``"0"``/``"1"`` characters, lowest bit first, ``width`` long."""
+    return bin(mask)[:1:-1].ljust(width, "0")
+
+
 class PackedPlan:
     """The compiled, integer-indexed evaluation plan of one netlist.
 
@@ -213,12 +199,16 @@ class PackedPlan:
         "num_inputs",
         "num_nets",
         "output_indices",
+        "is_output",
         "fanout",
         "reader_rows",
         "row_levels",
         "num_levels",
         "fused_rows",
         "_table_rows",
+        "_cone_bits",
+        "_region_bits",
+        "_cones",
     )
 
     def __init__(self, netlist: Netlist):
@@ -228,13 +218,25 @@ class PackedPlan:
         self.num_inputs = netlist.num_inputs
         self.num_nets = len(self.nets)
         index = self.index
+        # Resolving gate type to an opcode + inverting flag once per netlist
+        # (and not per gate visit) is what keeps every packed inner loop to
+        # a few integer operations per gate.
         self.rows: List[IndexedRow] = [
-            (index[output], op, tuple(index[net] for net in inputs), inverting)
-            for output, op, inputs, inverting in evaluation_plan(netlist)
+            (
+                index[gate.output],
+                _OPCODE[gate.gate_type],
+                tuple(index[net] for net in gate.inputs),
+                gate.gate_type.inverting,
+            )
+            for gate in netlist.gate_sequence()
         ]
         self.output_indices: Tuple[int, ...] = tuple(
             index[net] for net in netlist.outputs
         )
+        # Primary-output membership by net index (1 = output).
+        self.is_output = bytearray(self.num_nets)
+        for output in self.output_indices:
+            self.is_output[output] = 1
         fanout = netlist.fanout()
         self.fanout: List[Tuple[int, ...]] = [
             tuple(index[reader] for reader in fanout[net]) for net in self.nets
@@ -295,6 +297,70 @@ class PackedPlan:
         self.num_levels: int = (max(row_levels) + 1) if row_levels else 1
         self.fused_rows: List[FusedRow] = fused
         self._table_rows: Optional[List[TableRow]] = None
+        self._cone_bits: Optional[List[int]] = None
+        self._region_bits: Optional[List[int]] = None
+        self._cones: Optional[List[Optional[Tuple[IndexedRow, ...]]]] = None
+
+    def cone_rows(self, net: int) -> Tuple[IndexedRow, ...]:
+        """The rows of every gate in ``net``'s transitive fanout, in order.
+
+        These are the only rows a stuck-at fault on ``net`` can change, so
+        the fault simulator re-evaluates exactly them.  ``net``'s own row
+        is not part of its cone.  Cached per net.
+        """
+        cones = self._cones
+        if cones is None:
+            self._build_cone_table()
+            cones = self._cones
+        cone = cones[net]
+        if cone is None:
+            bits = _mask_bits(self._cone_bits[net] >> self.num_inputs, len(self.rows))
+            cone = cones[net] = tuple(compress(self.rows, map("1".__eq__, bits)))
+        return cone
+
+    def fault_region(self, net: int) -> int:
+        """``net``'s fault region, as a bit mask over net indices.
+
+        The region is the fanin closure of ``net`` and its fanout cone:
+        every net a test for a stuck-at fault on ``net`` can read.  PODEM
+        reads nothing else -- activation reads ``net``, the D-frontier
+        and the X-path walk stay in the cone, and the backtrace only
+        descends into fanins.  The region is fanin-closed, so a row whose
+        output lies in it reads only region nets; that is what lets
+        :meth:`TernaryEventEngine.reforce` fence every other row.
+        """
+        if self._region_bits is None:
+            self._build_cone_table()
+        return self._region_bits[net]
+
+    def _build_cone_table(self) -> None:
+        """Every net's cone and region bit masks, in two passes over rows.
+
+        The front-to-back pass gives each net's fanin closure.  The
+        back-to-front pass folds each row's output into the nets it reads:
+        ``cone(n)`` is the union over ``n``'s readers ``r`` of ``{r} |
+        cone(r)``, and ``region(n) = fanin(n) | union of region(r)``,
+        because the fanin closure of a union is the union of the closures.
+        Each mask takes ``num_nets`` bits.
+        """
+        rows = self.rows
+        closure = [1 << net for net in range(self.num_nets)]
+        for output, _op, inputs, _inverting in rows:
+            bits = closure[output]
+            for net in inputs:
+                bits |= closure[net]
+            closure[output] = bits
+        cones = [0] * self.num_nets
+        regions = closure  # each net's region grows from its fanin closure
+        for output, _op, inputs, _inverting in reversed(rows):
+            cone = cones[output] | (1 << output)
+            region = regions[output]
+            for net in inputs:
+                cones[net] |= cone
+                regions[net] |= region
+        self._cone_bits = cones
+        self._region_bits = regions
+        self._cones = [None] * self.num_nets
 
     def table_rows(self) -> List[TableRow]:
         """Lookup-table rows for 2-bit engines, built lazily per plan.
@@ -438,6 +504,20 @@ def eval_ternary(
 # ----------------------------------------------------------------------
 # Event-driven incremental evaluation
 # ----------------------------------------------------------------------
+#: The ``_pending`` stamp of a fenced row.  Pass numbers count up from 1 and
+#: never reach it, so the bucket loops' ``pending < stamp`` test, the same
+#: test that keeps a row from being queued twice in one pass, never queues
+#: a fenced row.
+_FENCED = sys.maxsize
+#: The stamp of each character of a :func:`_mask_bits` region string.
+_STAMP_OF_BIT = {"0": _FENCED, "1": 0}
+
+
+def _fence_stamps(rows: int, num_rows: int) -> List[int]:
+    """``_pending`` stamps fencing every row whose bit in ``rows`` is 0."""
+    return list(map(_STAMP_OF_BIT.__getitem__, _mask_bits(rows, num_rows)))
+
+
 class TernaryEventEngine:
     """Persistent packed ternary state with fanout-cone event updates.
 
@@ -451,9 +531,12 @@ class TernaryEventEngine:
     recomputed ``(value, care)`` pair equals the stored one.  A row only
     reads nets of strictly lower levels, so draining level ``L`` can only
     enqueue rows at levels ``> L``: each gate is evaluated at most once per
-    update, and the resulting state is identical to a from-scratch
-    :func:`eval_ternary` pass over the same inputs -- the
-    golden-equivalence tests pin this.
+    update.  Without an overlay installed by :meth:`reforce`, the resulting
+    state is identical to a from-scratch :func:`eval_ternary` pass over the
+    same inputs; with one, that holds inside the forced net's fault region
+    (:meth:`PackedPlan.fault_region`), and every row outside it keeps the
+    words it had when the overlay went in.  The golden-equivalence tests
+    and the differential properties pin both.
 
     The hot loop dispatches on :attr:`PackedPlan.fused_rows`: 2-input
     AND/OR/XOR gates (the vast majority) and buffers are computed with
@@ -468,14 +551,17 @@ class TernaryEventEngine:
     the netlist.
 
     The engine carries the same stuck-at fault overlay as the batch
-    evaluators: ``force_index`` is re-forced to ``(force_mask,
-    force_value)`` whenever its net is re-evaluated (or re-assigned, for
-    input sites), so a PODEM faulty machine stays poisoned across
-    incremental updates.  Overlays can also be installed *after*
-    construction with :meth:`reforce` and dropped with
-    :meth:`release_force` -- both ride the undo log, so one engine can be
-    rewound to its empty-assignment checkpoint and re-forced for the next
-    targeted fault instead of being rebuilt from scratch.
+    evaluators, installed on the live state with :meth:`reforce` and
+    dropped with :meth:`release_force`: while it is in, ``force_index`` is
+    re-forced to ``(force_mask, force_value)`` whenever its net is
+    re-evaluated (or re-assigned, for input sites), so a PODEM faulty
+    machine stays poisoned across incremental updates.  Both ride the undo
+    log, so one engine can be rewound to its empty-assignment checkpoint
+    and re-forced for the next targeted fault instead of being rebuilt
+    from scratch.  :meth:`reforce` also fences the engine to the forced
+    net's fault region: PODEM reads only region nets, so a row outside it
+    could never change a decision, and no pass evaluates one until
+    :meth:`release_force` lifts the fence.
     """
 
     __slots__ = (
@@ -495,25 +581,18 @@ class TernaryEventEngine:
         "max_undo_depth",
     )
 
-    def __init__(
-        self,
-        plan: PackedPlan,
-        mask: int,
-        input_values: Optional[Dict[str, Optional[int]]] = None,
-        force_index: int = -1,
-        force_mask: int = 0,
-        force_value: int = 0,
-    ):
+    def __init__(self, plan: PackedPlan, mask: int):
         self.plan = plan
         self.mask = mask
-        self.force_index = force_index
-        self.force_mask = force_mask
-        self.force_value = force_value
+        self.force_index = -1  # no overlay until reforce installs one
+        self.force_mask = 0
+        self.force_value = 0
         self._undo: List[Tuple[int, int, int]] = []
         # Per-level bucket queues, reused across propagations; a row is in
         # a bucket iff its ``_pending`` stamp equals the current pass
         # number, so each row is queued at most once per pass and no
-        # per-row clearing is needed between passes.
+        # per-row clearing is needed between passes.  Fenced rows hold
+        # the unreachable stamp ``_FENCED`` (see reforce).
         self._buckets: List[List[int]] = [[] for _ in range(plan.num_levels)]
         self._pending: List[int] = [0] * len(plan.rows)
         # 2-bit engines (the PODEM dual-word encoding) evaluate rows via
@@ -528,37 +607,10 @@ class TernaryEventEngine:
         self.events_processed = 0
         self.propagate_passes = 0
         self.max_undo_depth = 0
-        values = [0] * plan.num_nets
-        cares = [0] * plan.num_nets
-        if input_values:
-            nets = plan.nets
-            for i in range(plan.num_inputs):
-                bit = input_values.get(nets[i])
-                if bit is not None:
-                    cares[i] = mask
-                    if bit:
-                        values[i] = mask
-        if 0 <= force_index < plan.num_inputs:
-            # Input-site overlay: force before the baseline evaluation
-            # (inputs have no plan row to force through).
-            cares[force_index] |= force_mask
-            values[force_index] = (values[force_index] & ~force_mask) | (
-                force_value & force_mask
-            )
-            gate_force = -1
-        else:
-            gate_force = force_index
-        self.values = values
-        self.cares = cares
-        eval_ternary(
-            plan,
-            values,
-            cares,
-            mask,
-            force_index=gate_force,
-            force_mask=force_mask,
-            force_value=force_value,
-        )
+        # The empty-assignment baseline: every input X.
+        self.values = [0] * plan.num_nets
+        self.cares = [0] * plan.num_nets
+        eval_ternary(plan, self.values, self.cares, mask)
 
     def assign(self, index: int, bit: Optional[int]) -> int:
         """Set primary input ``index`` to 0, 1 or X on every pattern.
@@ -617,21 +669,29 @@ class TernaryEventEngine:
         return entries
 
     def reforce(self, force_index: int, force_mask: int, force_value: int) -> int:
-        """Install a stuck-at overlay on the live state; undoable.
+        """Install a stuck-at overlay on the live state, fenced; undoable.
 
-        Equivalent to constructing a fresh engine with the overlay on the
-        same assignment: the forced net's stored words get ``care |=
+        Inside the forced net's fault region this is equivalent to
+        constructing a fresh engine with the overlay on the same
+        assignment: the forced net's stored words get ``care |=
         force_mask`` / the forced value bits, and the change (if any)
-        propagates through its fanout cone.  Returns an undo token for
-        :meth:`release_force`, which drops the overlay and rewinds -- the
-        pair is what lets PODEM keep one engine across targeted faults
-        instead of rebuilding two state lists plus a full evaluation each
-        time.
+        propagates through its fanout cone.  Every row outside the region
+        is fenced until :meth:`release_force`: later updates never
+        evaluate it, so its net keeps its present words.  One overlay is
+        installed at a time.  Returns an undo token for
+        :meth:`release_force`, which drops the overlay and the fence and
+        rewinds -- the pair is what lets PODEM keep one engine across
+        targeted faults instead of rebuilding two state lists plus a full
+        evaluation each time.
         """
         token = len(self._undo)
+        plan = self.plan
         self.force_index = force_index
         self.force_mask = force_mask
         self.force_value = force_value
+        self._pending = _fence_stamps(
+            plan.fault_region(force_index) >> plan.num_inputs, len(plan.rows)
+        )
         values, cares = self.values, self.cares
         old_value = values[force_index]
         old_care = cares[force_index]
@@ -641,19 +701,22 @@ class TernaryEventEngine:
             self._undo.append((force_index, old_value, old_care))
             values[force_index] = value
             cares[force_index] = care
-            self._propagate(self.plan.reader_rows[force_index])
+            self._propagate(plan.reader_rows[force_index])
         if len(self._undo) > self.max_undo_depth:
             self.max_undo_depth = len(self._undo)
         return token
 
     def release_force(self, token: int) -> List[Tuple[int, int, int]]:
-        """Drop the :meth:`reforce` overlay and rewind to its token.
+        """Drop the :meth:`reforce` overlay and its fence; rewind to its token.
 
-        Returns the restored log slice (see :meth:`rewind`).
+        The rewind restores the state the overlay went in on, which the
+        fenced rows still hold.  Returns the restored log slice (see
+        :meth:`rewind`).
         """
         self.force_index = -1
         self.force_mask = 0
         self.force_value = 0
+        self._pending = [0] * len(self.plan.rows)
         return self.rewind(token)
 
     def _propagate(self, seed_rows: Sequence[int]) -> None:
@@ -674,7 +737,7 @@ class TernaryEventEngine:
         self.propagate_passes = stamp = self.propagate_passes + 1
         lo = plan.num_levels
         for position in seed_rows:
-            if pending[position] != stamp:
+            if pending[position] < stamp:
                 pending[position] = stamp
                 level = row_levels[position]
                 buckets[level].append(position)
@@ -776,7 +839,7 @@ class TernaryEventEngine:
                 values[output] = value
                 cares[output] = care
                 for reader in reader_rows[output]:
-                    if pending[reader] != stamp:
+                    if pending[reader] < stamp:
                         pending[reader] = stamp
                         buckets[row_levels[reader]].append(reader)
             # The bucket only ever shrinks to empty here (appends went to
@@ -807,7 +870,7 @@ class TernaryEventEngine:
         self.propagate_passes = stamp = self.propagate_passes + 1
         lo = plan.num_levels
         for position in seed_rows:
-            if pending[position] != stamp:
+            if pending[position] < stamp:
                 pending[position] = stamp
                 level = row_levels[position]
                 buckets[level].append(position)
@@ -892,7 +955,7 @@ class TernaryEventEngine:
                 values[output] = value
                 cares[output] = care
                 for reader in reader_rows[output]:
-                    if pending[reader] != stamp:
+                    if pending[reader] < stamp:
                         pending[reader] = stamp
                         buckets[row_levels[reader]].append(reader)
             events += len(bucket)

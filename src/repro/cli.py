@@ -9,7 +9,8 @@ Python:
 
 ``sweep``
     Sweep the speedup factor ``k`` (``--speedups``) and segment size ``S``
-    (``--segments``) for one test set and print the Fig. 4-style
+    (``--segments``; by default those of 4, 10 and 20 that fit in the
+    window) for one test set and print the Fig. 4-style
     TSL-improvement grid (single process; the staged pipeline encodes once
     and derives every reduction from the cached cube cover).
 
@@ -81,6 +82,9 @@ from repro.testdata.literature import tsl_improvement
 from repro.testdata.profiles import get_profile, profile_names
 from repro.testdata.synthetic import generate_test_set
 from repro.testdata.test_set import TestSet
+
+#: ``sweep``'s segment sizes S when ``--segments`` is not given.
+_SWEEP_SEGMENTS = (4, 10, 20)
 
 
 def _load_test_set(args: argparse.Namespace) -> TestSet:
@@ -259,10 +263,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             num_scan_chains=args.chains,
             lfsr_size=_lfsr_size(args, test_set),
         )
+        segments = args.segments
+        if segments is None:
+            # The default grid keeps the sizes the window holds, as
+            # campaign's ``segment_size <= window_length`` filter does; when
+            # none fits, the first point reports why.
+            segments = [
+                size for size in _SWEEP_SEGMENTS if size <= args.window
+            ] or _SWEEP_SEGMENTS
         points = {
             (k, segment_size): base.with_updates(segment_size=segment_size, speedup=k)
             for k in args.speedups
-            for segment_size in args.segments
+            for segment_size in segments
         }
     except (OSError, ValueError) as error:
         raise SystemExit(f"repro sweep: {error}")
@@ -587,7 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--speedups", type=int, nargs="+", default=[3, 6, 12, 24]
     )
-    sweep_parser.add_argument("--segments", type=int, nargs="+", default=[4, 10, 20])
+    sweep_parser.add_argument(
+        "--segments", type=int, nargs="+",
+        help="segment sizes S (default: those of "
+             f"{' '.join(map(str, _SWEEP_SEGMENTS))} that fit in -L)",
+    )
     sweep_parser.set_defaults(func=_cmd_sweep)
 
     campaign_parser = sub.add_parser(

@@ -14,9 +14,12 @@ Two static validators, each returning a list of human-readable problems
   :class:`~repro.circuits.ternary.PackedPlan` arrays cross-checked against
   each other and against the netlist: topological levelization
   (``row_levels``/``num_levels``), def-before-use operand ordering, operand
-  and fanout index bounds, and exact coherence of the ``fused_rows``,
-  ``table_rows`` and ``reader_rows`` mirrors that the event engine's hot
-  loops trust blindly.
+  and fanout index bounds, exact coherence of the ``fused_rows``,
+  ``table_rows``, ``reader_rows`` and ``is_output`` mirrors that the hot
+  loops trust blindly, and the cone table: each net's ``cone_rows``
+  against a name-keyed fanout search (:func:`reference_cone`) and each
+  ``fault_region`` against the fanin closure of that cone
+  (:func:`reference_region`), the region PODEM's fenced engine runs in.
 
 The tier-1 ``ir-verify`` tests run both over random netlists and a
 wide-gate netlist, so a broken netlist or plan builder fails without any
@@ -219,6 +222,10 @@ def verify_packed_plan(plan: PackedPlan) -> List[str]:
             f"{expected_num_levels}"
         )
 
+    if not problems:
+        # The cone table is derived from the rows, so it is checked only
+        # against rows that passed.
+        problems.extend(_verify_cone_table(plan))
     problems.extend(_verify_fused_rows(plan))
     problems.extend(_verify_table_rows(plan))
     problems.extend(_verify_readers_and_fanout(plan))
@@ -240,6 +247,12 @@ def verify_packed_plan(plan: PackedPlan) -> List[str]:
         problems.append(
             f"{len(plan.output_indices)} output indices for "
             f"{len(netlist.outputs)} netlist outputs"
+        )
+    flagged = [net for net in range(len(plan.is_output)) if plan.is_output[net]]
+    if len(plan.is_output) != num_nets or flagged != sorted(set(plan.output_indices)):
+        problems.append(
+            f"is_output flags nets {flagged!r}, output_indices are "
+            f"{sorted(set(plan.output_indices))!r}"
         )
     return problems
 
@@ -350,4 +363,85 @@ def _verify_readers_and_fanout(plan: PackedPlan) -> List[str]:
                     f"{tuple(plan.fanout[net_index])!r}, netlist says "
                     f"{expected!r}"
                 )
+    return problems
+
+
+# ----------------------------------------------------------------------
+# Cone table
+# ----------------------------------------------------------------------
+def reference_cone(netlist: Netlist, net: str) -> List[str]:
+    """The gate outputs in ``net``'s transitive fanout, in evaluation order.
+
+    A name-keyed search over :meth:`Netlist.fanout`, independent of the
+    plan's bit masks: the oracle of :meth:`PackedPlan.cone_rows`.
+    """
+    fanout = netlist.fanout()
+    reached: Set[str] = set()
+    stack = list(fanout[net])
+    while stack:
+        output = stack.pop()
+        if output in reached:
+            continue
+        reached.add(output)
+        stack.extend(fanout[output])
+    return [gate.output for gate in netlist.gate_sequence() if gate.output in reached]
+
+
+def reference_region(netlist: Netlist, net: str) -> Set[str]:
+    """The fanin closure of ``net`` and its fanout cone, name-keyed: the
+    oracle of :meth:`PackedPlan.fault_region`."""
+    inputs = set(netlist.inputs)
+    region: Set[str] = set()
+    stack = [net, *reference_cone(netlist, net)]
+    while stack:
+        member = stack.pop()
+        if member in region:
+            continue
+        region.add(member)
+        if member not in inputs:
+            stack.extend(netlist.gate(member).inputs)
+    return region
+
+
+def _verify_cone_table(plan: PackedPlan) -> List[str]:
+    problems: List[str] = []
+    netlist = plan.netlist
+    nets = plan.nets
+    num_inputs = plan.num_inputs
+    for net_index, net in enumerate(nets):
+        cone = reference_cone(netlist, net)
+        actual = [nets[row[0]] for row in plan.cone_rows(net_index)]
+        if actual != cone:
+            problems.append(
+                f"cone_rows[{net_index}] ({net!r}) covers {actual!r}, the "
+                f"fanout search gives {cone!r} in evaluation order"
+            )
+            continue
+        region = plan.fault_region(net_index)
+        members = {nets[i] for i in range(plan.num_nets) if region >> i & 1}
+        missing = [member for member in [net, *cone] if member not in members]
+        if missing:
+            problems.append(
+                f"fault_region[{net_index}] ({net!r}) misses its own net or "
+                f"cone: {missing!r}"
+            )
+        for member in sorted(members):
+            index = plan.index[member]
+            if index < num_inputs:
+                continue
+            outside = [
+                nets[i] for i in plan.rows[index - num_inputs][2]
+                if not region >> i & 1
+            ]
+            if outside:
+                problems.append(
+                    f"fault_region[{net_index}] ({net!r}) is not fanin-closed: "
+                    f"{member!r} reads {outside!r} outside the region"
+                )
+        extra = sorted(members - reference_region(netlist, net))
+        if extra:
+            problems.append(
+                f"fault_region[{net_index}] ({net!r}) holds {extra!r} outside "
+                f"the fanin closure of its cone"
+            )
     return problems

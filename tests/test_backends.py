@@ -124,9 +124,11 @@ class TestConformance:
     def test_detect_block_matches_reference(self, engine):
         netlist = random_netlist("conf", num_inputs=9, num_gates=45, seed=51)
         patterns = _random_patterns(netlist, 51, count=16)
-        good = simulate_parallel(
+        by_name = simulate_parallel(
             netlist, pack_patterns(netlist, patterns), len(patterns)
         )
+        # detect_block reads the good block in plan net order.
+        good = [by_name[net] for net in packed_plan(netlist).nets]
         block = FaultSimulator(
             netlist, word_width=len(patterns), engine=engine
         ).detect_block(good, len(patterns), drop=False)

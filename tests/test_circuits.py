@@ -265,6 +265,7 @@ class TestFaultSimulation:
 
     def test_detect_block_matches_simulate_patterns(self):
         from repro.circuits.simulator import pack_patterns, simulate_parallel
+        from repro.circuits.ternary import packed_plan
 
         net = c17()
         patterns = [
@@ -274,7 +275,9 @@ class TestFaultSimulation:
         by_patterns = FaultSimulator(net)
         expected = by_patterns.simulate_patterns(patterns)
         by_block = FaultSimulator(net)
-        good = simulate_parallel(net, pack_patterns(net, patterns), len(patterns))
+        by_name = simulate_parallel(net, pack_patterns(net, patterns), len(patterns))
+        # detect_block reads the good block in plan net order.
+        good = [by_name[name] for name in packed_plan(net).nets]
         actual = by_block.detect_block(good, len(patterns))
         assert actual.detected == expected.detected
         assert by_block.remaining_faults == by_patterns.remaining_faults

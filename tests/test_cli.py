@@ -222,8 +222,13 @@ class TestSweepCommand:
             ),
             (["--lfsr", "6"], "the densest cube specifies"),
             (["--scale", "0"], "scale must be in"),
+            # No default segment size fits in L = 3.
+            (["-L", "3"], "segment_size 4 must be in [1, window_length 3]"),
         ],
-        ids=["k-0", "S-0", "S-over-L", "lfsr-below-smax", "scale-0"],
+        ids=[
+            "k-0", "S-0", "S-over-L", "lfsr-below-smax", "scale-0",
+            "default-S-over-L",
+        ],
     )
     def test_sweep_checks_every_point_before_encoding(
         self, no_encode, options, reason
@@ -233,6 +238,18 @@ class TestSweepCommand:
         message = str(excinfo.value.code)
         assert message.startswith("repro sweep: ")
         assert reason in message
+
+    def test_sweep_default_segments_fit_the_window(self, capsys):
+        # Without --segments, the default sizes above -L drop out (S=20
+        # here), as campaign's segment_size <= window_length filter does.
+        code = main(
+            ["sweep", "--profile", "s9234", "--scale", "0.03", "-L", "10",
+             "--speedups", "3"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "S=4" in out and "S=10" in out
+        assert "S=20" not in out
 
 
 class TestCampaignCommand:

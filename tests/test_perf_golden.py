@@ -20,6 +20,7 @@ from repro.circuits.atpg import generate_test_set_for_netlist
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
 from repro.circuits.simulator import simulate_parallel
+from repro.circuits.ternary import packed_plan
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.encoding.window import EncodingError, WindowEncoder
 from repro.gf2 import solve
@@ -159,7 +160,9 @@ def test_drop_batch_differential(seed, num_inputs, num_gates, patterns):
         net: sum(pattern[net] << position for position, pattern in enumerate(batch))
         for net in netlist.inputs
     }
-    good = simulate_parallel(netlist, words, patterns)
+    by_name = simulate_parallel(netlist, words, patterns)
+    # detect_block reads the good block in plan net order.
+    good = [by_name[net] for net in packed_plan(netlist).nets]
     batched = FaultSimulator(netlist, word_width=patterns)
     block = batched.detect_block(good, patterns, drop=True)
 

@@ -774,6 +774,36 @@ class TestIrCorruptionClasses:
             for p in problems
         )
 
+    def test_stale_cone_rows_detected(self):
+        plan = PackedPlan(_fresh_netlist())
+        net = next(n for n in range(plan.num_nets) if plan.cone_rows(n))
+        plan._cones[net] = plan.cone_rows(net)[1:]
+        problems = verify_packed_plan(plan)
+        assert any(
+            f"cone_rows[{net}]" in p and "fanout search gives" in p
+            for p in problems
+        )
+
+    def test_region_missing_a_fanin_net_detected(self):
+        # Drop a gate net that the region holds only as a fanin: one of
+        # the region's rows then reads a net outside it.
+        plan = PackedPlan(_fresh_netlist())
+        for net in range(plan.num_nets):
+            cone = {row[0] for row in plan.cone_rows(net)} | {net}
+            fanins = [
+                i for i in range(plan.num_inputs, plan.num_nets)
+                if plan.fault_region(net) >> i & 1 and i not in cone
+            ]
+            if fanins:
+                break
+        plan._region_bits[net] &= ~(1 << fanins[0])
+        problems = verify_packed_plan(plan)
+        assert any(
+            f"fault_region[{net}]" in p and "is not fanin-closed" in p
+            and repr(plan.nets[fanins[0]]) in p
+            for p in problems
+        )
+
     def test_missing_output_assignment_detected(self):
         plan = PackedPlan(_tiny_netlist())
         plan.output_indices = plan.output_indices[:-1]

@@ -9,7 +9,9 @@ replaced:
 * the packed fault-injection overlay (PODEM's faulty machine, and the fault
   simulator's dense path) vs the reference faulty evaluation;
 * the event-driven incremental engine (assign/undo over the levelized
-  event queue) vs from-scratch packed evaluation, fault overlays included;
+  event queue) vs from-scratch packed evaluation, fault overlays included:
+  under an overlay the engine is fenced to the fault's region, which must
+  match the full pass while every other net keeps its pre-overlay words;
 * full PODEM ATPG: event-driven engine vs full-pass packed engine vs dict
   engine, cube for cube;
 * the batched drop-simulation block vs the per-pattern fill loop, and the
@@ -30,11 +32,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
 from circuit_library import builtin_circuits
 from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, SEEDS, drawn_test_set
+from ir_verifiers import reference_region
 from repro import pipeline
 from repro.circuits import simulator
 from repro.circuits.atpg import PodemAtpg
@@ -45,6 +48,7 @@ from repro.circuits.simulator import (
     simulate_ternary,
     simulate_ternary_reference,
 )
+from repro.circuits.ternary import PackedPlan, TernaryEventEngine
 from repro.config import CompressionConfig
 from repro.context import CompressionContext
 from repro.decompressor.architecture import (
@@ -64,6 +68,34 @@ from repro.testdata.cube import TestCube
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
 from ternary_adapters import seed_ternary_inputs, ternary_state_to_dict
+
+
+def _assert_fenced(engine, exact, expected, before, where=""):
+    """The state of an engine under a :meth:`reforce` overlay.
+
+    Nets in ``exact`` must hold the ``expected`` (values, cares) words of a
+    full pass; every other net must still hold its ``before`` words, the
+    ones it had when the overlay went in.
+    """
+    sources = [expected if net in exact else before for net in range(len(before[0]))]
+    values = [source[0][net] for net, source in enumerate(sources)]
+    cares = [source[1][net] for net, source in enumerate(sources)]
+    if (engine.values, engine.cares) != (values, cares):
+        wrong = next(
+            net for net in range(len(values))
+            if (engine.values[net], engine.cares[net]) != (values[net], cares[net])
+        )
+        raise AssertionError(f"{where} net {engine.plan.nets[wrong]!r}")
+
+
+def _region_and_inputs(plan, net):
+    """The fault region of ``net`` plus every primary input.
+
+    :meth:`TernaryEventEngine.assign` writes any input directly; only
+    rows are fenced.
+    """
+    region = reference_region(plan.netlist, plan.nets[net])
+    return {plan.index[member] for member in region} | set(range(plan.num_inputs))
 
 
 def _random_assignment(rng, netlist, specified_fraction):
@@ -161,6 +193,15 @@ class TestFaultOverlayGolden:
             assert good == simulate_ternary_reference(netlist, assignment)
 
 
+#: Netlists and walk lengths of the fault-region property.
+_REGION_WALK_SPACE = dict(
+    seed=SEEDS,
+    num_inputs=st.integers(min_value=4, max_value=14),
+    num_gates=st.integers(min_value=15, max_value=110),
+    steps=st.integers(min_value=10, max_value=60),
+)
+
+
 class TestEventEngineGolden:
     """The incremental engine state equals from-scratch packed evaluation."""
 
@@ -201,8 +242,6 @@ class TestEventEngineGolden:
 
     @pytest.mark.parametrize("seed", [24, 25])
     def test_engine_with_fault_overlay_matches_dual_state(self, seed):
-        from repro.circuits.atpg import PodemAtpg
-
         rng = random.Random(seed)
         netlist = random_netlist(
             f"randov{seed}", num_inputs=12, num_gates=70, seed=seed
@@ -210,22 +249,28 @@ class TestEventEngineGolden:
         atpg = PodemAtpg(netlist)
         plan = atpg._plan
         faults = collapse_faults(netlist)
+        # The empty-assignment baseline: every fault is forced on it and
+        # released back to it, and the fenced rows keep its words.
+        baseline = TernaryEventEngine(plan, 0b11)
+        before = (baseline.values, baseline.cares)
         for fault in rng.sample(faults, min(10, len(faults))):
             # One persistent engine serves every fault: the overlay is
             # re-forced on the rewound baseline and released afterwards.
+            # The region and every input match the full pass.
             engine, token = atpg._event_engine(fault)
+            exact = _region_and_inputs(plan, plan.index[fault.net])
             assignment = {}
             for _ in range(12):
                 net = rng.choice(netlist.inputs)
                 bit = rng.getrandbits(1)
                 engine.assign(plan.index[net], bit)
                 assignment[net] = bit
-                values, cares = atpg._dual_state(fault, assignment)
-                assert engine.values == values
-                assert engine.cares == cares
+                expected = atpg._dual_state(fault, assignment)
+                _assert_fenced(engine, exact, expected, before, str(fault))
             # release_force rewinds past the assigns too (its token
             # predates them), restoring the shared baseline.
             engine.release_force(token)
+            assert (engine.values, engine.cares) == before
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -243,10 +288,13 @@ class TestEventEngineGolden:
 
         One persistent engine is driven through the persistent-engine
         PODEM call pattern and compared with a fresh ``eval_ternary``
-        after every step.  Odd seeds use the 2-bit mask (the table-driven
-        propagation), even seeds a wider mask (the generic fused loop).
+        after every step: the whole state without an overlay; under one,
+        the forced net's region and every input, while every other net
+        must keep the words it had when the overlay went in.  Odd seeds
+        use the 2-bit mask (the table-driven propagation), even seeds a
+        wider mask (the generic fused loop).
         """
-        from repro.circuits.ternary import TernaryEventEngine, eval_ternary, packed_plan
+        from repro.circuits.ternary import eval_ternary, packed_plan
 
         netlist = random_netlist(f"walk{seed}", num_inputs, num_gates, seed=seed)
         plan = packed_plan(netlist)
@@ -257,14 +305,17 @@ class TestEventEngineGolden:
         assignment = {}
         undo_stack = []
         force = None  # (index, mask, value, token, saved assignment, saved stack)
+        fence = None  # (exactly evaluated nets, pre-overlay words)
         for step in range(steps):
             action = rng.random()
             if action < 0.15 and force is None:
                 index = rng.randrange(plan.num_nets)
                 fmask = rng.randrange(1, mask + 1)
                 fvalue = rng.randrange(mask + 1) & fmask
+                before = (list(engine.values), list(engine.cares))
                 token = engine.reforce(index, fmask, fvalue)
                 force = (index, fmask, fvalue, token, dict(assignment), undo_stack)
+                fence = (_region_and_inputs(plan, index), before)
                 undo_stack = []
             elif action < 0.3 and force is not None:
                 # Release rewinds past every assign made under the overlay
@@ -272,7 +323,7 @@ class TestEventEngineGolden:
                 # cleanup: restore the bookkeeping to the reforce point.
                 engine.release_force(force[3])
                 assignment, undo_stack = force[4], force[5]
-                force = None
+                force = fence = None
             elif action < 0.75 or not undo_stack:
                 net = rng.choice(netlist.inputs)
                 bit = rng.getrandbits(1)
@@ -303,7 +354,88 @@ class TestEventEngineGolden:
                 force_mask=fmask,
                 force_value=fvalue,
             )
-            assert (engine.values, engine.cares) == (values, cares), f"step {step}"
+            if fence is None:
+                assert (engine.values, engine.cares) == (values, cares), f"step {step}"
+            else:
+                _assert_fenced(engine, fence[0], (values, cares), fence[1], f"step {step}")
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_REGION_WALK_SPACE)
+    def test_fault_region_differential(self, seed, num_inputs, num_gates, steps):
+        """The region-fenced engine vs the full-pass dual state, per fault.
+
+        Each drawn collapsed fault is forced on the empty-assignment
+        baseline with PODEM's overlay, walked through random assigns and
+        rewinds of its region's inputs (the only inputs PODEM's backtrace
+        reaches) and released.  After every step each region net equals
+        the full-pass ``_dual_state`` oracle and every other net holds its
+        pre-overlay (baseline) words; after the release the whole state is
+        the baseline again.
+        """
+        netlist = random_netlist(f"region{seed}", num_inputs, num_gates, seed=seed)
+        atpg = PodemAtpg(netlist)
+        plan = atpg._plan
+        rng = random.Random(seed)
+        engine = TernaryEventEngine(plan, 0b11)
+        baseline = (list(engine.values), list(engine.cares))
+        faults = collapse_faults(netlist)
+        for fault in rng.sample(faults, min(4, len(faults))):
+            region = {
+                plan.index[net] for net in reference_region(netlist, fault.net)
+            }
+            inputs = sorted(net for net in region if net < plan.num_inputs)
+            token = engine.reforce(
+                plan.index[fault.net], 0b10, 0b10 if fault.stuck_value else 0
+            )
+            assignment = {}
+            undo_stack = []
+            for step in range(steps):
+                if undo_stack and rng.random() < 0.35:
+                    name, previous, undo = undo_stack.pop()
+                    engine.rewind(undo)
+                    if previous is None:
+                        del assignment[name]
+                    else:
+                        assignment[name] = previous
+                elif inputs:
+                    index = rng.choice(inputs)
+                    name = plan.nets[index]
+                    bit = rng.getrandbits(1)
+                    undo_stack.append(
+                        (name, assignment.get(name), engine.assign(index, bit))
+                    )
+                    assignment[name] = bit
+                expected = atpg._dual_state(fault, assignment)
+                _assert_fenced(
+                    engine, region, expected, baseline, f"{fault} step {step}"
+                )
+            engine.release_force(token)
+            assert (engine.values, engine.cares) == baseline, str(fault)
+
+    def test_planted_region_mutation_is_caught(self, monkeypatch):
+        """A fault region missing one fanin net must fail the property."""
+        real = PackedPlan.fault_region
+
+        def without_a_fanin(plan, net):
+            region = real(plan, net)
+            cone = {row[0] for row in plan.cone_rows(net)} | {net}
+            for index in range(plan.num_inputs, plan.num_nets):
+                if region >> index & 1 and index not in cone:
+                    return region & ~(1 << index)
+            return region
+
+        monkeypatch.setattr(PackedPlan, "fault_region", without_a_fanin)
+        # The same property over the same space, without the shrink phase
+        # (shrinking this walk takes seconds) and the example database.
+        planted = settings(
+            max_examples=25, deadline=None, phases=[Phase.generate], database=None
+        )(
+            given(**_REGION_WALK_SPACE)(
+                self.test_fault_region_differential.hypothesis.inner_test
+            )
+        )
+        with pytest.raises(AssertionError):
+            planted(self)
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_incremental_frontier_matches_full_scan(self, seed, monkeypatch):
