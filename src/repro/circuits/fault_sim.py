@@ -29,7 +29,7 @@ this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.circuits.faults import StuckAtFault, collapse_faults
 from repro.circuits.netlist import Netlist
@@ -133,31 +133,34 @@ class FaultSimulator:
         self, patterns: Sequence[Dict[str, int]], drop: bool = True
     ) -> FaultSimResult:
         """Simulate fully specified patterns against the remaining faults."""
-        result = FaultSimResult()
+        inputs = self._netlist.inputs
+        blocks = []
         for start in range(0, len(patterns), self._word_width):
             block = patterns[start : start + self._word_width]
-            block_result = self._simulate_block(block)
-            for fault, word in block_result.items():
-                result.detected[fault] = result.detected.get(fault, 0) | (
-                    word << start
-                )
-            if drop:
-                self._detected.update(block_result)
-                self._remaining.difference_update(block_result)
-        return result
+            words = pack_patterns(self._netlist, block)
+            blocks.append(([words[net] for net in inputs], len(block)))
+        return self._simulate_blocks(blocks, drop)
 
     def simulate_vectors(
         self, vectors: Iterable[int], drop: bool = True
     ) -> FaultSimResult:
-        """Simulate packed test vectors (bit ``i`` of the int = input ``i``)."""
-        patterns = []
-        for vector in vectors:
-            pattern = {
-                net: (vector >> index) & 1
-                for index, net in enumerate(self._netlist.inputs)
-            }
-            patterns.append(pattern)
-        return self.simulate_patterns(patterns, drop=drop)
+        """Simulate packed test vectors (bit ``i`` of the int = input ``i``).
+
+        Each block of vectors is transposed straight into the input words
+        that seed the fault-free evaluation; bits above the input count are
+        ignored.
+        """
+        vectors = list(vectors)
+        width = self._word_width
+        num_inputs = self._plan.num_inputs
+        blocks = (
+            (
+                _input_words(vectors[start : start + width], num_inputs),
+                min(width, len(vectors) - start),
+            )
+            for start in range(0, len(vectors), width)
+        )
+        return self._simulate_blocks(blocks, drop)
 
     def detect_block(
         self, good: Sequence[int], num_patterns: int, drop: bool = True
@@ -191,19 +194,31 @@ class FaultSimulator:
         """
         return self._detector()(good, (1 << num_patterns) - 1, fault)
 
+    def _simulate_blocks(
+        self, blocks: Iterable[Tuple[List[int], int]], drop: bool
+    ) -> FaultSimResult:
+        """Simulate ``(input words, pattern count)`` blocks in order."""
+        result = FaultSimResult()
+        start = 0
+        for input_words, num_patterns in blocks:
+            block_result = self._simulate_block(input_words, num_patterns)
+            for fault, word in block_result.items():
+                result.detected[fault] = result.detected.get(fault, 0) | (
+                    word << start
+                )
+            if drop:
+                self._detected.update(block_result)
+                self._remaining.difference_update(block_result)
+            start += num_patterns
+        return result
+
     def _simulate_block(
-        self, block: Sequence[Dict[str, int]]
+        self, input_words: List[int], num_patterns: int
     ) -> Dict[StuckAtFault, int]:
-        num_patterns = len(block)
-        if num_patterns == 0:
-            return {}
-        words = pack_patterns(self._netlist, block)
         # The fault-free evaluation is computed once and shared by every
         # fault of the block (each fault only overlays its fanout cone).
         plan = self._plan
-        good = [0] * plan.num_nets
-        for index, net in enumerate(self._netlist.inputs):
-            good[index] = words[net]
+        good = input_words + [0] * (plan.num_nets - plan.num_inputs)
         eval_binary(plan, good, (1 << num_patterns) - 1)
         detected = self._detect_block(good, num_patterns)
         self._flush_block_telemetry(num_patterns, len(detected))
@@ -338,3 +353,16 @@ class FaultSimulator:
                 plan, values, mask, force_index=fault_index, force_word=stuck_word
             )
         return values
+
+
+def _input_words(vectors: Sequence[int], num_inputs: int) -> List[int]:
+    """Transpose packed vectors into one word per input, in input order.
+
+    Bit ``p`` of input ``i``'s word is bit ``i`` of ``vectors[p]``.  Each
+    vector becomes a binary string, most significant input first, so
+    ``zip`` yields the inputs' columns from the last input down, and a
+    reversed column puts vector ``p`` at bit ``p``.
+    """
+    mask = (1 << num_inputs) - 1
+    rows = [format(vector & mask, f"0{num_inputs}b") for vector in vectors]
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)][::-1]

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Tuple
 from repro.encoding.results import EncodingResult
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.encoding.window import EncodingError, WindowEncoder
+from repro.telemetry import get_recorder
 from repro.testdata.test_set import TestSet
 
 
@@ -37,6 +38,9 @@ def encode_with_retries(
     the phase shifter is rebuilt with the next RNG seed -- attempt ``a``
     uses ``phase_seed + a`` -- and the encoding is retried, up to
     ``max_phase_retries`` times: exactly what a DFT engineer would do.
+    Each failed attempt emits one ``encode.phase_retry`` event to the active
+    telemetry recorder (attempt, phase seed, LFSR size, window length and
+    the first line of the error).
 
     ``substrate_source`` maps each attempt's :class:`SubstrateKey` to its
     substrate: :meth:`repro.context.CompressionContext.substrate` serves
@@ -70,6 +74,16 @@ def encode_with_retries(
             return substrate, encoder.encode(test_set)
         except EncodingError as error:
             last_error = error
+            get_recorder().event(
+                "encode.phase_retry",
+                {
+                    "attempt": attempt,
+                    "phase_seed": phase_seed + attempt,
+                    "lfsr_size": lfsr_size,
+                    "window_length": window_length,
+                    "error": str(error).partition("\n")[0],
+                },
+            )
     if last_error is None:
         raise ValueError(
             f"no encoding attempt was made for {test_set.name!r}: "

@@ -24,31 +24,39 @@ one the paper adopts from reference [11]:
    seed is started.
 
 The expensive step is the solvability scan.  Three observations keep it
-tractable in pure Python: committed constraints only ever grow within a seed,
-so a position found unsolvable for a cube stays unsolvable for that seed and
-is never re-checked; the per-(cube, position) equations depend only on the
-hardware, so they are computed once (in a numpy batch per cube) and cached by
-the :class:`~repro.encoding.equations.EquationSystem`; and a trial's residual
-rows are themselves valid trial input, so the scan caches each cube's
-equations *reduced against the committed basis* and every later selection
-step only pays for the pivots committed since (see
-:meth:`~repro.gf2.solve.IncrementalSolver.try_augmented`).  The first scan of
-a cube within a seed reduces all window positions in one numpy batch
-(:meth:`~repro.gf2.solve.IncrementalSolver.try_positions_packed`).
-Constructing the encoder with ``batch_trials=False`` restores the original
-re-reduce-from-scratch scan; the two produce bit-identical results (the
-golden-equivalence test relies on this).
+tractable: committed constraints only ever grow within a seed, so a position
+found unsolvable for a cube stays unsolvable for that seed and only the
+consistent (cube, position) trials of a scan are kept; the per-(cube,
+position) equations depend only on the hardware, so they are built once for
+the whole test set (chunked numpy products) and cached by the
+:class:`~repro.encoding.equations.EquationSystem`; and a trial's residual
+rows are themselves valid trial input, so each solvable position keeps its
+equations *reduced against the committed basis*, and a later selection step
+re-tries only the positions whose residual support meets a pivot committed
+since.  The scan runs one specified-bit-count group at a time.  The group's
+cubes have the same rows per position, so the cubes not yet scanned in the
+seed test every window position in one numpy batch
+(:meth:`~repro.gf2.solve.IncrementalSolver.try_positions_packed`), and the
+group's stale positions are re-tried in one more batch, zero rows padding
+the shorter residuals.  The pick is then one minimum over the group's
+solvable positions: the key (new pivots, solvable positions of the cube,
+position, cube index) is criteria a-c, the cube index breaking the last
+ties.  Constructing the encoder with ``batch_trials=False`` re-reduces every
+open position from scratch instead, one
+:meth:`~repro.gf2.solve.IncrementalSolver.try_masks` trial each; the two
+produce bit-identical results (the golden-equivalence tests rely on this).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import CubeEmbedding, EncodingResult, SeedRecord
-from repro.gf2.solve import IncrementalSolver, SolveOutcome, TrialResult
+from repro.gf2.solve import IncrementalSolver, TrialResult
 from repro.testdata.test_set import TestSet
 
 
@@ -63,14 +71,30 @@ class EncodingError(RuntimeError):
     """
 
 
-@dataclass
-class _Candidate:
-    """A solvable (cube, position) system considered by one selection step."""
+class _CubeScan:
+    """A pending cube's solvable window positions in the current seed.
 
-    cube_index: int
-    position: int
-    trial: TrialResult
-    solvable_count: int
+    ``trials`` maps each position that is still solvable to its trial,
+    whose ``reduced_rows`` are the position's equations reduced against the
+    basis of the scan that produced it; ``supports`` holds the OR of those
+    rows.  ``epoch`` and ``pivot_mask`` are the solver's at the cube's
+    latest scan.
+    """
+
+    __slots__ = ("epoch", "pivot_mask", "trials", "supports")
+
+    def __init__(self, epoch: int, pivot_mask: int):
+        self.epoch = epoch
+        self.pivot_mask = pivot_mask
+        self.trials: Dict[int, TrialResult] = {}
+        self.supports: Dict[int, int] = {}
+
+    def add(self, position: int, trial: TrialResult) -> None:
+        support = 0
+        for row in trial.reduced_rows:
+            support |= row
+        self.trials[position] = trial
+        self.supports[position] = support
 
 
 class WindowEncoder:
@@ -85,8 +109,9 @@ class WindowEncoder:
         (the paper fills don't-cares with pseudo-random data; a fixed seed
         keeps every run reproducible).
     batch_trials:
-        Use the batched/residual-cached solvability scan (default).  False
-        restores the unbatched reference scan; results are bit-identical
+        Scan each specified-bit-count group in packed batches and re-try
+        only the stale residuals (default).  False runs the reference scan,
+        one from-scratch trial per open position; results are bit-identical
         either way.
     """
 
@@ -198,15 +223,10 @@ class WindowEncoder:
         spec_counts: List[int],
     ) -> SeedRecord:
         solver = IncrementalSolver(self._equations.lfsr_size)
-        window = self._equations.window_length
         embeddings: List[CubeEmbedding] = []
         encoded_here: set = set()
-        # Positions still possibly solvable for each cube, for *this* seed.
-        open_positions: Dict[int, List[int]] = {}
-        # Per-cube trials with equations reduced against the committed basis,
-        # tagged with the solver epoch and pivot mask that produced them
-        # (refreshed lazily; see _scan_positions).  Reset per seed.
-        residuals: Dict[int, Tuple[int, int, Dict[int, Tuple[TrialResult, int]]]] = {}
+        # The scans of the cubes still pending in *this* seed.
+        scans: Dict[int, _CubeScan] = {}
 
         first = self._select_first_cube(solver, remaining, position0, spec_counts)
         if first is not None:
@@ -216,24 +236,15 @@ class WindowEncoder:
             encoded_here.add(cube_index)
 
         while True:
-            candidate = self._select_candidate(
-                solver,
-                remaining,
-                encoded_here,
-                cubes,
-                cube_equations,
-                spec_counts,
-                open_positions,
-                window,
-                residuals,
+            pick = self._select_candidate(
+                solver, remaining, encoded_here, cubes, cube_equations, spec_counts, scans
             )
-            if candidate is None:
+            if pick is None:
                 break
-            solver.commit(candidate.trial)
-            embeddings.append(CubeEmbedding(candidate.cube_index, candidate.position))
-            encoded_here.add(candidate.cube_index)
-            open_positions.pop(candidate.cube_index, None)
-            residuals.pop(candidate.cube_index, None)
+            cube_index, position = pick
+            solver.commit(scans.pop(cube_index).trials[position])
+            embeddings.append(CubeEmbedding(cube_index, position))
+            encoded_here.add(cube_index)
 
         seed_value = solver.solution(free_fill=self._free_fill(seed_index))
         return SeedRecord(index=seed_index, seed=seed_value, embeddings=embeddings)
@@ -261,123 +272,108 @@ class WindowEncoder:
         cubes: List,
         cube_equations: Optional[List[List[List[Tuple[int, int]]]]],
         spec_counts: List[int],
-        open_positions: Dict[int, List[int]],
-        window: int,
-        residuals: Dict[int, Tuple[int, int, Dict[int, Tuple[TrialResult, int]]]],
-    ) -> Optional[_Candidate]:
-        """One selection step of the greedy algorithm (criteria a-c)."""
-        pending = [i for i in remaining if i not in encoded_here]
-        if not pending:
-            return None
-        # Group by specified-bit count, densest group first.
-        by_count: Dict[int, List[int]] = {}
-        for cube_index in pending:
-            by_count.setdefault(spec_counts[cube_index], []).append(cube_index)
+        scans: Dict[int, _CubeScan],
+    ) -> Optional[Tuple[int, int]]:
+        """One selection step of the greedy algorithm: ``(cube, position)``.
 
+        Groups the pending cubes by specified-bit count, densest first, and
+        scans one group at a time.  In the first group with a solvable
+        position the pick is the minimum of (new pivots, number of
+        solvable positions of the cube, position, cube index): criteria a,
+        b and c, with the cube index breaking the last ties.
+        """
+        by_count: Dict[int, List[int]] = {}
+        for cube_index in remaining:
+            if cube_index not in encoded_here:
+                by_count.setdefault(spec_counts[cube_index], []).append(cube_index)
         for count in sorted(by_count, reverse=True):
-            candidates: List[_Candidate] = []
-            for cube_index in by_count[count]:
-                positions = open_positions.setdefault(cube_index, list(range(window)))
-                solvable: List[Tuple[int, TrialResult]] = []
-                still_open: List[int] = []
-                if self._batch_trials:
-                    trials = self._scan_positions(
-                        solver, cubes[cube_index], positions, residuals, cube_index
-                    )
-                else:
-                    equations = cube_equations[cube_index]
-                    trials = [
-                        solver.try_masks(equations[position]) for position in positions
-                    ]
-                for position, trial in zip(positions, trials):
-                    if trial.consistent:
-                        solvable.append((position, trial))
-                        still_open.append(position)
-                open_positions[cube_index] = still_open
-                for position, trial in solvable:
-                    candidates.append(
-                        _Candidate(
-                            cube_index=cube_index,
-                            position=position,
-                            trial=trial,
-                            solvable_count=len(solvable),
-                        )
-                    )
-            if candidates:
-                return self._pick(candidates)
+            group = by_count[count]
+            if self._batch_trials:
+                self._scan_group(solver, group, cubes, scans)
+            else:
+                self._scan_group_reference(solver, group, cube_equations, scans)
+            best = min(
+                (
+                    (trial.new_pivots, len(scans[cube].trials), position, cube)
+                    for cube in group
+                    for position, trial in scans[cube].trials.items()
+                ),
+                default=None,
+            )
+            if best is not None:
+                return best[3], best[2]
         return None
 
-    def _scan_positions(
+    def _scan_group(
         self,
         solver: IncrementalSolver,
-        cube,
-        positions: List[int],
-        residuals: Dict[int, Tuple[int, int, Dict[int, Tuple[TrialResult, int]]]],
-        cube_index: int,
-    ) -> List[TrialResult]:
-        """Solvability trials for a cube's open positions, residual-cached.
+        group: List[int],
+        cubes: List,
+        scans: Dict[int, _CubeScan],
+    ) -> None:
+        """Bring the scans of one specified-bit-count group up to date.
 
-        The first scan of a cube within a seed reduces every position's
-        hardware equations against the committed basis in one batched numpy
-        pass.  Later scans re-try the cached *residual* rows, which only
-        pays for pivots committed since the previous scan -- and positions
-        whose residual support misses every newly committed pivot column
-        (or all of them, when the solver epoch has not advanced) are reused
-        without touching the solver at all.  Inconsistent positions never
-        recover within a seed, so their residuals (and open slots) are
-        dropped by the caller.
+        The group's cubes have the same number of rows per position, so
+        the cubes not yet scanned in this seed test every window position
+        in one :meth:`~repro.gf2.solve.IncrementalSolver.try_positions_packed`
+        batch.  A scanned cube only re-tries the residual rows of positions
+        whose support meets a pivot column committed since its scan: a
+        residual that misses all of them would reduce to itself.  Those
+        positions of the whole group are re-tried in one more batch.
+        Positions found inconsistent never recover within a seed, so only
+        the consistent ones are kept.
         """
-        cached = residuals.get(cube_index)
-        if cached is not None and cached[0] == solver.epoch:
-            return [cached[2][position][0] for position in positions]
-        entries: Dict[int, Tuple[TrialResult, int]] = {}
-        if cached is None:
-            words, rows_each = self._equations.cube_position_words(cube)
-            if rows_each == 0:
-                trials = [
-                    TrialResult(SolveOutcome.CONSISTENT, 0, []) for _ in positions
-                ]
-                entries = {
-                    position: (trial, 0)
-                    for position, trial in zip(positions, trials)
-                }
-                residuals[cube_index] = (solver.epoch, solver.pivot_mask, entries)
-                return trials
-            # ``open_positions`` and ``residuals`` are filled and dropped
-            # together, so a cube's first scan in a seed covers every window
-            # position: ``words`` needs no row selection.
-            trials = solver.try_positions_packed(words, rows_each)
-        else:
-            # Only the pivot columns committed since the cached scan can
-            # change a trial; a residual batch whose support misses all of
-            # them would reduce to itself, so reuse the cached trial as-is.
-            delta = solver.pivot_mask & ~cached[1]
-            old_entries = cached[2]
-            trials = []
-            for position in positions:
-                trial, support = old_entries[position]
+        epoch, pivot_mask = solver.epoch, solver.pivot_mask
+        fresh: List[_CubeScan] = []
+        blocks = []
+        stale: List[Tuple[_CubeScan, int]] = []
+        stale_rows: List[List[int]] = []
+        for cube_index in group:
+            scan = scans.get(cube_index)
+            if scan is None:
+                scan = scans[cube_index] = _CubeScan(epoch, pivot_mask)
+                fresh.append(scan)
+                blocks.append(self._equations.cube_position_words(cubes[cube_index]))
+                continue
+            if scan.epoch == epoch:
+                continue
+            delta = pivot_mask & ~scan.pivot_mask
+            for position, support in list(scan.supports.items()):
                 if support & delta:
-                    trial = solver.try_augmented(trial.reduced_rows)
-                else:
-                    entries[position] = (trial, support)
-                trials.append(trial)
-        for position, trial in zip(positions, trials):
-            if position not in entries and trial.consistent:
-                support = 0
-                for row in trial.reduced_rows:
-                    support |= row
-                entries[position] = (trial, support)
-        residuals[cube_index] = (solver.epoch, solver.pivot_mask, entries)
-        return trials
+                    del scan.supports[position]
+                    stale.append((scan, position))
+                    stale_rows.append(scan.trials.pop(position).reduced_rows)
+            scan.epoch, scan.pivot_mask = epoch, pivot_mask
+        if fresh:
+            words = np.concatenate([block for block, _ in blocks])
+            window = self._equations.window_length
+            for candidate, trial in solver.try_positions_packed(words, blocks[0][1]):
+                slot, position = divmod(candidate, window)
+                fresh[slot].add(position, trial)
+        if stale:
+            for candidate, trial in solver.try_positions(stale_rows):
+                scan, position = stale[candidate]
+                scan.add(position, trial)
 
-    @staticmethod
-    def _pick(candidates: List[_Candidate]) -> _Candidate:
-        """Tie-breaks b and c: fewest replaced variables, rarest cube, earliest."""
-        min_pivots = min(c.trial.new_pivots for c in candidates)
-        level1 = [c for c in candidates if c.trial.new_pivots == min_pivots]
-        min_solvable = min(c.solvable_count for c in level1)
-        level2 = [c for c in level1 if c.solvable_count == min_solvable]
-        return min(level2, key=lambda c: (c.position, c.cube_index))
+    def _scan_group_reference(
+        self,
+        solver: IncrementalSolver,
+        group: List[int],
+        cube_equations: List[List[List[Tuple[int, int]]]],
+        scans: Dict[int, _CubeScan],
+    ) -> None:
+        """The unbatched scan: every open position re-reduced from scratch."""
+        for cube_index in group:
+            scan = scans.get(cube_index)
+            positions = (
+                range(self._equations.window_length) if scan is None else list(scan.trials)
+            )
+            equations = cube_equations[cube_index]
+            scan = scans[cube_index] = _CubeScan(solver.epoch, solver.pivot_mask)
+            for position in positions:
+                trial = solver.try_masks(equations[position])
+                if trial.consistent:
+                    scan.add(position, trial)
 
     def _free_fill(self, seed_index: int) -> List[int]:
         """Pseudo-random fill bits for the free variables of one seed."""

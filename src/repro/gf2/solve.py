@@ -16,10 +16,11 @@ accepted equations in reduced row-echelon form (augmented with the right-hand
 side), offers a *trial* mode that evaluates a batch of equations without
 committing them, and can commit a previously evaluated batch in O(batch)
 row operations.  :meth:`IncrementalSolver.try_positions_packed` runs the
-trials of many candidates (a cube at every window position) as numpy passes:
-Four Russians tables of the basis (Arlazarov, Dinic, Kronrod and Faradzev
-1970, as in M4RI) remove the committed pivots, then one column sweep over all
-candidates decides consistency and rank.
+trials of many candidates (for the window encoder: every window position of a
+group of cubes, or a group's stale residuals) as numpy passes: Four Russians
+tables of the basis (Arlazarov, Dinic, Kronrod and Faradzev 1970, as in M4RI)
+remove the committed pivots, then one column sweep over all candidates
+decides consistency and rank.  Only the consistent candidates come back.
 """
 
 from __future__ import annotations
@@ -312,44 +313,42 @@ class IncrementalSolver:
 
     def try_positions(
         self, position_rows: Sequence[Sequence[int]]
-    ) -> List[TrialResult]:
+    ) -> List[Tuple[int, TrialResult]]:
         """Trial-evaluate many candidate systems against the same basis.
 
-        ``position_rows[v]`` is the augmented-row batch of candidate ``v``
-        (for the window encoder: one batch per window position of a cube).
-        Equivalent to ``[self.try_augmented(rows) for rows in position_rows]``
-        in outcome, ``new_pivots`` and the basis a commit builds; the rows
-        are packed into uint64 blocks for :meth:`try_positions_packed`.
-        Ragged batches fall back to the big-int path.
+        ``position_rows[v]`` is the augmented-row batch of candidate ``v``.
+        Shorter batches are padded with zero rows, which change no trial,
+        and the rows are packed into uint64 blocks for
+        :meth:`try_positions_packed`, whose result this returns: the
+        consistent candidates only.
         """
-        num_candidates = len(position_rows)
-        if num_candidates == 0:
-            return []
-        rows_each = len(position_rows[0])
-        if rows_each == 0 or any(len(rows) != rows_each for rows in position_rows):
-            return [self.try_augmented(rows) for rows in position_rows]
-        num_words = (self._n + 1 + 63) // 64
+        rows_each = max(1, max(map(len, position_rows), default=0))
         flat: List[int] = []
         for rows in position_rows:
             flat.extend(rows)
+            flat.extend([0] * (rows_each - len(rows)))
+        num_words = (self._n + 1 + 63) // 64
         return self.try_positions_packed(
             _pack_ints_to_words(flat, num_words), rows_each
         )
 
     def try_positions_packed(
         self, words: np.ndarray, rows_each: int
-    ) -> List[TrialResult]:
-        """:meth:`try_positions` on pre-packed uint64 row blocks.
+    ) -> List[Tuple[int, TrialResult]]:
+        """Trial-evaluate pre-packed candidates; return the consistent ones.
 
         ``words`` holds the augmented rows of all candidates, ``rows_each``
         consecutive rows per candidate; the array is not modified (callers
         cache it across seeds -- see
         :meth:`repro.encoding.equations.EquationSystem.cube_position_words`).
 
-        A consistent candidate's ``reduced_rows`` are its non-zero pass-1
-        residuals; they span the same space as :meth:`try_augmented`'s rows,
-        so :meth:`commit` builds the same basis.  Inconsistent candidates
-        share one result object.
+        Returns ``(candidate, trial)`` pairs in candidate order, one per
+        *consistent* candidate: a candidate absent from the list is
+        inconsistent.  Each pair's outcome and ``new_pivots`` equal
+        :meth:`try_augmented` on the candidate's rows.  Its
+        ``reduced_rows`` are the candidate's non-zero pass-1 residuals; they
+        span the same space as :meth:`try_augmented`'s rows, so
+        :meth:`commit` builds the same basis.
         """
         total_rows = words.shape[0]
         if rows_each <= 0 or total_rows % rows_each:
@@ -360,9 +359,14 @@ class IncrementalSolver:
         num_candidates = total_rows // rows_each
         if total_rows < _BATCH_MIN_ROWS:
             ints = _words_to_ints(words)
-            return [
+            trials = (
                 self.try_augmented(ints[base : base + rows_each])
                 for base in range(0, total_rows, rows_each)
+            )
+            return [
+                (candidate, trial)
+                for candidate, trial in enumerate(trials)
+                if trial.consistent
             ]
         SOLVER_STATS.batches += 1
         SOLVER_STATS.trials += num_candidates
@@ -406,20 +410,22 @@ class IncrementalSolver:
         consistent = np.flatnonzero(~swept.any(axis=(0, 2)))
 
         # Only consistent candidates need rows to commit: their non-zero
-        # pass-1 residuals span the same space as a sequential trial's
-        # rows.  Inconsistent candidates share one result.
-        results = [TrialResult(SolveOutcome.INCONSISTENT, 0, [])] * num_candidates
+        # pass-1 residuals span the same space as a sequential trial's rows.
         blocks = blocks[consistent]
         nonzero = blocks.any(axis=2)
         rows = _words_to_ints(blocks[nonzero])
+        results = []
         end = 0
         for candidate, count, rank in zip(
             consistent.tolist(),
             nonzero.sum(axis=1).tolist(),
             new_pivots[consistent].tolist(),
         ):
-            results[candidate] = TrialResult(
-                SolveOutcome.CONSISTENT, rank, rows[end : end + count]
+            results.append(
+                (
+                    candidate,
+                    TrialResult(SolveOutcome.CONSISTENT, rank, rows[end : end + count]),
+                )
             )
             end += count
         return results

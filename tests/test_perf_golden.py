@@ -11,7 +11,9 @@ random inputs.
 """
 
 import random
+from collections import Counter, namedtuple
 
+import pytest
 from hypothesis import assume, given, settings
 
 from circuit_library import carry_ripple_adder, parity_tree
@@ -25,8 +27,10 @@ from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.encoding.window import EncodingError, WindowEncoder
 from repro.gf2 import solve
 from repro.gf2.solve import Equation, IncrementalSolver
+from repro.testdata.cube import TestCube
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
+from repro.testdata.test_set import TestSet
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +104,151 @@ def test_solver_batch_differential(
 
 
 # ----------------------------------------------------------------------
+# Encoder: the selection step's batch shapes, pinned
+# ----------------------------------------------------------------------
+def _cube_set(seed, num_cells, counts):
+    """Random cubes over ``num_cells`` cells, ``counts[i]`` specified bits each."""
+    rng = random.Random(seed)
+    cubes = []
+    for count in counts:
+        cells = rng.sample(range(num_cells), count)
+        assignments = {cell: rng.getrandbits(1) for cell in cells}
+        cubes.append(TestCube.from_assignments(num_cells, assignments))
+    return TestSet(f"fixed{seed}", cubes)
+
+
+def _greedy_embeddings(test_set, equations):
+    """Per seed, the ``(cube, position)`` embeddings of the paper's greedy.
+
+    A literal transcription of the ``repro.encoding.window`` docstring that
+    shares neither the encoder's scan nor its pick: every step re-tries
+    every pending cube at every window position from scratch and applies
+    criteria a-c as three filters.
+    """
+    cubes = test_set.cubes
+    window = equations.window_length
+    systems = [equations.cube_equations(cube) for cube in cubes]
+    counts = [cube.specified_count() for cube in cubes]
+    remaining = set(range(len(cubes)))
+    seeds = []
+    while remaining:
+        solver = IncrementalSolver(equations.lfsr_size)
+        embeddings = []
+        for cube in sorted(remaining, key=lambda i: (-counts[i], i)):
+            trial = solver.try_masks(systems[cube][0])
+            if trial.consistent:
+                solver.commit(trial)
+                embeddings.append((cube, 0))
+                break
+        while True:
+            pending = remaining - {cube for cube, _ in embeddings}
+            solvable = {}
+            for cube in pending:
+                for position in range(window):
+                    trial = solver.try_masks(systems[cube][position])
+                    if trial.consistent:
+                        solvable[cube, position] = trial
+            if not solvable:
+                break
+            densest = max(counts[cube] for cube, _ in solvable)
+            level = [key for key in solvable if counts[key[0]] == densest]
+            fewest = min(solvable[key].new_pivots for key in level)
+            level = [key for key in level if solvable[key].new_pivots == fewest]
+            ways = Counter(cube for cube, _ in solvable)
+            rarest = min(ways[cube] for cube, _ in level)
+            level = [key for key in level if ways[key[0]] == rarest]
+            earliest = min(position for _, position in level)
+            cube = min(cube for cube, position in level if position == earliest)
+            solver.commit(solvable[cube, earliest])
+            embeddings.append((cube, earliest))
+        remaining -= {cube for cube, _ in embeddings}
+        seeds.append(embeddings)
+    return seeds
+
+
+#: One ``try_positions_packed`` call of the encoder: its candidates, rows
+#: per candidate and, for a re-try, the distinct residual row counts before
+#: padding (``None`` for a first scan).
+Batch = namedtuple("Batch", "candidates rows_each residual_rows")
+
+
+def _record_batches(monkeypatch):
+    """Record every ``try_positions_packed`` call as a :data:`Batch`."""
+    calls = []
+    retries = []
+    packed = IncrementalSolver.try_positions_packed
+    positions = IncrementalSolver.try_positions
+
+    def record_packed(solver, words, rows_each):
+        residual_rows = retries.pop() if retries else None
+        calls.append(Batch(words.shape[0] // rows_each, rows_each, residual_rows))
+        return packed(solver, words, rows_each)
+
+    def record_positions(solver, position_rows):
+        retries.append(sorted({len(rows) for rows in position_rows}))
+        return positions(solver, position_rows)
+
+    monkeypatch.setattr(IncrementalSolver, "try_positions_packed", record_packed)
+    monkeypatch.setattr(IncrementalSolver, "try_positions", record_positions)
+    return calls
+
+
+def _rows(batch):
+    return batch.candidates * batch.rows_each
+
+
+#: case -> (cube seed, cells, specified counts, chains, window L, the batch
+#: shape the case must produce).
+SELECTION_CASES = {
+    # Seven cubes of one count scanned in one packed call.
+    "group-first-scan": (
+        1, 48, [6] * 8, 4, 16,
+        lambda batch, window: batch.residual_rows is None
+        and batch.candidates >= 3 * window
+        and _rows(batch) >= solve._BATCH_MIN_ROWS,
+    ),
+    # Stale residuals of different lengths, zero-padded into one packed call.
+    "padded-retry": (
+        2, 48, [6] * 8 + [4] * 4, 4, 16,
+        lambda batch, window: batch.residual_rows is not None
+        and len(batch.residual_rows) > 1
+        and _rows(batch) >= solve._BATCH_MIN_ROWS,
+    ),
+    # A several-cube first scan too small for numpy: per-candidate trials.
+    "below-min-rows": (
+        3, 32, [3] * 6, 4, 4,
+        lambda batch, window: batch.residual_rows is None
+        and batch.candidates >= 2 * window
+        and _rows(batch) < solve._BATCH_MIN_ROWS,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECTION_CASES))
+def test_selection_batch_shapes(case, monkeypatch):
+    """Fixed cases of each batch shape: scan, oracle and greedy agree."""
+    seed, num_cells, counts, chains, window, shape = SELECTION_CASES[case]
+    test_set = _cube_set(seed, num_cells, counts)
+    key = SubstrateKey(num_cells, chains, max(counts) + 8, window)
+    reference = WindowEncoder(
+        EncoderSubstrate(key).equations, batch_trials=False
+    ).encode(test_set)
+    calls = _record_batches(monkeypatch)
+    batched = WindowEncoder(EncoderSubstrate(key).equations).encode(test_set)
+    monkeypatch.undo()
+
+    assert any(shape(batch, window) for batch in calls), calls
+    assert batched.to_dict() == reference.to_dict()
+    assert [record.seed.value for record in batched.seeds] == [
+        record.seed.value for record in reference.seeds
+    ]
+    assert [
+        [(embedding.cube_index, embedding.position) for embedding in record.embeddings]
+        for record in batched.seeds
+    ] == _greedy_embeddings(test_set, EncoderSubstrate(key).equations)
+
+
+# ----------------------------------------------------------------------
 # Fault simulator: wide words + cones vs dense 64-bit reference
 # ----------------------------------------------------------------------
 def _vectors(netlist, count, seed=11):
@@ -118,6 +267,27 @@ def test_faultsim_identical_detection_words_without_dropping():
     # Without dropping, every fault sees every pattern, so the full
     # detection words must agree bit for bit across block widths.
     assert ref_result.detected == opt_result.detected
+
+
+def test_faultsim_vectors_match_patterns():
+    """Vector ints packed straight into input words vs per-pattern dicts."""
+    netlist = random_netlist("vectors", num_inputs=20, num_gates=100, seed=3)
+    rng = random.Random(5)
+    # Two and a half 64-pattern blocks; bits above the 20 inputs are ignored.
+    vectors = [rng.getrandbits(netlist.num_inputs + 7) for _ in range(160)]
+    assert any(vector >> netlist.num_inputs for vector in vectors)
+    patterns = [
+        {net: (vector >> index) & 1 for index, net in enumerate(netlist.inputs)}
+        for vector in vectors
+    ]
+    for drop in (False, True):
+        by_vector = FaultSimulator(netlist, word_width=64)
+        by_pattern = FaultSimulator(netlist, word_width=64)
+        assert (
+            by_vector.simulate_vectors(vectors, drop=drop).detected
+            == by_pattern.simulate_patterns(patterns, drop=drop).detected
+        )
+        assert by_vector.detected_faults == by_pattern.detected_faults
 
 
 def test_faultsim_identical_detected_set_with_dropping():
@@ -188,7 +358,17 @@ def _add_equations(solver, equations):
         solver.commit(trial)
 
 
+def _by_candidate(pairs, num_candidates):
+    """A batch's trial per candidate; an absent candidate is inconsistent."""
+    candidates = [candidate for candidate, _ in pairs]
+    assert candidates == sorted(set(candidates)), "pairs not in candidate order"
+    assert all(trial.consistent for _, trial in pairs)
+    trials = dict(pairs)
+    return [trials.get(candidate) for candidate in range(num_candidates)]
+
+
 def test_try_positions_matches_sequential_trials():
+    """Ragged batches, zero-padded by ``try_positions``, vs sequential trials."""
     rng = random.Random(77)
     for _ in range(40):
         n = rng.randint(2, 130)
@@ -204,14 +384,14 @@ def test_try_positions_matches_sequential_trials():
         batches = [
             [
                 rng.getrandbits(n) | ((1 << n) if rng.getrandbits(1) else 0)
-                for _ in range(rows_each)
+                for _ in range(rng.randint(0, rows_each))
             ]
             for _ in range(rng.randint(1, 20))
         ]
         sequential = [solver.try_augmented(rows) for rows in batches]
-        batched = solver.try_positions(batches)
+        batched = _by_candidate(solver.try_positions(batches), len(batches))
         for seq, bat in zip(sequential, batched):
-            assert seq.outcome == bat.outcome
+            assert seq.consistent == (bat is not None)
             if seq.consistent:
                 assert seq.new_pivots == bat.new_pivots
                 # Committing either trial must leave identical solver state.
@@ -289,10 +469,10 @@ def test_solver_packed_differential(
     ]
     sequential = [solver.try_augmented(rows) for rows in batches]
     batches_before = solve.SOLVER_STATS.batches
-    packed = solver.try_positions(batches)
+    packed = _by_candidate(solver.try_positions(batches), len(batches))
     assert solve.SOLVER_STATS.batches == batches_before + 1, "packed path not taken"
     for seq, bat in zip(sequential, packed):
-        assert bat.outcome == seq.outcome
+        assert seq.consistent == (bat is not None)
         if seq.consistent:
             assert bat.new_pivots == seq.new_pivots
             left, right = solver.copy(), solver.copy()

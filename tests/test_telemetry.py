@@ -328,6 +328,55 @@ class TestEventLog:
         assert write_event_log(path, lines) == len(lines)
         assert list(read_event_log(path)) == lines
 
+    def test_phase_retry_event(self, monkeypatch):
+        """One event per failed phase-shifter attempt, to the active recorder."""
+        from repro.encoding.encoder import encode_with_retries
+        from repro.encoding.substrate import EncoderSubstrate
+        from repro.encoding.window import EncodingError, WindowEncoder
+        from repro.testdata.cube import TestCube
+        from repro.testdata.test_set import TestSet
+
+        real_encode = WindowEncoder.encode
+        attempts = []
+
+        def first_attempt_fails(self, test_set):
+            attempts.append(test_set)
+            if len(attempts) % 2:
+                raise EncodingError("synthetic hard conflict\nsecond line")
+            return real_encode(self, test_set)
+
+        monkeypatch.setattr(WindowEncoder, "encode", first_attempt_fails)
+        test_set = TestSet("retry_event", [TestCube.from_string("11XX")])
+
+        def encode():
+            return encode_with_retries(
+                test_set, EncoderSubstrate, num_scan_chains=2, lfsr_size=8,
+                window_length=4,
+            )
+
+        recorder = Recorder(run_id="retry")
+        with use_recorder(recorder):
+            substrate, _ = encode()
+        assert substrate.key.phase_seed == 2009
+        events = [e for e in recorder_event_lines(recorder) if e["kind"] != "span"]
+        assert [(e["kind"], e["payload"]) for e in events] == [
+            (
+                "encode.phase_retry",
+                {
+                    "attempt": 0,
+                    "phase_seed": 2008,
+                    "lfsr_size": 8,
+                    "window_length": 4,
+                    "error": "synthetic hard conflict",
+                },
+            )
+        ]
+        # Under the default NullRecorder the retry records nothing.
+        assert get_recorder().enabled is False
+        encode()
+        assert len(attempts) == 4
+        assert len(recorder.events) == 1
+
     def test_torn_tail_is_skipped(self, tmp_path):
         path = tmp_path / "log.jsonl"
         good = json.dumps({"ts": 1.0, "kind": "x"})
