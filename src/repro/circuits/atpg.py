@@ -21,16 +21,18 @@ redundant faults.
 Three engines drive the loop, selected by ``engine=``:
 
 * ``engine="events"`` (the default, and the one production code runs)
-  keeps one persistent packed good+faulty state per :class:`PodemAtpg`
-  (:class:`~repro.circuits.ternary.TernaryEventEngine`): each targeted
-  fault re-forces its overlay onto the live baseline and releases it when
-  done (no per-fault rebuild), each decision assigns one primary input and
+  keeps one persistent good+faulty state per :class:`PodemAtpg`
+  (:class:`~repro.circuits.ternary.TernaryEventEngine`, one 4-bit state per
+  net that the status, X-path, objective and backtrace code read through
+  the engine module's 16-entry predicates): each targeted fault re-forces
+  its overlay onto the live baseline and releases it when done (no
+  per-fault rebuild), each decision assigns one primary input and
   re-evaluates only the part of that input's fanout cone that lies in the
   fault's region (the fanin closure of the fault's fanout cone, the only
-  nets PODEM reads; the engine fences every other row), and each backtrack
-  rewinds an undo log -- O(changed cone) per decision node instead of
-  O(netlist).  Outside the region the engine state goes stale, which no
-  decision can see;
+  nets PODEM reads; the engine fences every other row), each row as one
+  table lookup, and each backtrack rewinds an undo log -- O(changed cone)
+  per decision node instead of O(netlist).  Outside the region the engine
+  state goes stale, which no decision can see;
 * ``engine="packed"`` selects the **packed full-pass** oracle, which
   evaluates the good and the faulty machine together in one
   2-bit-per-net pass of the two-word ternary core
@@ -59,6 +61,10 @@ from repro.circuits.faults import StuckAtFault, collapse_faults
 from repro.circuits.netlist import GateType, Netlist
 from repro.circuits.simulator import X, check_engine, simulate_ternary_reference
 from repro.circuits.ternary import (
+    BOTH_KNOWN,
+    CARRIES_DIFFERENCE,
+    GOOD_KNOWN,
+    GOOD_VALUE,
     OP_AND,
     OP_OR,
     PackedPlan,
@@ -129,22 +135,21 @@ class PodemAtpg:
         self._plan: PackedPlan = packed_plan(netlist)
         # One event engine serves every targeted fault: after each fault the
         # undo log rewinds it to the empty-assignment checkpoint and the
-        # next fault's overlay is re-forced (see _event_engine), so the two
-        # state lists and the full baseline evaluation are built once per
-        # PodemAtpg instead of once per fault.  The difference set and the
-        # D-frontier bookkeeping below persist with it: ``_diff`` holds the
-        # nets carrying the fault difference, ``_diff_in_count[row]`` counts
-        # a row's distinct difference inputs, and ``_frontier_rows`` holds
-        # the rows where that count is positive -- all maintained from the
-        # same touched-net lists, and all provably empty/zero again once the
-        # engine is rewound (the empty-assignment baseline has no known
-        # net, hence no difference).
+        # next fault's overlay is re-forced (see _event_engine), so the
+        # state list is built once per PodemAtpg instead of once per fault.
+        # The difference set and the D-frontier bookkeeping below persist
+        # with it: ``_diff`` holds the nets carrying the fault difference,
+        # ``_diff_in_count[row]`` counts a row's distinct difference inputs,
+        # and ``_frontier_rows`` holds the rows where that count is positive
+        # -- all maintained from the same touched-net lists, and all
+        # provably empty/zero again once the engine is rewound (the
+        # empty-assignment baseline has no known net, hence no difference).
         self._engine: Optional[TernaryEventEngine] = None
         self._diff: Set[int] = set()
         self._diff_in_count: List[int] = [0] * len(self._plan.rows)
         self._frontier_rows: Set[int] = set()
         # Primary outputs currently in the difference set, maintained in
-        # _sync_state so the detected check is one truthiness test instead
+        # _sync so the detected check is one truthiness test instead
         # of a scan over every output per decision node.
         self._diff_outputs: Set[int] = set()
 
@@ -171,16 +176,16 @@ class PodemAtpg:
             engine, token = self._event_engine(fault)
             events_before = engine.events_processed
             passes_before = engine.propagate_passes
-            values, cares = engine.values, engine.cares
             # The engine was rewound to the empty-assignment baseline (no
             # known net, so no difference) before the overlay was re-forced;
             # syncing the nets the overlay touched rebuilds the difference
             # set and frontier without the old full-netlist scan.
-            self._sync_state(values, cares, engine.changed_entries(token))
+            states = engine.states
+            self._sync(states, engine.changed_entries(token))
             try:
                 found = self._podem_events(fault, assignment, engine)
             finally:
-                self._sync_entries(engine.release_force(token))
+                self._sync(states, engine.release_force(token))
             self._engine_events = engine.events_processed - events_before
             self._engine_passes = engine.propagate_passes - passes_before
             self._engine_undo_depth = engine.max_undo_depth
@@ -670,7 +675,7 @@ class PodemAtpg:
         plan = self._plan
         engine = self._engine
         if engine is None:
-            engine = self._engine = TernaryEventEngine(plan, _BOTH)
+            engine = self._engine = TernaryEventEngine(plan)
         else:
             self._engine_reused = True
         # The undo log is empty here (every fault releases back to the
@@ -704,28 +709,29 @@ class PodemAtpg:
         touched, so the X-path check reads the set and the objective search
         reads a maintained D-frontier instead of rescanning every net or
         plan row.  The status check, objective search and backtrace read
-        the same two-word state, so all three engines take identical
+        the engine's states through the same predicates the packed engine
+        computes from its two words, so all three engines take identical
         decisions node for node.
         """
-        values, cares = engine.values, engine.cares
-        status = self._evaluate_events(fault, values, cares, self._diff)
+        states = engine.states
+        status = self._evaluate_events(fault, states)
         if status == "detected":
             return True
         if status == "impossible":
             return False
-        objective = self._objective_events(fault, values, cares)
+        objective = self._objective_events(fault, states)
         if objective is None:
             return False
-        pi, value = self._backtrace_packed(objective, cares)
-        pi_index = self._plan.index[pi]
+        pi_index, value = self._backtrace_events(objective, states)
+        pi = self._plan.nets[pi_index]
         for candidate in (value, 1 - value):
             assignment[pi] = candidate
             self._decisions += 1
             token = engine.assign(pi_index, candidate)
-            self._sync_state(values, cares, engine.changed_entries(token))
+            self._sync(states, engine.changed_entries(token))
             if self._podem_events(fault, assignment, engine):
                 return True
-            self._sync_entries(engine.rewind(token))
+            self._sync(states, engine.rewind(token))
             self._backtracks += 1
             if self._backtracks >= self._backtrack_limit:
                 del assignment[pi]
@@ -733,17 +739,15 @@ class PodemAtpg:
         del assignment[pi]
         return False
 
-    def _sync_state(
-        self,
-        values: List[int],
-        cares: List[int],
-        touched: List[Tuple[int, int, int]],
-    ) -> None:
+    def _sync(self, states: List[int], touched: List[Tuple[int, int]]) -> None:
         """Re-derive difference membership for the nets an update touched.
 
-        ``touched`` is the undo-log slice of the update (only its net
-        indices are read; the live words come from the state lists).  A net
-        entering or leaving the difference set bumps the distinct-
+        ``touched`` is the ``(net, old_state)`` undo-log slice of an engine
+        update: an assign or a reforce, after which ``states`` holds the
+        new states, or a rewind, after which it holds the restored ones.
+        Each net's membership follows its live state, so a net logged
+        several times since a rewind token ends where the rewind left it.
+        A net entering or leaving the difference set bumps the distinct-
         difference-input count of each plan row reading it (reader_rows
         positions are distinct per net), and the row joins or leaves the
         maintained D-frontier when that count crosses zero -- so frontier
@@ -756,11 +760,8 @@ class PodemAtpg:
         reader_rows = self._plan.reader_rows
         is_output = self._plan.is_output
         diff_outputs = self._diff_outputs
-        for entry in touched:
-            index = entry[0]
-            if cares[index] & _BOTH == _BOTH and (
-                values[index] ^ (values[index] >> 1)
-            ) & 1:
+        for index, _old in touched:
+            if CARRIES_DIFFERENCE[states[index]]:
                 if index not in diff:
                     diff.add(index)
                     if is_output[index]:
@@ -780,75 +781,29 @@ class PodemAtpg:
                     if not count:
                         frontier.discard(row)
 
-    def _sync_entries(self, entries: List[Tuple[int, int, int]]) -> None:
-        """:meth:`_sync_state` over a rewound undo-log slice.
-
-        The restored words are read straight off the entries -- iterated in
-        reverse so, when an index was overwritten several times since the
-        rewind token, its earliest entry (the one actually left in the
-        state, see :meth:`TernaryEventEngine.rewind`) is processed last and
-        decides the final membership.
-        """
-        diff = self._diff
-        counts = self._diff_in_count
-        frontier = self._frontier_rows
-        reader_rows = self._plan.reader_rows
-        is_output = self._plan.is_output
-        diff_outputs = self._diff_outputs
-        for index, value, care in reversed(entries):
-            if care & _BOTH == _BOTH and (value ^ (value >> 1)) & 1:
-                if index not in diff:
-                    diff.add(index)
-                    if is_output[index]:
-                        diff_outputs.add(index)
-                    for row in reader_rows[index]:
-                        count = counts[row] + 1
-                        counts[row] = count
-                        if count == 1:
-                            frontier.add(row)
-            elif index in diff:
-                diff.discard(index)
-                if is_output[index]:
-                    diff_outputs.discard(index)
-                for row in reader_rows[index]:
-                    count = counts[row] - 1
-                    counts[row] = count
-                    if not count:
-                        frontier.discard(row)
-
-    # NOTE: the three *_events helpers below deliberately *restate* their
-    # _*_packed counterparts (with set lookups replacing the recomputed
-    # difference predicate) instead of sharing code with them.  The
-    # full-pass methods are the frozen reference this engine is golden-
-    # tested against -- the same pattern as simulate_ternary_reference and
+    # NOTE: the four *_events helpers below deliberately *restate* their
+    # _*_packed counterparts (reading the engine's states through the
+    # predicate tables, and the maintained sets for the recomputed
+    # difference scans) instead of sharing code with them.  The full-pass
+    # methods are the frozen reference this engine is golden-tested
+    # against -- the same pattern as simulate_ternary_reference and
     # build_embedding_map_reference -- and a shared helper would make the
     # bit-identity tests tautological.
-    def _evaluate_events(
-        self,
-        fault: StuckAtFault,
-        values: List[int],
-        cares: List[int],
-        diff: Set[int],
-    ) -> str:
+    def _evaluate_events(self, fault: StuckAtFault, states: List[int]) -> str:
         """:meth:`_evaluate_packed` with the maintained difference set."""
-        plan = self._plan
-        fault_index = plan.index[fault.net]
-        if cares[fault_index] & _GOOD and (values[fault_index] & _GOOD) == (
-            fault.stuck_value & _GOOD
-        ):
+        fault_index = self._plan.index[fault.net]
+        if GOOD_VALUE[states[fault_index]] == fault.stuck_value:
             return "impossible"
         if self._diff_outputs:
             # Maintained alongside ``diff``: nonempty iff some primary
             # output carries the difference -- the per-output scan this
             # replaces returned "detected" under exactly that condition.
             return "detected"
-        if not self._x_path_exists_events(values, cares, diff):
+        if not self._x_path_exists_events(states, self._diff):
             return "impossible"
         return "undetermined"
 
-    def _x_path_exists_events(
-        self, values: List[int], cares: List[int], diff: Set[int]
-    ) -> bool:
+    def _x_path_exists_events(self, states: List[int], diff: Set[int]) -> bool:
         """:meth:`_x_path_exists_packed` seeded from the difference set.
 
         The walk returns as soon as it reaches a primary output: a net
@@ -859,8 +814,7 @@ class PodemAtpg:
         if not diff:
             # The fault is not activated yet; propagation cannot be ruled out.
             return True
-        plan = self._plan
-        fanout = plan.fanout
+        fanout = self._plan.fanout
         is_output = self._plan.is_output
         reachable: Set[int] = set()
         stack = list(diff)
@@ -872,15 +826,12 @@ class PodemAtpg:
                 return True
             reachable.add(net)
             for successor in fanout[net]:
-                if cares[successor] & _BOTH != _BOTH or successor in diff:
+                if not BOTH_KNOWN[states[successor]] or successor in diff:
                     stack.append(successor)
         return False
 
     def _objective_events(
-        self,
-        fault: StuckAtFault,
-        values: List[int],
-        cares: List[int],
+        self, fault: StuckAtFault, states: List[int]
     ) -> Optional[Tuple[int, int]]:
         """:meth:`_objective_packed` read off the maintained D-frontier.
 
@@ -892,7 +843,7 @@ class PodemAtpg:
         """
         plan = self._plan
         fault_index = plan.index[fault.net]
-        if not cares[fault_index] & _GOOD:
+        if not GOOD_KNOWN[states[fault_index]]:
             return (fault_index, 1 - fault.stuck_value)
         rows = plan.rows
         frontier = sorted(self._frontier_rows)
@@ -905,18 +856,41 @@ class PodemAtpg:
                 sum(
                     1
                     for position in frontier
-                    if cares[rows[position][0]] & _BOTH != _BOTH
+                    if not BOTH_KNOWN[states[rows[position][0]]]
                 )
             )
         for position in frontier:
             output, op, inputs, _inverting = rows[position]
-            if cares[output] & _BOTH == _BOTH:
+            if BOTH_KNOWN[states[output]]:
                 continue
             non_controlling = 1 if op == OP_AND else 0
             for src in inputs:
-                if not cares[src] & _GOOD:
+                if not GOOD_KNOWN[states[src]]:
                     return (src, non_controlling)
         return None
+
+    def _backtrace_events(
+        self, objective: Tuple[int, int], states: List[int]
+    ) -> Tuple[int, int]:
+        """:meth:`_backtrace_packed`, returning the input's net index."""
+        net, value = objective
+        rows = self._plan.rows
+        num_inputs = self._plan.num_inputs
+        while net >= num_inputs:
+            # Gate nets follow the inputs in row order.
+            _output, _op, inputs, inverting = rows[net - num_inputs]
+            if inverting:
+                value = 1 - value
+            # Choose an input with unknown good value to continue the trace.
+            next_net = None
+            for src in inputs:
+                if not GOOD_KNOWN[states[src]]:
+                    next_net = src
+                    break
+            if next_net is None:
+                next_net = inputs[0]
+            net = next_net
+        return net, value
 
     def _assignment_to_cube(self, assignment: Dict[str, int]) -> TestCube:
         indexed = {

@@ -70,7 +70,9 @@ def random_netlist(
         if gate_type in (GateType.NOT, GateType.BUF):
             fanin = 1
         else:
-            fanin = rng.randint(2, max_fanin)
+            # No more inputs than there are nets to read: the first gates
+            # of a netlist with fewer inputs than max_fanin see only a few.
+            fanin = min(rng.randint(2, max_fanin), len(nets))
         # Locality bias: prefer recent nets, fall back to anywhere.
         pool_size = min(len(nets), max(8, len(nets) // 2))
         recent = nets[-pool_size:]
@@ -79,8 +81,6 @@ def random_netlist(
             source = rng.choice(recent if rng.random() < 0.7 else nets)
             if source not in chosen:
                 chosen.append(source)
-            elif len(set(nets)) < fanin:
-                break
         gates.append(Gate(output=output, gate_type=gate_type, inputs=tuple(chosen)))
         nets.append(output)
 

@@ -13,7 +13,8 @@ pattern ``p`` and 1 when it carries the known value stored in bit ``p`` of
 the value word (value bits are always masked to 0 where the care bit is 0,
 so equal states compare equal).  Words are plain Python integers, so the
 pattern width is arbitrary: PODEM packs the good and the faulty machine into
-a 2-bit word, fault simulation packs hundreds of patterns, and the uint64
+a 2-bit word (its event engine combines the two words of a net into one
+4-bit state), fault simulation packs hundreds of patterns, and the uint64
 blocks of the numpy embedding-matching layer are just this encoding sliced
 into 64-bit words (see :meth:`repro.testdata.cube.TestCube.packed_words`).
 
@@ -50,19 +51,24 @@ the fault simulator evaluates cones and PODEM's engine never leaves the
 region.
 
 Besides the two batch evaluators (:func:`eval_binary`, :func:`eval_ternary`)
-the module provides :class:`TernaryEventEngine`: a persistent state that
-updates incrementally when one primary input changes, re-evaluating only the
-dirty fanout cone through per-level bucket queues and recording every
-overwrite in an undo log so a caller (PODEM's backtracking search) can
-rewind in O(changed cone).  While a fault overlay is installed the engine is
-fenced to the fault's region.
+the module provides :class:`TernaryEventEngine`, PODEM's dual-machine state:
+one 4-bit state per net, ``(value << 2) | care`` of the 2-bit good/faulty
+words, kept alive between queries and updated incrementally when one primary
+input changes.  Only the dirty fanout cone is re-evaluated, through per-level
+bucket queues, each row as one lookup in a combined state table, and every
+overwrite is recorded in an undo log so a caller (PODEM's backtracking search)
+can rewind in O(changed cone).  While a fault overlay is installed the engine
+is fenced to the fault's region.  This module is the only one that knows the
+state layout: PODEM reads states through the 16-entry predicates
+:data:`CARRIES_DIFFERENCE`, :data:`GOOD_KNOWN`, :data:`BOTH_KNOWN` and
+:data:`GOOD_VALUE`.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress, product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.circuits.netlist import GateType, Netlist
@@ -85,97 +91,102 @@ _OPCODE = {
 #: Plan rows with integer net indices: ``(output, opcode, inputs, inverting)``.
 IndexedRow = Tuple[int, int, Tuple[int, ...], bool]
 
-#: Fused opcodes of :attr:`PackedPlan.fused_rows`: 2- and 3-input
-#: AND/OR/XOR (together the vast majority of gates in every netlist this
-#: package sees) and the 1-input buffer carry their operand indices inline,
-#: so the event engine's hot loop computes them with straight-line integer
-#: algebra instead of the generic reduce over an input tuple.  Gates with
-#: any other arity keep their generic opcode (``OP_AND``/``OP_OR``/
-#: ``OP_XOR``) and fall through to the reduce loop.
-_F_AND2, _F_OR2, _F_XOR2, _F_BUF = 4, 5, 6, 7
-_F_AND3, _F_OR3, _F_XOR3 = 8, 9, 10
+#: Rows of :class:`TernaryEventEngine`: ``(output, arity, a, b, c, table)``.
+#: A row of one to three inputs carries its operand net indices (unused
+#: trailing ones are -1) and its combined state table (see
+#: :func:`_state_table`); a wider row has arity 0 and no table, and the
+#: engine reduces it over the plan row's input tuple.
+TableRow = Tuple[int, int, int, int, int, Optional[List[int]]]
 
-_FUSED_2IN = {OP_AND: _F_AND2, OP_OR: _F_OR2, OP_XOR: _F_XOR2}
-_FUSED_3IN = {OP_AND: _F_AND3, OP_OR: _F_OR3, OP_XOR: _F_XOR3}
-
-#: Lookup tables for 2-bit (``mask == 0b11``) engines, keyed by fused
-#: opcode and the row's ``inverting`` flag.  Every operand word of a
-#: 2-bit engine is one of 16 states ``(value << 2) | care``, so a whole
-#: row evaluates as two list indexings on a key built from shifted
-#: operand states -- no bit algebra, no opcode dispatch beyond arity,
-#: and the inversion folded into the table.  Shared process-wide; at
-#: most 14 table pairs of <= 4096 small ints each.
-#: 14 (fused op, inverting) pairs exist, so the bound never evicts; the
-#: LRUCache is the bounded-cache discipline, not a working-set limit.
+#: Combined state tables, keyed by ``(opcode, inverting, arity)``.  Shared
+#: process-wide; 14 keys exist (BUF/NOT, and AND/OR/XOR either way round at
+#: two and three inputs), so the bound never evicts: the LRUCache is the
+#: bounded-cache discipline, not a working-set limit.
 _TABLE_CACHE: LRUCache = LRUCache(32)
 
 
-def _fused_tables(op: int, inverting: bool) -> Tuple[List[int], List[int]]:
-    cached = _TABLE_CACHE.get((op, inverting))
-    if cached is not None:
-        return cached
-    if op == _F_BUF:
-        size = 16
-    elif op in (_F_AND2, _F_OR2, _F_XOR2):
-        size = 256
+def _row_state(op: int, inverting: bool, operands: Sequence[int]) -> int:
+    """One row's 4-bit state from its operands' states.
+
+    Decodes each operand state ``(value << 2) | care`` into its 2-bit words,
+    reduces them with the row algebra of :func:`eval_ternary` at mask
+    ``0b11`` and encodes the result.
+    """
+    if op == OP_AND:
+        zero_any = 0
+        one_all = 0b11
+        for state in operands:
+            value = state >> 2
+            zero_any |= state & 0b11 & ~value
+            one_all &= value
+        care = zero_any | one_all
+        value = one_all & care
+    elif op == OP_OR:
+        one_any = 0
+        zero_all = 0b11
+        for state in operands:
+            value = state >> 2
+            one_any |= value
+            zero_all &= state & 0b11 & ~value
+        care = one_any | zero_all
+        value = one_any & care
+    elif op == OP_XOR:
+        care = 0b11
+        value = 0
+        for state in operands:
+            care &= state
+            value ^= state >> 2
+        value &= care
     else:
-        size = 4096
-    value_table = [0] * size
-    care_table = [0] * size
-    for key in range(size):
-        # Decode operand states; same row algebra as the inline fused
-        # arms of TernaryEventEngine._propagate, specialised to mask 3.
-        va, ca = (key >> 6) & 3, (key >> 4) & 3
-        vb, cb = (key >> 2) & 3, key & 3
-        if op == _F_BUF:
-            va, ca = (key >> 2) & 3, key & 3
-            value, care = va, ca
-        elif op == _F_AND2:
-            care = ((ca & ~va) | (cb & ~vb) | (va & vb)) & 3
-            value = va & vb & care
-        elif op == _F_OR2:
-            value = va | vb
-            care = (value | (ca & ~va & cb & ~vb)) & 3
-            value &= care
-        elif op == _F_XOR2:
-            care = ca & cb
-            value = (va ^ vb) & care
-        else:
-            va, ca = (key >> 10) & 3, (key >> 8) & 3
-            vb, cb = (key >> 6) & 3, (key >> 4) & 3
-            vc, cc = (key >> 2) & 3, key & 3
-            if op == _F_AND3:
-                care = (
-                    (ca & ~va) | (cb & ~vb) | (cc & ~vc) | (va & vb & vc)
-                ) & 3
-                value = va & vb & vc & care
-            elif op == _F_OR3:
-                value = va | vb | vc
-                care = (value | (ca & ~va & cb & ~vb & cc & ~vc)) & 3
-                value &= care
-            else:
-                care = ca & cb & cc
-                value = (va ^ vb ^ vc) & care
-        if inverting:
-            value = ~value & care
-        value_table[key] = value
-        care_table[key] = care
-    tables = (value_table, care_table)
-    _TABLE_CACHE.put((op, inverting), tables)
-    return tables
+        care = operands[0] & 0b11
+        value = operands[0] >> 2
+    if inverting:
+        value = ~value & care
+    return (value << 2) | care
 
-#: Fused rows: ``(output, fused_op, a, b, c, inputs, inverting)``.
-#: ``a``/``b``/``c`` are the operand net indices of fused ops (unused
-#: trailing operands are -1) and all -1 for generic ops, which read
-#: ``inputs`` instead.
-FusedRow = Tuple[int, int, int, int, int, Tuple[int, ...], bool]
 
-#: Table rows: ``(output, arity, a, b, c, value_table, care_table)``.
-#: ``arity`` is 1/2/3 for table-evaluated rows and 0 for generic rows
-#: (arity > 3), which fall back to the fused-row reduce.
-TableRow = Tuple[
-    int, int, int, int, int, Optional[List[int]], Optional[List[int]]
-]
+def _state_table(op: int, inverting: bool, arity: int) -> List[int]:
+    """The output state of a row for every key of operand states.
+
+    The key of operands ``s_a, s_b, s_c`` is ``(s_a << 8) | (s_b << 4) |
+    s_c``, shortened to the row's arity, so a table has 16, 256 or 4,096
+    entries and a row evaluates as one lookup.
+    """
+    table = _TABLE_CACHE.get((op, inverting, arity))
+    if table is None:
+        table = [
+            _row_state(op, inverting, operands)
+            for operands in product(range(16), repeat=arity)
+        ]
+        _TABLE_CACHE.put((op, inverting, arity), table)
+    return table
+
+
+def _force_table(force_mask: int, force_value: int) -> Tuple[int, ...]:
+    """Every state with the overlay ``(force_mask, force_value)`` applied."""
+    return tuple(
+        ((((state >> 2) & ~force_mask) | (force_value & force_mask)) << 2)
+        | (state & 0b11)
+        | force_mask
+        for state in range(16)
+    )
+
+
+def _per_state(of_words: Callable[[int, int], object]) -> Tuple:
+    """``of_words(value, care)`` of every 4-bit state, indexed by state."""
+    return tuple(of_words(state >> 2, state & 0b11) for state in range(16))
+
+
+#: Predicates of PODEM's dual-machine states, indexed by state.  Bit 0 of
+#: each 2-bit word is the good machine, bit 1 the faulty one.
+BOTH_KNOWN = _per_state(lambda value, care: care == 0b11)
+GOOD_KNOWN = _per_state(lambda value, care: bool(care & 0b01))
+#: Both machines known and different: the net carries the fault effect.
+CARRIES_DIFFERENCE = _per_state(
+    lambda value, care: care == 0b11 and bool((value ^ (value >> 1)) & 1)
+)
+#: The good machine's value, None while it is X.
+GOOD_VALUE = _per_state(lambda value, care: value & 1 if care & 0b01 else None)
 
 
 def _mask_bits(mask: int, width: int) -> str:
@@ -204,7 +215,6 @@ class PackedPlan:
         "reader_rows",
         "row_levels",
         "num_levels",
-        "fused_rows",
         "_table_rows",
         "_cone_bits",
         "_region_bits",
@@ -253,49 +263,15 @@ class PackedPlan:
         # Topological levels: primary inputs are level 0, each gate output
         # is one past its deepest input.  A row only ever reads nets of
         # strictly lower levels, so the event engine can drain dense
-        # per-level buckets in level order instead of a heap.  The fused
-        # rows mirror ``rows`` with 2-input AND/OR/XOR and BUF remapped to
-        # inline-operand opcodes (see :data:`_F_AND2`).
+        # per-level buckets in level order instead of a heap.
         levels = [0] * self.num_nets
         row_levels: List[int] = []
-        fused: List[FusedRow] = []
-        for output, op, inputs, inverting in self.rows:
+        for output, _op, inputs, _inverting in self.rows:
             level = 1 + max(levels[net] for net in inputs)
             levels[output] = level
             row_levels.append(level)
-            if op == OP_BUF:
-                fused.append(
-                    (output, _F_BUF, inputs[0], -1, -1, inputs, inverting)
-                )
-            elif len(inputs) == 2:
-                fused.append(
-                    (
-                        output,
-                        _FUSED_2IN[op],
-                        inputs[0],
-                        inputs[1],
-                        -1,
-                        inputs,
-                        inverting,
-                    )
-                )
-            elif len(inputs) == 3:
-                fused.append(
-                    (
-                        output,
-                        _FUSED_3IN[op],
-                        inputs[0],
-                        inputs[1],
-                        inputs[2],
-                        inputs,
-                        inverting,
-                    )
-                )
-            else:
-                fused.append((output, op, -1, -1, -1, inputs, inverting))
         self.row_levels: List[int] = row_levels
         self.num_levels: int = (max(row_levels) + 1) if row_levels else 1
-        self.fused_rows: List[FusedRow] = fused
         self._table_rows: Optional[List[TableRow]] = None
         self._cone_bits: Optional[List[int]] = None
         self._region_bits: Optional[List[int]] = None
@@ -363,28 +339,22 @@ class PackedPlan:
         self._cones = [None] * self.num_nets
 
     def table_rows(self) -> List[TableRow]:
-        """Lookup-table rows for 2-bit engines, built lazily per plan.
+        """The rows of :class:`TernaryEventEngine`, built lazily per plan.
 
-        Only valid when the engine mask is ``0b11`` (the PODEM dual-word
-        encoding): each operand word is then one of 16 states, so rows
-        evaluate by indexing the shared :func:`_fused_tables` pair with a
-        key of shifted operand states.
+        A row of one to three inputs evaluates by indexing its shared
+        :func:`_state_table` with a key of shifted operand states.
         """
         trows = self._table_rows
         if trows is None:
             trows = []
-            for output, op, a, b, c, _inputs, inverting in self.fused_rows:
-                if op == _F_BUF:
-                    arity = 1
-                elif op in (_F_AND2, _F_OR2, _F_XOR2):
-                    arity = 2
-                elif op in (_F_AND3, _F_OR3, _F_XOR3):
-                    arity = 3
-                else:
-                    trows.append((output, 0, -1, -1, -1, None, None))
+            for output, op, inputs, inverting in self.rows:
+                arity = len(inputs)
+                if arity > 3:
+                    trows.append((output, 0, -1, -1, -1, None))
                     continue
-                value_table, care_table = _fused_tables(op, inverting)
-                trows.append((output, arity, a, b, c, value_table, care_table))
+                a, b, c = (*inputs, -1, -1)[:3]
+                table = _state_table(op, inverting, arity)
+                trows.append((output, arity, a, b, c, table))
             self._table_rows = trows
         return trows
 
@@ -519,42 +489,46 @@ def _fence_stamps(rows: int, num_rows: int) -> List[int]:
 
 
 class TernaryEventEngine:
-    """Persistent packed ternary state with fanout-cone event updates.
+    """PODEM's persistent dual-machine state with fanout-cone event updates.
 
-    Where :func:`eval_ternary` recomputes every gate of the plan,
-    this engine keeps the two-word state alive between queries and, on each
-    primary-input change, re-evaluates only the gates whose inputs actually
-    changed: dirty plan rows are dropped into dense per-level bucket queues
-    (levels precomputed in :attr:`PackedPlan.row_levels`) and drained in
-    level order, which walks the assigned input's fanout cone topologically
-    without a single heap push/pop and stops propagating wherever the
-    recomputed ``(value, care)`` pair equals the stored one.  A row only
-    reads nets of strictly lower levels, so draining level ``L`` can only
-    enqueue rows at levels ``> L``: each gate is evaluated at most once per
-    update.  Without an overlay installed by :meth:`reforce`, the resulting
-    state is identical to a from-scratch :func:`eval_ternary` pass over the
-    same inputs; with one, that holds inside the forced net's fault region
+    Where :func:`eval_ternary` recomputes every gate of the plan, this
+    engine keeps the good and the faulty machine's 01X state alive between
+    queries and, on each primary-input change, re-evaluates only the gates
+    whose inputs actually changed: dirty plan rows are dropped into dense
+    per-level bucket queues (levels precomputed in
+    :attr:`PackedPlan.row_levels`) and drained in level order, which walks
+    the assigned input's fanout cone topologically without a single heap
+    push/pop and stops propagating wherever the recomputed state equals the
+    stored one.  A row only reads nets of strictly lower levels, so
+    draining level ``L`` can only enqueue rows at levels ``> L``: each gate
+    is evaluated at most once per update.  Without an overlay installed by
+    :meth:`reforce`, the state is identical to a from-scratch
+    :func:`eval_ternary` pass at mask ``0b11`` over the same inputs; with
+    one, that holds inside the forced net's fault region
     (:meth:`PackedPlan.fault_region`), and every row outside it keeps the
-    words it had when the overlay went in.  The golden-equivalence tests
+    state it had when the overlay went in.  The golden-equivalence tests
     and the differential properties pin both.
 
-    The hot loop dispatches on :attr:`PackedPlan.fused_rows`: 2-input
-    AND/OR/XOR gates (the vast majority) and buffers are computed with
-    straight-line two-operand algebra; only wider gates fall through to the
-    generic reduce over the input tuple.
+    ``states`` holds one 4-bit state per net, ``(value << 2) | care`` of the
+    net's 2-bit value and care words (bit 0 the good machine, bit 1 the
+    faulty one).  A row of one to three inputs evaluates as one lookup in
+    its combined state table (:meth:`PackedPlan.table_rows`), inversion
+    folded in; a wider row decodes, reduces and encodes its operand states.
+    PODEM reads the states through :data:`CARRIES_DIFFERENCE`,
+    :data:`GOOD_KNOWN`, :data:`BOTH_KNOWN` and :data:`GOOD_VALUE`.
 
-    Every overwritten word pair is pushed onto an **undo log**;
-    :meth:`assign` returns the log position before the update, and
-    :meth:`rewind` rewinds to it.  That is exactly the shape of PODEM's
-    decision stack: assign a primary input, recurse, and on backtrack
-    restore the previous state in O(changed cone) instead of re-simulating
-    the netlist.
+    Every overwritten state is pushed onto an **undo log** as ``(net,
+    old_state)``; :meth:`assign` returns the log position before the
+    update, and :meth:`rewind` rewinds to it.  That is exactly the shape of
+    PODEM's decision stack: assign a primary input, recurse, and on
+    backtrack restore the previous state in O(changed cone) instead of
+    re-simulating the netlist.
 
     The engine carries the same stuck-at fault overlay as the batch
     evaluators, installed on the live state with :meth:`reforce` and
     dropped with :meth:`release_force`: while it is in, ``force_index`` is
-    re-forced to ``(force_mask, force_value)`` whenever its net is
-    re-evaluated (or re-assigned, for input sites), so a PODEM faulty
+    re-forced through the overlay's 16-entry force table whenever its net
+    is re-evaluated (or re-assigned, for input sites), so a PODEM faulty
     machine stays poisoned across incremental updates.  Both ride the undo
     log, so one engine can be rewound to its empty-assignment checkpoint
     and re-forced for the next targeted fault instead of being rebuilt
@@ -566,12 +540,9 @@ class TernaryEventEngine:
 
     __slots__ = (
         "plan",
-        "mask",
-        "values",
-        "cares",
+        "states",
         "force_index",
-        "force_mask",
-        "force_value",
+        "_force",
         "_undo",
         "_buckets",
         "_pending",
@@ -581,13 +552,11 @@ class TernaryEventEngine:
         "max_undo_depth",
     )
 
-    def __init__(self, plan: PackedPlan, mask: int):
+    def __init__(self, plan: PackedPlan):
         self.plan = plan
-        self.mask = mask
         self.force_index = -1  # no overlay until reforce installs one
-        self.force_mask = 0
-        self.force_value = 0
-        self._undo: List[Tuple[int, int, int]] = []
+        self._force: Tuple[int, ...] = ()
+        self._undo: List[Tuple[int, int]] = []
         # Per-level bucket queues, reused across propagations; a row is in
         # a bucket iff its ``_pending`` stamp equals the current pass
         # number, so each row is queued at most once per pass and no
@@ -595,11 +564,7 @@ class TernaryEventEngine:
         # the unreachable stamp ``_FENCED`` (see reforce).
         self._buckets: List[List[int]] = [[] for _ in range(plan.num_levels)]
         self._pending: List[int] = [0] * len(plan.rows)
-        # 2-bit engines (the PODEM dual-word encoding) evaluate rows via
-        # the shared state lookup tables instead of inline bit algebra.
-        self._trows: Optional[List[TableRow]] = (
-            plan.table_rows() if mask == 0b11 else None
-        )
+        self._trows: List[TableRow] = plan.table_rows()
         # Lifetime telemetry: rows drained from the bucket queues, bucket
         # passes run, and the high watermark of the undo log.  All are
         # maintained with one integer update per assign/propagate, cheap
@@ -607,64 +572,51 @@ class TernaryEventEngine:
         self.events_processed = 0
         self.propagate_passes = 0
         self.max_undo_depth = 0
-        # The empty-assignment baseline: every input X.
-        self.values = [0] * plan.num_nets
-        self.cares = [0] * plan.num_nets
-        eval_ternary(plan, self.values, self.cares, mask)
+        # The empty-assignment baseline: every input X, and no gate of the
+        # 01X algebra knows its output while all of its inputs are X.
+        self.states = [0] * plan.num_nets
 
     def assign(self, index: int, bit: Optional[int]) -> int:
-        """Set primary input ``index`` to 0, 1 or X on every pattern.
+        """Set primary input ``index`` to 0, 1 or X on both machines.
 
         Returns the undo token taken *before* the update; passing it to
         :meth:`rewind` restores the exact prior state.
         """
         token = len(self._undo)
-        mask = self.mask
-        if bit is None:
-            care = 0
-            value = 0
-        else:
-            care = mask
-            value = mask if bit else 0
+        state = 0 if bit is None else (0b1111 if bit else 0b0011)
         if index == self.force_index:
-            care |= self.force_mask
-            value = (value & ~self.force_mask) | (self.force_value & self.force_mask)
-        values, cares = self.values, self.cares
-        if cares[index] == care and values[index] == value:
+            state = self._force[state]
+        old = self.states[index]
+        if old == state:
             return token
-        self._undo.append((index, values[index], cares[index]))
-        values[index] = value
-        cares[index] = care
+        self._undo.append((index, old))
+        self.states[index] = state
         self._propagate(self.plan.reader_rows[index])
         if len(self._undo) > self.max_undo_depth:
             self.max_undo_depth = len(self._undo)
         return token
 
-    def changed_entries(self, token: int) -> List[Tuple[int, int, int]]:
-        """The raw ``(index, value, care)`` log slice since ``token``.
+    def changed_entries(self, token: int) -> List[Tuple[int, int]]:
+        """The ``(net, old_state)`` log slice since ``token``.
 
-        Entries hold the *pre-change* words (the log records overwrites);
-        callers wanting the live words index the state lists.
+        Entries hold the *pre-change* states (the log records overwrites);
+        callers wanting the live states index ``states``.
         """
         return self._undo[token:]
 
-    def rewind(self, token: int) -> List[Tuple[int, int, int]]:
+    def rewind(self, token: int) -> List[Tuple[int, int]]:
         """Rewind to a token returned by :meth:`assign` (or :meth:`reforce`).
 
-        Returns the restored ``(index, value, care)`` log slice.  The slice
-        is in log (chronological) order; entries are replayed newest first,
-        so when an index was overwritten several times since the token its
-        *earliest* entry is the one left in the state.  A caller tracking
-        derived per-net bookkeeping can read the restored words straight off
-        the entries (iterating the slice in reverse) instead of re-indexing
-        the state lists.
+        Returns the restored ``(net, old_state)`` log slice, in log
+        (chronological) order.  Entries are replayed newest first, so when
+        a net was overwritten several times since the token its *earliest*
+        entry is the one left in the state.
         """
         undo = self._undo
         entries = undo[token:]
-        values, cares = self.values, self.cares
-        for index, value, care in reversed(entries):
-            values[index] = value
-            cares[index] = care
+        states = self.states
+        for index, state in reversed(entries):
+            states[index] = state
         del undo[token:]
         return entries
 
@@ -673,40 +625,35 @@ class TernaryEventEngine:
 
         Inside the forced net's fault region this is equivalent to
         constructing a fresh engine with the overlay on the same
-        assignment: the forced net's stored words get ``care |=
+        assignment: the forced net's stored state gets ``care |=
         force_mask`` / the forced value bits, and the change (if any)
         propagates through its fanout cone.  Every row outside the region
         is fenced until :meth:`release_force`: later updates never
-        evaluate it, so its net keeps its present words.  One overlay is
+        evaluate it, so its net keeps its present state.  One overlay is
         installed at a time.  Returns an undo token for
         :meth:`release_force`, which drops the overlay and the fence and
         rewinds -- the pair is what lets PODEM keep one engine across
-        targeted faults instead of rebuilding two state lists plus a full
+        targeted faults instead of rebuilding the state plus a full
         evaluation each time.
         """
         token = len(self._undo)
         plan = self.plan
         self.force_index = force_index
-        self.force_mask = force_mask
-        self.force_value = force_value
+        self._force = force = _force_table(force_mask, force_value)
         self._pending = _fence_stamps(
             plan.fault_region(force_index) >> plan.num_inputs, len(plan.rows)
         )
-        values, cares = self.values, self.cares
-        old_value = values[force_index]
-        old_care = cares[force_index]
-        care = old_care | force_mask
-        value = (old_value & ~force_mask) | (force_value & force_mask)
-        if old_care != care or old_value != value:
-            self._undo.append((force_index, old_value, old_care))
-            values[force_index] = value
-            cares[force_index] = care
+        old = self.states[force_index]
+        state = force[old]
+        if old != state:
+            self._undo.append((force_index, old))
+            self.states[force_index] = state
             self._propagate(plan.reader_rows[force_index])
         if len(self._undo) > self.max_undo_depth:
             self.max_undo_depth = len(self._undo)
         return token
 
-    def release_force(self, token: int) -> List[Tuple[int, int, int]]:
+    def release_force(self, token: int) -> List[Tuple[int, int]]:
         """Drop the :meth:`reforce` overlay and its fence; rewind to its token.
 
         The rewind restores the state the overlay went in on, which the
@@ -714,25 +661,21 @@ class TernaryEventEngine:
         :meth:`rewind`).
         """
         self.force_index = -1
-        self.force_mask = 0
-        self.force_value = 0
+        self._force = ()
         self._pending = [0] * len(self.plan.rows)
         return self.rewind(token)
 
     def _propagate(self, seed_rows: Sequence[int]) -> None:
         """Re-evaluate the dirty fanout cone, one level bucket at a time."""
-        if self._trows is not None:
-            self._propagate_tables(seed_rows)
-            return
         plan = self.plan
-        rows = plan.fused_rows
+        trows = self._trows
         row_levels = plan.row_levels
         reader_rows = plan.reader_rows
         buckets = self._buckets
         pending = self._pending
-        values, cares = self.values, self.cares
-        mask = self.mask
+        states = self.states
         force_index = self.force_index
+        force = self._force
         undo = self._undo
         self.propagate_passes = stamp = self.propagate_passes + 1
         lo = plan.num_levels
@@ -753,211 +696,29 @@ class TernaryEventEngine:
             # while higher ones grow is safe, and a drained row can never
             # be re-queued within this pass.
             for position in bucket:
-                output, op, a, b, c, inputs, inverting = rows[position]
-                # Same row algebra as eval_ternary (kept in lockstep),
-                # with the dominant 2-/3-input and BUF shapes fused to
-                # straight-line operand reads.
-                if op == _F_AND2:
-                    va = values[a]
-                    vb = values[b]
-                    care = ((cares[a] & ~va) | (cares[b] & ~vb) | (va & vb)) & mask
-                    value = va & vb & care
-                elif op == _F_OR2:
-                    va = values[a]
-                    vb = values[b]
-                    value = va | vb
-                    care = (value | (cares[a] & ~va & cares[b] & ~vb)) & mask
-                    value &= care
-                elif op == _F_AND3:
-                    va = values[a]
-                    vb = values[b]
-                    vc = values[c]
-                    care = (
-                        (cares[a] & ~va)
-                        | (cares[b] & ~vb)
-                        | (cares[c] & ~vc)
-                        | (va & vb & vc)
-                    ) & mask
-                    value = va & vb & vc & care
-                elif op == _F_OR3:
-                    va = values[a]
-                    vb = values[b]
-                    vc = values[c]
-                    value = va | vb | vc
-                    care = (
-                        value | (cares[a] & ~va & cares[b] & ~vb & cares[c] & ~vc)
-                    ) & mask
-                    value &= care
-                elif op == _F_BUF:
-                    care = cares[a]
-                    value = values[a]
-                elif op == _F_XOR2:
-                    care = cares[a] & cares[b]
-                    value = (values[a] ^ values[b]) & care
-                elif op == _F_XOR3:
-                    care = cares[a] & cares[b] & cares[c]
-                    value = (values[a] ^ values[b] ^ values[c]) & care
-                elif op == OP_AND:
-                    zero_any = 0
-                    one_all = mask
-                    for net in inputs:
-                        care = cares[net]
-                        value = values[net]
-                        zero_any |= care & ~value
-                        one_all &= value
-                    care = (zero_any | one_all) & mask
-                    value = one_all & care
-                elif op == OP_OR:
-                    one_any = 0
-                    zero_all = mask
-                    for net in inputs:
-                        care = cares[net]
-                        value = values[net]
-                        one_any |= value
-                        zero_all &= care & ~value
-                    care = (one_any | zero_all) & mask
-                    value = one_any & care
+                output, arity, a, b, c, table = trows[position]
+                if arity == 2:
+                    state = table[(states[a] << 4) | states[b]]
+                elif arity == 3:
+                    state = table[(states[a] << 8) | (states[b] << 4) | states[c]]
+                elif arity == 1:
+                    state = table[states[a]]
                 else:
-                    care = mask
-                    value = 0
-                    for net in inputs:
-                        care &= cares[net]
-                        value ^= values[net]
-                    value &= care
-                if inverting:
-                    value = ~value & care
+                    _output, op, inputs, inverting = plan.rows[position]
+                    state = _row_state(op, inverting, [states[net] for net in inputs])
                 if output == force_index:
-                    care |= self.force_mask
-                    value = (value & ~self.force_mask) | (
-                        self.force_value & self.force_mask
-                    )
-                old_care = cares[output]
-                old_value = values[output]
-                if old_care == care and old_value == value:
+                    state = force[state]
+                old = states[output]
+                if old == state:
                     continue
-                undo.append((output, old_value, old_care))
-                values[output] = value
-                cares[output] = care
+                undo.append((output, old))
+                states[output] = state
                 for reader in reader_rows[output]:
                     if pending[reader] < stamp:
                         pending[reader] = stamp
                         buckets[row_levels[reader]].append(reader)
             # The bucket only ever shrinks to empty here (appends went to
             # higher levels), so its length is the drained-event count.
-            events += len(bucket)
-            del bucket[:]
-        self.events_processed += events
-
-    def _propagate_tables(self, seed_rows: Sequence[int]) -> None:
-        """The 2-bit fast path of :meth:`_propagate`.
-
-        Identical bucket drain, but each row evaluates as two list
-        indexings into the precomputed state tables (inversion folded
-        in), keyed by the shifted 4-bit operand states.  Bit-identical
-        to the generic loop: the tables are built from the same row
-        algebra over every reachable operand state.
-        """
-        plan = self.plan
-        trows = self._trows
-        frows = plan.fused_rows
-        row_levels = plan.row_levels
-        reader_rows = plan.reader_rows
-        buckets = self._buckets
-        pending = self._pending
-        values, cares = self.values, self.cares
-        force_index = self.force_index
-        undo = self._undo
-        self.propagate_passes = stamp = self.propagate_passes + 1
-        lo = plan.num_levels
-        for position in seed_rows:
-            if pending[position] < stamp:
-                pending[position] = stamp
-                level = row_levels[position]
-                buckets[level].append(position)
-                if level < lo:
-                    lo = level
-        events = 0
-        for level in range(lo, plan.num_levels):
-            bucket = buckets[level]
-            if not bucket:
-                continue
-            for position in bucket:
-                output, arity, a, b, c, value_table, care_table = trows[
-                    position
-                ]
-                if arity == 2:
-                    key = (
-                        (values[a] << 6)
-                        | (cares[a] << 4)
-                        | (values[b] << 2)
-                        | cares[b]
-                    )
-                    value = value_table[key]
-                    care = care_table[key]
-                elif arity == 3:
-                    key = (
-                        (values[a] << 10)
-                        | (cares[a] << 8)
-                        | (values[b] << 6)
-                        | (cares[b] << 4)
-                        | (values[c] << 2)
-                        | cares[c]
-                    )
-                    value = value_table[key]
-                    care = care_table[key]
-                elif arity == 1:
-                    key = (values[a] << 2) | cares[a]
-                    value = value_table[key]
-                    care = care_table[key]
-                else:
-                    # Generic reduce for arity > 3, shared with the
-                    # non-table loop via the fused-row operand tuple.
-                    _out, op, _a, _b, _c, inputs, inverting = frows[position]
-                    if op == OP_AND:
-                        zero_any = 0
-                        one_all = 0b11
-                        for net in inputs:
-                            care = cares[net]
-                            value = values[net]
-                            zero_any |= care & ~value
-                            one_all &= value
-                        care = (zero_any | one_all) & 0b11
-                        value = one_all & care
-                    elif op == OP_OR:
-                        one_any = 0
-                        zero_all = 0b11
-                        for net in inputs:
-                            care = cares[net]
-                            value = values[net]
-                            one_any |= value
-                            zero_all &= care & ~value
-                        care = (one_any | zero_all) & 0b11
-                        value = one_any & care
-                    else:
-                        care = 0b11
-                        value = 0
-                        for net in inputs:
-                            care &= cares[net]
-                            value ^= values[net]
-                        value &= care
-                    if inverting:
-                        value = ~value & care
-                if output == force_index:
-                    care |= self.force_mask
-                    value = (value & ~self.force_mask) | (
-                        self.force_value & self.force_mask
-                    )
-                old_care = cares[output]
-                old_value = values[output]
-                if old_care == care and old_value == value:
-                    continue
-                undo.append((output, old_value, old_care))
-                values[output] = value
-                cares[output] = care
-                for reader in reader_rows[output]:
-                    if pending[reader] < stamp:
-                        pending[reader] = stamp
-                        buckets[row_levels[reader]].append(reader)
             events += len(bucket)
             del bucket[:]
         self.events_processed += events

@@ -233,11 +233,7 @@ class EquationSystem:
         seed (and every encoder sharing this system) reuses the same block.
         Treat the returned array as immutable.
         """
-        if cube.num_cells != self._architecture.num_cells:
-            raise ValueError(
-                f"cube width {cube.num_cells} does not match the scan "
-                f"architecture ({self._architecture.num_cells} cells)"
-            )
+        self._check_width(cube)
         key = (cube.num_cells, cube.care_mask, cube.care_value)
         cached = self._words_cache.get(key)
         if cached is not None:
@@ -307,11 +303,7 @@ class EquationSystem:
         pending: List[Tuple[Tuple[int, int, int], TestCube, List[int]]] = []
         seen = set()
         for cube in cubes:
-            if cube.num_cells != self._architecture.num_cells:
-                raise ValueError(
-                    f"cube width {cube.num_cells} does not match the scan "
-                    f"architecture ({self._architecture.num_cells} cells)"
-                )
+            self._check_width(cube)
             key = (cube.num_cells, cube.care_mask, cube.care_value)
             if key in self._words_cache or key in seen:
                 continue
@@ -379,7 +371,9 @@ class EquationSystem:
         """Equations of a cube at one window position.
 
         Unlike :meth:`cube_equations` this does not materialise (or cache)
-        the per-position pair lists of the whole window.
+        the per-position pair lists of the whole window.  Position 0 needs
+        no product at all: its matrix is the identity, so its rows are the
+        specified cells' own rows.
         """
         if not 0 <= position < self._window_length:
             raise IndexError(f"window position {position} out of range")
@@ -387,7 +381,23 @@ class EquationSystem:
         cached = self._cube_cache.get(key)
         if cached is not None:
             return cached[position]
+        if position == 0:
+            self._check_width(cube)
+            cells = cube.specified_cells()
+            rows = np.packbits(self._cell_rows[cells], axis=1, bitorder="little")
+            value = cube.care_value
+            return [
+                (int.from_bytes(row.tobytes(), "little"), (value >> cell) & 1)
+                for row, cell in zip(rows, cells)
+            ]
         return self._position_equations(cube, position)
+
+    def _check_width(self, cube: TestCube) -> None:
+        if cube.num_cells != self._architecture.num_cells:
+            raise ValueError(
+                f"cube width {cube.num_cells} does not match the scan "
+                f"architecture ({self._architecture.num_cells} cells)"
+            )
 
     def _position_equations(self, cube: TestCube, position: int) -> List[Tuple[int, int]]:
         """The ``(mask, rhs)`` pairs of one position, from the packed words."""

@@ -138,18 +138,20 @@ class WindowEncoder:
             # The hot path works on the packed per-cube row blocks, built
             # for the whole test set in chunked single gemms up front; only
             # the position-0 pair lists are materialised (precheck, first
-            # cube).
-            self._equations.precompute_cube_words(cubes)
-            cube_equations = None
+            # cube).  They need no gemm, so the precheck runs first and a
+            # rejected attempt pays no precompute.
             position0 = [
                 self._equations.cube_equations_at(cube, 0) for cube in cubes
             ]
+            self._precheck_encodability(position0)
+            self._equations.precompute_cube_words(cubes)
+            cube_equations = None
         else:
             self._equations.reserve_cube_capacity(len(cubes))
             cube_equations = [self._equations.cube_equations(cube) for cube in cubes]
             position0 = [equations[0] for equations in cube_equations]
+            self._precheck_encodability(position0)
         spec_counts = [cube.specified_count() for cube in cubes]
-        self._precheck_encodability(position0)
 
         remaining = set(range(len(cubes)))
         seeds: List[SeedRecord] = []

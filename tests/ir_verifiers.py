@@ -14,9 +14,11 @@ Two static validators, each returning a list of human-readable problems
   :class:`~repro.circuits.ternary.PackedPlan` arrays cross-checked against
   each other and against the netlist: topological levelization
   (``row_levels``/``num_levels``), def-before-use operand ordering, operand
-  and fanout index bounds, exact coherence of the ``fused_rows``,
-  ``table_rows``, ``reader_rows`` and ``is_output`` mirrors that the hot
-  loops trust blindly, and the cone table: each net's ``cone_rows``
+  and fanout index bounds, exact coherence of the ``table_rows``,
+  ``reader_rows`` and ``is_output`` mirrors that the hot loops trust
+  blindly (each state table checked entry by entry against
+  :func:`~repro.circuits.ternary.eval_ternary` of its row, not against
+  the function that built it), and the cone table: each net's ``cone_rows``
   against a name-keyed fanout search (:func:`reference_cone`) and each
   ``fault_region`` against the fanin closure of that cone
   (:func:`reference_region`), the region PODEM's fenced engine runs in.
@@ -29,6 +31,8 @@ show that it is caught.  The file name keeps pytest from collecting it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Dict, List, Set
 
 from repro.circuits.netlist import UNARY_GATES, Netlist
@@ -38,11 +42,8 @@ from repro.circuits.ternary import (
     OP_OR,
     OP_XOR,
     PackedPlan,
-    _F_BUF,
-    _FUSED_2IN,
-    _FUSED_3IN,
-    _fused_tables,
     _OPCODE,
+    eval_ternary,
 )
 
 
@@ -226,7 +227,6 @@ def verify_packed_plan(plan: PackedPlan) -> List[str]:
         # The cone table is derived from the rows, so it is checked only
         # against rows that passed.
         problems.extend(_verify_cone_table(plan))
-    problems.extend(_verify_fused_rows(plan))
     problems.extend(_verify_table_rows(plan))
     problems.extend(_verify_readers_and_fanout(plan))
 
@@ -257,76 +257,73 @@ def verify_packed_plan(plan: PackedPlan) -> List[str]:
     return problems
 
 
-def _verify_fused_rows(plan: PackedPlan) -> List[str]:
-    problems: List[str] = []
-    if len(plan.fused_rows) != len(plan.rows):
-        return [
-            f"fused_rows has {len(plan.fused_rows)} entries for "
-            f"{len(plan.rows)} rows"
-        ]
-    for row_pos, (output, op, inputs, inverting) in enumerate(plan.rows):
-        if op == OP_BUF:
-            expected = (output, _F_BUF, inputs[0], -1, -1, inputs, inverting)
-        elif len(inputs) == 2:
-            expected = (
-                output, _FUSED_2IN[op], inputs[0], inputs[1], -1, inputs,
-                inverting,
-            )
-        elif len(inputs) == 3:
-            expected = (
-                output, _FUSED_3IN[op], inputs[0], inputs[1], inputs[2],
-                inputs, inverting,
-            )
-        else:
-            expected = (output, op, -1, -1, -1, inputs, inverting)
-        actual = plan.fused_rows[row_pos]
-        if tuple(actual) != expected:
-            problems.append(
-                f"fused_rows[{row_pos}] is stale: {tuple(actual)!r}, "
-                f"row requires {expected!r}"
-            )
-    return problems
-
-
 def _verify_table_rows(plan: PackedPlan) -> List[str]:
-    """Check the lazily built 2-bit lookup rows (building them if needed)."""
+    """Check the lazily built event-engine rows (building them if needed).
+
+    A row of one to three inputs must carry its plan row's output and
+    operands, and its state table must equal :func:`expected_state_table`
+    of the row at every key; a wider row carries no table.
+    """
     problems: List[str] = []
     trows = plan.table_rows()
-    if len(trows) != len(plan.fused_rows):
-        return [
-            f"table_rows has {len(trows)} entries for "
-            f"{len(plan.fused_rows)} fused rows"
-        ]
-    arity_of = {_F_BUF: 1}
-    arity_of.update({op: 2 for op in _FUSED_2IN.values()})
-    arity_of.update({op: 3 for op in _FUSED_3IN.values()})
-    for row_pos, fused in enumerate(plan.fused_rows):
-        output, fop, a, b, c, _inputs, inverting = fused
-        t_output, arity, ta, tb, tc, value_table, care_table = trows[row_pos]
-        if fop not in arity_of:
-            expected = (output, 0, -1, -1, -1, None, None)
-            if (t_output, arity, ta, tb, tc, value_table, care_table) != expected:
+    if len(trows) != len(plan.rows):
+        return [f"table_rows has {len(trows)} entries for {len(plan.rows)} rows"]
+    for row_pos, (output, op, inputs, inverting) in enumerate(plan.rows):
+        t_output, arity, a, b, c, table = trows[row_pos]
+        if len(inputs) > 3:
+            expected = (output, 0, -1, -1, -1, None)
+            if tuple(trows[row_pos]) != expected:
                 problems.append(
-                    f"table_rows[{row_pos}]: generic (arity>3) row must be "
-                    f"{expected!r}, is "
-                    f"{(t_output, arity, ta, tb, tc)!r}"
+                    f"table_rows[{row_pos}]: wide (arity>3) row must be "
+                    f"{expected!r}, is {(t_output, arity, a, b, c)!r}"
                 )
             continue
-        if (t_output, arity, ta, tb, tc) != (output, arity_of[fop], a, b, c):
+        expected = (output, len(inputs), *(inputs + (-1, -1))[:3])
+        if (t_output, arity, a, b, c) != expected:
             problems.append(
-                f"table_rows[{row_pos}]: (output={t_output}, arity={arity}, "
-                f"operands=({ta}, {tb}, {tc})) does not match fused row "
-                f"(output={output}, arity={arity_of[fop]}, "
-                f"operands=({a}, {b}, {c}))"
+                f"table_rows[{row_pos}]: (output, arity, a, b, c) = "
+                f"{(t_output, arity, a, b, c)!r}, row requires {expected!r}"
             )
             continue
-        expected_value, expected_care = _fused_tables(fop, inverting)
-        if value_table != expected_value or care_table != expected_care:
+        reference = expected_state_table(op, inverting, arity)
+        if list(table) != reference:
+            wrong = [
+                key
+                for key, (got, want) in enumerate(zip(table, reference))
+                if got != want
+            ]
             problems.append(
-                f"table_rows[{row_pos}]: lookup tables differ from the "
-                f"shared tables of (op={fop}, inverting={inverting})"
+                f"table_rows[{row_pos}]: state table of {len(table)} entries "
+                f"differs from eval_ternary of the row ({len(reference)} "
+                f"keys) at keys {wrong[:4]!r}"
             )
     return problems
+
+
+@lru_cache(maxsize=16)
+def expected_state_table(op: int, inverting: bool, arity: int) -> List[int]:
+    """What a row's state table must hold, by :func:`eval_ternary`.
+
+    One pattern-parallel pass over a one-row plan evaluates every key at
+    once: pattern ``2 * key + m`` carries machine ``m`` of the operand
+    states the key packs (``(s_a << 8) | (s_b << 4) | s_c``, shortened to
+    ``arity``; a state is ``(value << 2) | care`` of 2-bit words).
+    """
+    keys = 16**arity
+    values = [0] * (arity + 1)
+    cares = [0] * (arity + 1)
+    for operand in range(arity):
+        shift = 4 * (arity - 1 - operand)
+        states = [(key >> shift) & 15 for key in range(keys)]
+        values[operand] = sum((state >> 2) << (2 * key) for key, state in enumerate(states))
+        cares[operand] = sum((state & 3) << (2 * key) for key, state in enumerate(states))
+    row = (arity, op, tuple(range(arity)), inverting)
+    eval_ternary(SimpleNamespace(rows=[row]), values, cares, (1 << (2 * keys)) - 1)
+    value, care = values[arity], cares[arity]
+    return [
+        (((value >> (2 * key)) & 3) << 2) | ((care >> (2 * key)) & 3)
+        for key in range(keys)
+    ]
 
 
 def _verify_readers_and_fanout(plan: PackedPlan) -> List[str]:

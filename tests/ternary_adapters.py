@@ -3,7 +3,9 @@
 :func:`seed_ternary_inputs` seeds fresh ``(values, cares)`` state lists from
 a classic ``{net: 0 | 1 | None}`` input dict, replicated across ``patterns``
 bits; :func:`ternary_state_to_dict` reads one pattern of a packed state back
-as such a dict.  The golden tests use them to compare the packed engines with
+as such a dict.  :func:`split_states` splits the event engine's 4-bit
+states into those two word lists.  The golden tests use them to compare the
+packed engines with :func:`~repro.circuits.ternary.eval_ternary` and with
 the dict reference evaluator (this file is not collected: no ``test_``
 prefix).
 """
@@ -54,3 +56,12 @@ def ternary_state_to_dict(
         else:
             out[net] = None
     return out
+
+
+def split_states(states: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The ``(values, cares)`` 2-bit word lists of event-engine states.
+
+    Each state is ``(value << 2) | care``; the split lists compare directly
+    with a mask-``0b11`` :func:`~repro.circuits.ternary.eval_ternary` pass.
+    """
+    return [state >> 2 for state in states], [state & 0b11 for state in states]

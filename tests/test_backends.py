@@ -21,25 +21,27 @@ from repro.circuits.simulator import (
 )
 from repro.circuits.ternary import TernaryEventEngine, packed_plan
 from repro.config import CompressionConfig
-from ternary_adapters import ternary_state_to_dict
+from ternary_adapters import split_states, ternary_state_to_dict
 
 
 def _engine_ternary(engine, netlist, assignment):
     """Three-valued simulation of one assignment by ``engine``'s evaluator.
 
     ``events`` assigns the inputs one by one on a persistent
-    :class:`TernaryEventEngine` (incremental propagation), ``packed`` runs
-    the full-pass packed core and ``reference`` the dict evaluator.
+    :class:`TernaryEventEngine` (incremental propagation; with no overlay
+    its good and faulty machines agree, and pattern 0 is the good one),
+    ``packed`` runs the full-pass packed core and ``reference`` the dict
+    evaluator.
     """
     if engine == "reference":
         return simulate_ternary_reference(netlist, assignment)
     if engine == "packed":
         return simulate_ternary(netlist, assignment)
     plan = packed_plan(netlist)
-    state = TernaryEventEngine(plan, 1)
+    state = TernaryEventEngine(plan)
     for net, bit in assignment.items():
         state.assign(plan.index[net], bit)
-    return ternary_state_to_dict(plan, state.values, state.cares)
+    return ternary_state_to_dict(plan, *split_states(state.states))
 
 
 def _random_assignments(netlist, seed, count=6):

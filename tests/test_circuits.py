@@ -345,6 +345,17 @@ class TestGeneratorAndLibrary:
         with pytest.raises(ValueError):
             random_netlist("g", 4, 10, max_fanin=1)
 
+    def test_generator_fanin_never_exceeds_the_nets(self):
+        # With fewer nets than the drawn fan-in, a gate once stopped at its
+        # first repeated draw, which could leave a NAND with one input.
+        for seed in range(40):
+            for num_inputs, max_fanin in ((2, 3), (4, 6)):
+                netlist = random_netlist(
+                    "few", num_inputs, 12, max_fanin=max_fanin, seed=seed
+                )
+                first = netlist.gate_sequence()[0]
+                assert len(first.inputs) <= num_inputs
+
     def test_generator_structure(self):
         net = random_netlist("g", 16, 80, num_outputs=6, seed=9)
         assert net.num_inputs == 16

@@ -5,6 +5,7 @@ import pytest
 
 from repro import pipeline
 from repro.config import CompressionConfig
+from repro.encoding.equations import EquationSystem
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.encoding.window import EncodingError, WindowEncoder, verify_encoding
 from repro.testdata.cube import TestCube
@@ -169,3 +170,38 @@ class TestEncodingEdgeCases:
         substrate = EncoderSubstrate(SubstrateKey(24, 8, 12, 3))
         with pytest.raises((EncodingError, ValueError)):
             WindowEncoder(substrate.equations).encode(ts)
+
+    def test_precheck_runs_before_the_precompute(self, monkeypatch):
+        """A rejected attempt precomputes nothing; an accepted one is unchanged.
+
+        Position 0's equations are the specified cells' own rows, so the
+        precheck needs none of the window's equations: the dense cube is
+        rejected before any cube is precomputed.  An encodable set is
+        precomputed once and encodes exactly as the reference scan, whose
+        position-0 equations come from the full per-cube expansion.
+        """
+        calls = []
+        precompute = EquationSystem.precompute_cube_words
+
+        def counted(self, cubes):
+            calls.append(len(cubes))
+            return precompute(self, cubes)
+
+        monkeypatch.setattr(EquationSystem, "precompute_cube_words", counted)
+        dense = TestCube.from_assignments(24, {i: (i * 7) % 2 for i in range(24)})
+        filler = TestCube.from_assignments(24, {0: 1})
+        substrate = EncoderSubstrate(SubstrateKey(24, 8, 12, 3))
+        with pytest.raises(EncodingError, match="structurally conflicting"):
+            WindowEncoder(substrate.equations).encode(
+                TestSet("too_dense", [dense, filler])
+            )
+        assert calls == []
+
+        ts = small_test_set(seed=37)
+        key = SubstrateKey(ts.num_cells, 8, 14, 12)
+        batched = WindowEncoder(EncoderSubstrate(key).equations).encode(ts)
+        assert calls == [len(ts)]
+        reference = WindowEncoder(
+            EncoderSubstrate(key).equations, batch_trials=False
+        ).encode(ts)
+        assert batched.to_dict() == reference.to_dict()

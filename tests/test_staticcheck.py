@@ -88,8 +88,8 @@ def ir_verify(netlist: Netlist) -> List[str]:
 
 
 def _wide_netlist() -> Netlist:
-    # Gates of four inputs: random netlists stop at three, so this is the
-    # one source of generic (arity > 3) table rows.
+    # Gates of four inputs: the ir-verify property's random netlists stop
+    # at three, so this is its one source of wide (arity > 3) table rows.
     return Netlist(
         "lint-wide",
         inputs=["a", "b", "c", "d", "e"],
@@ -737,12 +737,15 @@ class TestIrCorruptionClasses:
             "row_levels says level" in p and "row 5" in p for p in problems
         )
 
-    def test_stale_fused_rows_detected(self):
+    def test_stale_table_row_operands_detected(self):
         plan = PackedPlan(_fresh_netlist())
-        output, fop, a, b, c, inputs, inverting = plan.fused_rows[4]
-        plan.fused_rows[4] = (output, fop, a ^ 1, b, c, inputs, inverting)
+        trows = plan.table_rows()
+        output, arity, a, b, c, table = trows[4]
+        trows[4] = (output, arity, a ^ 1, b, c, table)
         problems = verify_packed_plan(plan)
-        assert any("fused_rows[4] is stale" in p for p in problems)
+        assert any(
+            "table_rows[4]: (output, arity, a, b, c)" in p for p in problems
+        )
 
     def test_out_of_range_operand_detected(self):
         plan = PackedPlan(_fresh_netlist())
@@ -764,13 +767,19 @@ class TestIrCorruptionClasses:
         assert any("used before definition" in p for p in problems)
 
     def test_stale_table_rows_detected(self):
+        # One wrong state entry: AND(good 1 / faulty X, 1 on both) is good
+        # 1 / faulty X; the planted entry claims the faulty machine is 0.
         plan = PackedPlan(_tiny_netlist())
         trows = plan.table_rows()
-        output, arity, a, b, c, value_table, care_table = trows[0]
-        trows[0] = (output, arity, a, b, c, list(value_table), [0] * 16)
+        output, arity, a, b, c, table = trows[0]
+        key = (0b0101 << 4) | 0b1111
+        assert (arity, table[key]) == (2, 0b0101)
+        planted = list(table)
+        planted[key] = 0b0111
+        trows[0] = (output, arity, a, b, c, planted)
         problems = verify_packed_plan(plan)
         assert any(
-            "table_rows[0]" in p and "differ from the shared tables" in p
+            "table_rows[0]: state table" in p and f"at keys [{key}]" in p
             for p in problems
         )
 

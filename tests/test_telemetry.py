@@ -278,9 +278,19 @@ class TestCircuitTelemetry:
         recorder = Recorder(run_id="atpg")
         with use_recorder(recorder):
             result = PodemAtpg(netlist).run()
+        oracle = Recorder(run_id="atpg-packed")
+        with use_recorder(oracle):
+            PodemAtpg(netlist, engine="packed").run()
         counters = recorder.metrics.counters
         assert counters["atpg.faults_targeted"] > 0
-        assert counters["atpg.decisions"] > 0
+        # The search itself is engine-independent, so its counters equal
+        # the full-pass oracle's; the engine's own counters are pinned to
+        # the values the event engine has had since the fault-region fence.
+        for name in ("atpg.decisions", "atpg.backtracks"):
+            assert counters[name] == oracle.metrics.counters[name], name
+        assert (counters["atpg.decisions"], counters["atpg.backtracks"]) == (153, 120)
+        assert counters["atpg.events_processed"] == 1452
+        assert counters["atpg.propagate_passes"] == 153
         assert counters["faultsim.blocks"] >= 1
         assert counters["faultsim.patterns"] >= len(result.test_set.cubes)
         histograms = recorder.metrics.histograms

@@ -67,7 +67,7 @@ from repro.skip.selection import (
 from repro.testdata.cube import TestCube
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
-from ternary_adapters import seed_ternary_inputs, ternary_state_to_dict
+from ternary_adapters import seed_ternary_inputs, split_states, ternary_state_to_dict
 
 
 def _assert_fenced(engine, exact, expected, before, where=""):
@@ -80,10 +80,11 @@ def _assert_fenced(engine, exact, expected, before, where=""):
     sources = [expected if net in exact else before for net in range(len(before[0]))]
     values = [source[0][net] for net, source in enumerate(sources)]
     cares = [source[1][net] for net, source in enumerate(sources)]
-    if (engine.values, engine.cares) != (values, cares):
+    engine_values, engine_cares = split_states(engine.states)
+    if (engine_values, engine_cares) != (values, cares):
         wrong = next(
             net for net in range(len(values))
-            if (engine.values[net], engine.cares[net]) != (values[net], cares[net])
+            if (engine_values[net], engine_cares[net]) != (values[net], cares[net])
         )
         raise AssertionError(f"{where} net {engine.plan.nets[wrong]!r}")
 
@@ -217,7 +218,7 @@ class TestEventEngineGolden:
             seed=seed,
         )
         plan = packed_plan(netlist)
-        engine = TernaryEventEngine(plan, 1)
+        engine = TernaryEventEngine(plan)
         assignment = {}
         tokens = []
         for _ in range(120):
@@ -235,10 +236,9 @@ class TestEventEngineGolden:
                     assignment.pop(net, None)
                 else:
                     assignment[net] = previous
-            values, cares = seed_ternary_inputs(plan, assignment)
-            eval_ternary(plan, values, cares, 1)
-            assert engine.values == values
-            assert engine.cares == cares
+            values, cares = seed_ternary_inputs(plan, assignment, patterns=2)
+            eval_ternary(plan, values, cares, 0b11)
+            assert split_states(engine.states) == (values, cares)
 
     @pytest.mark.parametrize("seed", [24, 25])
     def test_engine_with_fault_overlay_matches_dual_state(self, seed):
@@ -251,8 +251,7 @@ class TestEventEngineGolden:
         faults = collapse_faults(netlist)
         # The empty-assignment baseline: every fault is forced on it and
         # released back to it, and the fenced rows keep its words.
-        baseline = TernaryEventEngine(plan, 0b11)
-        before = (baseline.values, baseline.cares)
+        before = split_states(TernaryEventEngine(plan).states)
         for fault in rng.sample(faults, min(10, len(faults))):
             # One persistent engine serves every fault: the overlay is
             # re-forced on the rewound baseline and released afterwards.
@@ -270,7 +269,7 @@ class TestEventEngineGolden:
             # release_force rewinds past the assigns too (its token
             # predates them), restoring the shared baseline.
             engine.release_force(token)
-            assert (engine.values, engine.cares) == before
+            assert split_states(engine.states) == before
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -278,30 +277,33 @@ class TestEventEngineGolden:
         num_inputs=st.integers(min_value=4, max_value=14),
         num_gates=st.integers(min_value=15, max_value=110),
         steps=st.integers(min_value=30, max_value=140),
+        max_fanin=st.integers(min_value=3, max_value=6),
     )
-    @example(seed=3, num_inputs=10, num_gates=70, steps=110)
-    @example(seed=4, num_inputs=10, num_gates=70, steps=110)
-    @example(seed=9, num_inputs=10, num_gates=70, steps=110)
-    @example(seed=16, num_inputs=10, num_gates=70, steps=110)
-    def test_event_propagate_differential(self, seed, num_inputs, num_gates, steps):
+    @example(seed=3, num_inputs=10, num_gates=70, steps=110, max_fanin=3)
+    @example(seed=4, num_inputs=10, num_gates=70, steps=110, max_fanin=3)
+    @example(seed=9, num_inputs=10, num_gates=70, steps=110, max_fanin=3)
+    @example(seed=16, num_inputs=10, num_gates=70, steps=110, max_fanin=3)
+    def test_event_propagate_differential(
+        self, seed, num_inputs, num_gates, steps, max_fanin
+    ):
         """assign/undo/reforce/release walks vs from-scratch evaluation.
 
         One persistent engine is driven through the persistent-engine
-        PODEM call pattern and compared with a fresh ``eval_ternary``
-        after every step: the whole state without an overlay; under one,
-        the forced net's region and every input, while every other net
-        must keep the words it had when the overlay went in.  Odd seeds
-        use the 2-bit mask (the table-driven propagation), even seeds a
-        wider mask (the generic fused loop).
+        PODEM call pattern and compared with a fresh mask-``0b11``
+        ``eval_ternary`` after every step: the whole state without an
+        overlay; under one, the forced net's region and every input, while
+        every other net must keep the words it had when the overlay went
+        in.  Gates of up to ``max_fanin`` inputs drive the table rows (one
+        to three inputs) and the wide-row fallback (four or more).
         """
         from repro.circuits.ternary import eval_ternary, packed_plan
 
-        netlist = random_netlist(f"walk{seed}", num_inputs, num_gates, seed=seed)
+        netlist = random_netlist(
+            f"walk{seed}", num_inputs, num_gates, max_fanin=max_fanin, seed=seed
+        )
         plan = packed_plan(netlist)
         rng = random.Random(seed)
-        patterns = 2 if seed % 2 else rng.choice([1, 3, 5])
-        mask = (1 << patterns) - 1
-        engine = TernaryEventEngine(plan, mask)
+        engine = TernaryEventEngine(plan)
         assignment = {}
         undo_stack = []
         force = None  # (index, mask, value, token, saved assignment, saved stack)
@@ -310,9 +312,9 @@ class TestEventEngineGolden:
             action = rng.random()
             if action < 0.15 and force is None:
                 index = rng.randrange(plan.num_nets)
-                fmask = rng.randrange(1, mask + 1)
-                fvalue = rng.randrange(mask + 1) & fmask
-                before = (list(engine.values), list(engine.cares))
+                fmask = rng.randrange(1, 0b100)
+                fvalue = rng.randrange(0b100) & fmask
+                before = split_states(engine.states)
                 token = engine.reforce(index, fmask, fvalue)
                 force = (index, fmask, fvalue, token, dict(assignment), undo_stack)
                 fence = (_region_and_inputs(plan, index), before)
@@ -337,7 +339,7 @@ class TestEventEngineGolden:
                     assignment.pop(net, None)
                 else:
                     assignment[net] = previous
-            values, cares = seed_ternary_inputs(plan, assignment, patterns)
+            values, cares = seed_ternary_inputs(plan, assignment, patterns=2)
             index, fmask, fvalue = force[:3] if force else (-1, 0, 0)
             if 0 <= index < plan.num_inputs:
                 # Input-site overlay: applied to the seeded state (inputs
@@ -349,13 +351,13 @@ class TestEventEngineGolden:
                 plan,
                 values,
                 cares,
-                mask,
+                0b11,
                 force_index=index,
                 force_mask=fmask,
                 force_value=fvalue,
             )
             if fence is None:
-                assert (engine.values, engine.cares) == (values, cares), f"step {step}"
+                assert split_states(engine.states) == (values, cares), f"step {step}"
             else:
                 _assert_fenced(engine, fence[0], (values, cares), fence[1], f"step {step}")
 
@@ -376,8 +378,8 @@ class TestEventEngineGolden:
         atpg = PodemAtpg(netlist)
         plan = atpg._plan
         rng = random.Random(seed)
-        engine = TernaryEventEngine(plan, 0b11)
-        baseline = (list(engine.values), list(engine.cares))
+        engine = TernaryEventEngine(plan)
+        baseline = split_states(engine.states)
         faults = collapse_faults(netlist)
         for fault in rng.sample(faults, min(4, len(faults))):
             region = {
@@ -410,7 +412,7 @@ class TestEventEngineGolden:
                     engine, region, expected, baseline, f"{fault} step {step}"
                 )
             engine.release_force(token)
-            assert (engine.values, engine.cares) == baseline, str(fault)
+            assert split_states(engine.states) == baseline, str(fault)
 
     def test_planted_region_mutation_is_caught(self, monkeypatch):
         """A fault region missing one fanin net must fail the property."""
@@ -456,7 +458,8 @@ class TestEventEngineGolden:
         original = atpg_mod.PodemAtpg._objective_events
         calls = []
 
-        def checked(self, fault, values, cares):
+        def checked(self, fault, states):
+            values, cares = split_states(states)
             diff = {
                 i
                 for i in range(plan.num_nets)
@@ -470,7 +473,7 @@ class TestEventEngineGolden:
                 assert self._diff_in_count[position] == count
                 assert (position in self._frontier_rows) == (count > 0)
             calls.append(1)
-            return original(self, fault, values, cares)
+            return original(self, fault, states)
 
         monkeypatch.setattr(atpg_mod.PodemAtpg, "_objective_events", checked)
         atpg.run()
@@ -545,10 +548,17 @@ class TestPodemGolden:
         seed=SEEDS,
         num_inputs=st.integers(min_value=6, max_value=16),
         num_gates=st.integers(min_value=20, max_value=90),
+        max_fanin=st.integers(min_value=3, max_value=6),
     )
-    def test_podem_events_differential(self, seed, num_inputs, num_gates):
-        """Event-driven fanout-cone PODEM vs the full-pass packed engine."""
-        netlist = random_netlist(f"randq{seed}", num_inputs, num_gates, seed=seed)
+    def test_podem_events_differential(self, seed, num_inputs, num_gates, max_fanin):
+        """Event-driven fanout-cone PODEM vs the full-pass packed engine.
+
+        Gates of four or more inputs (``max_fanin`` above 3) take the
+        engine's wide-row fallback instead of a table lookup.
+        """
+        netlist = random_netlist(
+            f"randq{seed}", num_inputs, num_gates, max_fanin=max_fanin, seed=seed
+        )
         events, full_pass = (
             PodemAtpg(netlist, engine=engine).run(fill_seed=seed, fills="per-pattern")
             for engine in ("events", "packed")
