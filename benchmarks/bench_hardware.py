@@ -15,9 +15,13 @@ the paper's *trends* and that the magnitudes stay in the same few-hundred-GE
 regime.
 """
 
-from repro.decompressor.hardware import soc_decompressor_cost
+from repro.decompressor.hardware import (
+    GateCostModel,
+    soc_decompressor_cost,
+    state_skip_cost,
+)
 from repro.lfsr.lfsr import LFSR
-from repro.lfsr.state_skip import skip_cost_sweep
+from repro.lfsr.state_skip import StateSkipCircuit
 from repro.pipeline import hardware
 from repro.reporting import format_table
 from repro.testdata import literature
@@ -30,12 +34,18 @@ SOC_CIRCUITS = ["s9234", "s13207", "s15850"]
 
 def _state_skip_sweep():
     lfsr = LFSR.of_size(get_profile("s13207").lfsr_size)
-    ks = [12, 16, 20, 24, 28, 32]
-    costs = skip_cost_sweep(lfsr.transition, ks)
-    return [
-        {"k": k, "xor_gates": cost.xor_gates, "ge": round(cost.gate_equivalents, 1)}
-        for k, cost in zip(ks, costs)
-    ]
+    model = GateCostModel()
+    rows = []
+    for k in [12, 16, 20, 24, 28, 32]:
+        circuit = StateSkipCircuit(lfsr.transition, k)
+        rows.append(
+            {
+                "k": k,
+                "xor_gates": circuit.xor_gate_count(),
+                "ge": round(state_skip_cost(circuit, model), 1),
+            }
+        )
+    return rows
 
 
 def test_state_skip_circuit_cost_vs_k(benchmark):

@@ -70,7 +70,7 @@ class Workbench:
     Every encoding and reduction runs through the staged pipeline
     (:func:`repro.pipeline.encode` / :func:`repro.pipeline.reduce`) on one
     shared :class:`~repro.context.CompressionContext`, so an (S, k) grid
-    over one encoding expands its seed windows once.
+    over one encoding expands its seeds and builds its cover once.
     """
 
     #: Window lengths a session encodes: classical (1), Tables 1-2 (50,
@@ -82,7 +82,7 @@ class Workbench:
         # Sized so no encoding of the session is ever evicted: a miss
         # re-encodes (s38417 at L=200 takes ~3 s).
         pairs = len(DEFAULT_SCALES) * len(self.WINDOWS)
-        self._context = CompressionContext(max_encodings=pairs, max_windows=pairs)
+        self._context = CompressionContext(max_encodings=pairs, max_covers=pairs)
 
     # ------------------------------------------------------------------
     # Test sets

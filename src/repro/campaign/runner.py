@@ -86,11 +86,10 @@ class JobOutcome:
     ``hardware`` plus the context-internal ``substrate_build`` /
     ``expand_seeds``) to the wall seconds *this job* spent in them;
     ``cache_stats`` carries the context-cache hit/miss deltas of the job
-    (e.g. ``substrate_hits``, ``encoding_misses``, ``packed_window_misses``,
-    ``cover_hits``).  For a resumed (``cached``) outcome both are
-    taken from the stored record, and ``elapsed_s`` is the stored record's
-    original compute time -- not zero -- so aggregate timing reports stay
-    honest on warm stores.
+    (e.g. ``substrate_misses``, ``encoding_misses``, ``cover_hits``).  For
+    a resumed (``cached``) outcome both are taken from the stored record,
+    and ``elapsed_s`` is the stored record's original compute time -- not
+    zero -- so aggregate timing reports stay honest on warm stores.
 
     ``retried`` counts the worker crashes this job survived before the
     recorded outcome (0 on an undisturbed run); ``exhausted`` marks an

@@ -16,7 +16,8 @@ pattern width is arbitrary: PODEM packs the good and the faulty machine into
 a 2-bit word (its event engine combines the two words of a net into one
 4-bit state), fault simulation packs hundreds of patterns, and the uint64
 blocks of the numpy embedding-matching layer are just this encoding sliced
-into 64-bit words (see :meth:`repro.testdata.cube.TestCube.packed_words`).
+into 64-bit words (see
+:meth:`repro.testdata.test_set.TestSet.packed_matrices`).
 
 Two-valued simulation is the ``care == mask`` special case; its inner loop
 drops the care accumulator entirely, which keeps the binary fault-simulation

@@ -419,7 +419,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     cache = result.cache_stat_totals()
     if cache:
         parts = []
-        for kind in ("substrate", "encoding", "packed_window", "cover"):
+        for kind in ("substrate", "encoding", "cover"):
             hits = cache.get(f"{kind}_hits", 0)
             misses = cache.get(f"{kind}_misses", 0)
             if hits or misses:

@@ -1,30 +1,27 @@
 """Shared caches for the staged compression pipeline.
 
 Every paper artifact (Tables 1-4, Fig. 4) is a grid of runs over
-circuits x (L, S, k), and the expensive work is concentrated in two
-invariants that grid neighbours share:
+circuits x (L, S, k), and two results of each encoding are what grid
+neighbours share:
 
-* the **algebraic substrate** of the decompressor -- the LFSR, the phase
-  shifter and the :class:`~repro.encoding.equations.EquationSystem` with its
-  precomputed cell rows and window-position matrices.  It depends only on
-  ``(num_cells, num_scan_chains, lfsr_size, window_length, phase_taps,
-  phase_seed)``, never on the test cubes or on the State Skip parameters
-  ``(S, k)``;
-* the **expanded seed windows** -- the ``L`` fully specified test vectors of
-  every computed seed.  Verification, the cover below and any coverage
-  cross-check all need exactly the same expansion;
+* the **encode-stage result** -- the seeds computed for one test set under
+  one encode config.  It never depends on the State Skip parameters
+  ``(S, k)``, so a warm (S, k) sweep skips the seed computation;
 * the **cover** -- which window vector embeds which test cube, one bit per
-  (cube, seed, window position).  Every (S, k) point's embedding map and
-  useful-segment selection derive from it, and it depends only on the
-  encoding, not on ``(S, k)``.
+  (cube, seed, window position).  Verification checks every deterministic
+  embedding against it, and every (S, k) point's embedding map and
+  useful-segment selection derive from it.
 
-:class:`CompressionContext` owns content-addressed caches for all three (plus
-the encode-stage results built on top of them) and counts hits, misses and
-per-stage wall time.  The staged pipeline functions in
-:mod:`repro.pipeline` (``encode`` / ``reduce`` / ``hardware`` /
-``simulate``) thread a context through the flow; the campaign runner gives
-every worker one context per job group so that an (S, k) sweep over one
-encoding pays for the substrate and the seed computation exactly once.
+:class:`CompressionContext` owns a content-addressed cache for each and
+counts hits, misses and per-stage wall time.  It also builds the algebraic
+substrate of every encode attempt (the LFSR, the phase shifter and the
+:class:`~repro.encoding.equations.EquationSystem`), counting and timing each
+build; substrates are not cached, because no measured workload builds the
+same one twice.  The staged pipeline functions in :mod:`repro.pipeline`
+(``encode`` / ``reduce`` / ``hardware`` / ``simulate``) thread a context
+through the flow; the campaign runner gives every worker one context per job
+group so that an (S, k) sweep over one encoding pays for the seed
+computation and the seed expansion exactly once.
 
 All cache keys are content-addressed (plain value tuples), so a context is
 safe to share across test sets, configs and campaign grids; caches are
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.lru import LRUCache
@@ -63,8 +60,6 @@ class _EncodingEntry:
     substrate: EncoderSubstrate
     encoding: "EncodingResult"
     verified: bool
-
-
 
 
 class ContextStats:
@@ -125,67 +120,50 @@ class CompressionContext:
     Parameters
     ----------
     caching:
-        ``False`` turns every cache into a pass-through (each query is
+        ``False`` turns both caches into a pass-through (each query is
         recomputed and counted as a miss) while keeping the stats and the
         staged API identical -- the cache-on/cache-off golden tests rely on
         this producing bit-identical reports.
-    max_substrates / max_encodings / max_windows:
-        LRU bounds of the caches; ``max_windows`` bounds both the window
-        cache and the cover cache.
+    max_encodings / max_covers:
+        LRU bounds of the two caches.
     stats:
         An externally owned :class:`ContextStats` to record into --
         campaign workers pass one bound to their recorder's metrics
         registry so cache counters stream back with job telemetry.
 
-    The four caches, from cheapest to most expensive to rebuild:
+    The two caches:
 
-    * ``substrate``: :class:`EncoderSubstrate` by :class:`SubstrateKey`;
-    * ``windows``: expanded seed windows by ``(SubstrateKey, seed values)``
-      -- the seed-value tuple is the content fingerprint of the seeds.
-      Only the uint64-blocked form (:meth:`packed_windows`) is cached --
-      the BLAS expansion happens there -- and the integer form
-      (:meth:`expanded_windows`) is derived from it on each call, so
-      verification (integers) and the cover (packed blocks) share one
-      expansion;
-    * ``cover``: the bit-packed cube x window-vector cover (:meth:`cover`)
-      by ``(SubstrateKey, seed values, test-set fingerprint)`` -- what
-      every reduction of one encoding reads instead of the windows;
     * ``encoding``: full encode-stage results (substrate + seeds +
       verification flag) by ``(test-set fingerprint, encode-relevant config
       key)`` -- this is what lets a warm (S, k) sweep skip the seed
-      computation entirely.
+      computation entirely;
+    * ``cover``: the bit-packed cube x window-vector cover (:meth:`cover`)
+      by ``(SubstrateKey, seed values, test-set fingerprint)`` -- built by
+      verification or by the first reduction of an encoding, and read by
+      every later one.
     """
 
     def __init__(
         self,
         caching: bool = True,
-        max_substrates: int = 8,
         max_encodings: int = 16,
-        max_windows: int = 16,
+        max_covers: int = 16,
         stats: Optional[ContextStats] = None,
     ):
         self.caching = caching
         self.stats = stats if stats is not None else ContextStats()
-        self._substrates = LRUCache(max_substrates)
         self._encodings = LRUCache(max_encodings)
-        self._packed_windows = LRUCache(max_windows)
-        self._covers = LRUCache(max_windows)
+        self._covers = LRUCache(max_covers)
 
     # ------------------------------------------------------------------
-    # Substrate cache
+    # Substrates
     # ------------------------------------------------------------------
     def substrate(self, key: SubstrateKey) -> EncoderSubstrate:
-        """The (possibly cached) substrate of ``key``."""
-        cached = self._substrates.get(key) if self.caching else None
-        if cached is not None:
-            self.stats.count("substrate_hits")
-            return cached
+        """A new substrate of ``key``, counted and timed as a build."""
         self.stats.count("substrate_misses")
         start = time.perf_counter()
         substrate = EncoderSubstrate(key)
         self.stats.add_timing("substrate_build", time.perf_counter() - start)
-        if self.caching:
-            self._substrates.put(key, substrate)
         return substrate
 
     # ------------------------------------------------------------------
@@ -222,50 +200,6 @@ class CompressionContext:
         return entry
 
     # ------------------------------------------------------------------
-    # Expanded-window cache
-    # ------------------------------------------------------------------
-    def packed_windows(
-        self, substrate: EncoderSubstrate, seeds: Sequence["BitVector"]
-    ):
-        """The uint64-blocked windows of ``seeds``, expanded at most once.
-
-        A ``(num_seeds, L, num_words)`` uint64 array (exactly
-        :meth:`~repro.encoding.equations.EquationSystem.expand_seeds_packed`)
-        -- the form :meth:`cover` is built from.  This is
-        where the BLAS expansion actually runs; :meth:`expanded_windows`
-        derives its integers from this cache.  The result is shared --
-        treat it as immutable.
-        """
-        key = (substrate.key, tuple(seed.value for seed in seeds))
-        cached = self._packed_windows.get(key) if self.caching else None
-        if cached is not None:
-            self.stats.count("packed_window_hits")
-            return cached
-        self.stats.count("packed_window_misses")
-        start = time.perf_counter()
-        packed = substrate.equations.expand_seeds_packed(list(seeds))
-        self.stats.add_timing("expand_seeds", time.perf_counter() - start)
-        if self.caching:
-            self._packed_windows.put(key, packed)
-        return packed
-
-    def expanded_windows(
-        self, substrate: EncoderSubstrate, seeds: Sequence["BitVector"]
-    ) -> List[List[int]]:
-        """The ``L``-vector windows of ``seeds``, expanded at most once.
-
-        Entry ``[s][v]`` is the packed test vector of seed ``s`` at window
-        position ``v`` (exactly
-        :meth:`~repro.encoding.equations.EquationSystem.expand_seeds`).
-        Converted from the :meth:`packed_windows` cache on every call, so
-        the integer and the uint64-blocked consumers share one BLAS
-        expansion.
-        """
-        from repro.encoding.equations import windows_from_packed
-
-        return windows_from_packed(self.packed_windows(substrate, seeds))
-
-    # ------------------------------------------------------------------
     # Cover cache
     # ------------------------------------------------------------------
     def cover(
@@ -273,8 +207,9 @@ class CompressionContext:
     ):
         """Which window vector of ``seeds`` embeds which cube, built at most once.
 
-        Exactly :func:`repro.skip.selection.build_cover` over
-        :meth:`packed_windows`: a ``(cubes, seeds, ceil(L / 8))`` uint8
+        Exactly :func:`repro.skip.selection.build_cover` over the seeds'
+        expansion (:meth:`~repro.encoding.equations.EquationSystem.expand_seeds_packed`,
+        timed as ``expand_seeds``): a ``(cubes, seeds, ceil(L / 8))`` uint8
         array holding one bit per (cube, seed, window position).  The
         result is shared -- treat it as immutable.
         """
@@ -284,7 +219,10 @@ class CompressionContext:
             self.stats.count("cover_hits")
             return cached
         self.stats.count("cover_misses")
-        cover = build_cover(self.packed_windows(substrate, seeds), test_set)
+        start = time.perf_counter()
+        windows = substrate.equations.expand_seeds_packed(list(seeds))
+        self.stats.add_timing("expand_seeds", time.perf_counter() - start)
+        cover = build_cover(windows, test_set)
         if self.caching:
             self._covers.put(key, cover)
         return cover

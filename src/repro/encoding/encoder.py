@@ -3,9 +3,10 @@
 :func:`encode_with_retries` takes each attempt's
 :class:`~repro.encoding.substrate.EncoderSubstrate` -- the LFSR with the
 library's default primitive feedback polynomial, the phase shifter, the scan
-architecture and the equation system -- from a caller-supplied source (a
-:class:`~repro.context.CompressionContext` cache or a fresh build) and runs
-the :class:`~repro.encoding.window.WindowEncoder` on it.
+architecture and the equation system -- from a caller-supplied source
+(:meth:`~repro.context.CompressionContext.substrate`, which counts and times
+each build, or the constructor itself) and runs the
+:class:`~repro.encoding.window.WindowEncoder` on it.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ def encode_with_retries(
     the first line of the error).
 
     ``substrate_source`` maps each attempt's :class:`SubstrateKey` to its
-    substrate: :meth:`repro.context.CompressionContext.substrate` serves
-    previously seen phase seeds from a cache, :class:`EncoderSubstrate`
-    builds a fresh one.  Returns the winning substrate with its encoding;
-    raises a :class:`ValueError` when the densest cube specifies more bits
-    than the LFSR has cells, and a descriptive :class:`EncodingError`
-    chained to the last attempt's error when every attempt fails.
+    substrate: :meth:`repro.context.CompressionContext.substrate` builds
+    one and counts the build, :class:`EncoderSubstrate` just builds it.
+    Returns the winning substrate with its encoding; raises a
+    :class:`ValueError` when the densest cube specifies more bits than the
+    LFSR has cells, and a descriptive :class:`EncodingError` chained to the
+    last attempt's error when every attempt fails.
     """
     smax = test_set.max_specified()
     if smax > lfsr_size:

@@ -18,15 +18,17 @@ Encoding a test cube at window position ``v`` means adding one equation
 :class:`EquationSystem` precomputes the building blocks of those rows and
 serves two consumers:
 
-* the encoder, which asks for the packed equations of a cube at every window
-  position (computed lazily, in one numpy batch per cube, and cached), and
-* the sequence-reduction / verification code, which asks for the fully
-  expanded test vectors produced by a list of seeds (bulk numpy expansion).
+* the encoder, which asks for the packed equations of every cube at every
+  window position (:meth:`EquationSystem.precompute_cube_words`: chunked
+  numpy products over the whole test set, held by the encoder for one
+  encode), and
+* the cover and verification code, which asks for the fully expanded test
+  vectors produced by a list of seeds (bulk numpy expansion).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from repro.gf2.matrix import GF2Matrix
 from repro.gf2.solve import _words_to_ints
 from repro.lfsr.phase_shifter import PhaseShifter
 from repro.lfsr.transition import transition_power
-from repro.lru import LRUCache
 from repro.scan.architecture import ScanArchitecture
 from repro.testdata.cube import TestCube
 
@@ -53,25 +54,6 @@ def _matrix_to_numpy(matrix: GF2Matrix) -> np.ndarray:
     return np.ascontiguousarray(bits[:, : matrix.ncols])
 
 
-def windows_from_packed(packed: np.ndarray) -> List[List[int]]:
-    """Integer view of a packed window expansion.
-
-    Converts the ``(num_seeds, L, num_words)`` uint64 array of
-    :meth:`EquationSystem.expand_seeds_packed` into the classic
-    list-of-lists of packed Python integers (entry ``[s][v]``), bit for
-    bit identical to what the pre-packed ``expand_seeds`` produced.
-    """
-    num_seeds, window_length, _ = packed.shape
-    as_bytes = packed.view(np.uint8).reshape(num_seeds, window_length, -1)
-    return [
-        [
-            int.from_bytes(as_bytes[s, v].tobytes(), "little")
-            for v in range(window_length)
-        ]
-        for s in range(num_seeds)
-    ]
-
-
 def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact GF(2) product of dense 0/1 arrays, via one BLAS sgemm.
 
@@ -81,8 +63,6 @@ def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     counts = a.astype(np.float32) @ b.astype(np.float32)
     return (counts.astype(np.uint32) & 1).astype(np.uint8)
-
-
 
 
 class EquationSystem:
@@ -139,34 +119,6 @@ class EquationSystem:
         self._position_matrices_f32 = self._positions_concat_f32.reshape(
             n, self._window_length, n
         ).transpose(1, 0, 2)
-        # Per-cube caches are content-addressed by (width, mask, value) and
-        # bounded LRU-style: a substrate kept alive by a long-running
-        # CompressionContext sees many test sets over its lifetime, and
-        # without the bound every cube ever encoded would stay resident.
-        # The bound is far above any single test set (and raised further by
-        # reserve_cube_capacity), so an encoding run never evicts its own
-        # working set.
-        self._cube_cache = LRUCache(self._MAX_CUBE_ENTRIES)
-        self._words_cache = LRUCache(self._MAX_CUBE_ENTRIES)
-
-    #: Baseline LRU bound of the per-cube caches -- far above any single
-    #: calibrated test set, so one encoding run never evicts its own working
-    #: set; it only stops a substrate shared across many test sets from
-    #: growing without bound.  :meth:`reserve_cube_capacity` raises the
-    #: effective bound when a larger test set shows up, so even a
-    #: bigger-than-baseline set gets hit-every-revisit behaviour (the bound
-    #: then caps accumulation relative to the largest set seen).
-    _MAX_CUBE_ENTRIES = 8192
-
-    def reserve_cube_capacity(self, num_cubes: int) -> None:
-        """Make sure a test set of ``num_cubes`` cubes fits the caches.
-
-        Called by the encoder before a run so its whole working set stays
-        resident across seeds; without this, a test set larger than the
-        baseline bound would thrash (every revisit a miss + re-gemm).
-        """
-        for cache in (self._cube_cache, self._words_cache):
-            cache.bound = max(cache.bound, 2 * num_cubes)
 
     # ------------------------------------------------------------------
     # Precomputation
@@ -229,16 +181,10 @@ class EquationSystem:
         rows (RHS packed as bit ``n``) per window position, in position
         order -- ready for
         :meth:`repro.gf2.solve.IncrementalSolver.try_positions_packed`.
-        Cached per cube: the rows depend only on the hardware, so every
-        seed (and every encoder sharing this system) reuses the same block.
-        Treat the returned array as immutable.
+        Computed on each call with one BLAS product; the encoder builds the
+        blocks of a whole test set at once (:meth:`precompute_cube_words`).
         """
         self._check_width(cube)
-        key = (cube.num_cells, cube.care_mask, cube.care_value)
-        cached = self._words_cache.get(key)
-        if cached is not None:
-            return cached
-
         cells = cube.specified_cells()
         rhs = np.array([(cube.care_value >> c) & 1 for c in cells], dtype=np.uint8)
         spec_rows = self._cell_rows_f32[cells]  # (s, n)
@@ -246,9 +192,7 @@ class EquationSystem:
         # positions in a single BLAS product against the concatenated
         # position matrices (exact: inner-dimension sums stay < 2**24).
         counts = spec_rows @ self._positions_concat_f32  # (s, L*n)
-        result = self._pack_cube_words(counts, rhs, len(cells))
-        self._words_cache.put(key, result)
-        return result
+        return self._pack_cube_words(counts, rhs, len(cells))
 
     def _pack_cube_words(
         self, counts: np.ndarray, rhs: np.ndarray, num_rows: int
@@ -287,34 +231,37 @@ class EquationSystem:
     #: overhead per call) -- tuned by timing the encoding scan.
     _BATCH_GEMM_BUDGET = 2_000_000
 
-    def precompute_cube_words(self, cubes: Sequence[TestCube]) -> None:
-        """Populate the packed-row cache for many cubes with batched gemms.
+    def precompute_cube_words(
+        self, cubes: Sequence[TestCube]
+    ) -> List[Tuple[np.ndarray, int]]:
+        """:meth:`cube_position_words` of many cubes, with batched gemms.
 
-        :meth:`cube_position_words` issues one BLAS product per cube; for a
-        whole test set that is hundreds of small gemms whose fixed overhead
-        adds up (~15% of encode setup on s9234-L200).  Here the
-        specified-cell rows of *all* still-uncached cubes are stacked and
-        multiplied against the concatenated position matrices in one gemm
-        per memory-bounded chunk, then split and packed per cube.  Sums of
-        0/1 floats are exact in float32 regardless of accumulation order,
-        so the cached blocks are bit-identical to the per-cube path.
+        Returns one ``(words, rows_per_position)`` block per cube, in cube
+        order; equal cubes share one block.  :meth:`cube_position_words`
+        issues one BLAS product per cube; for a whole test set that is
+        hundreds of small gemms whose fixed overhead adds up (~15% of
+        encode setup on s9234-L200).  Here the specified-cell rows of all
+        distinct cubes are stacked and multiplied against the concatenated
+        position matrices in one gemm per memory-bounded chunk, then split
+        and packed per cube.  Sums of 0/1 floats are exact in float32
+        regardless of accumulation order, so the blocks are bit-identical
+        to the per-cube path.  Treat the arrays as immutable.
         """
-        self.reserve_cube_capacity(len(cubes))
+        blocks: Dict[Tuple[int, int, int], Optional[Tuple[np.ndarray, int]]] = {}
         pending: List[Tuple[Tuple[int, int, int], TestCube, List[int]]] = []
-        seen = set()
+        keys = []
         for cube in cubes:
             self._check_width(cube)
             key = (cube.num_cells, cube.care_mask, cube.care_value)
-            if key in self._words_cache or key in seen:
+            keys.append(key)
+            if key in blocks:
                 continue
             cells = cube.specified_cells()
             if not cells:
-                self.cube_position_words(cube)  # trivial: no gemm needed
+                blocks[key] = self.cube_position_words(cube)  # no gemm needed
                 continue
-            seen.add(key)
+            blocks[key] = None  # filled by its chunk below
             pending.append((key, cube, cells))
-        if not pending:
-            return
         row_budget = max(
             1,
             self._BATCH_GEMM_BUDGET
@@ -341,46 +288,34 @@ class EquationSystem:
                 rhs = np.array(
                     [(cube.care_value >> c) & 1 for c in cells], dtype=np.uint8
                 )
-                self._words_cache.put(
-                    key,
-                    self._pack_cube_words(
-                        counts[offset : offset + num_rows], rhs, num_rows
-                    ),
+                blocks[key] = self._pack_cube_words(
+                    counts[offset : offset + num_rows], rhs, num_rows
                 )
                 offset += num_rows
+        return [blocks[key] for key in keys]
 
     def cube_equations(self, cube: TestCube) -> List[List[Tuple[int, int]]]:
         """Packed equations of a cube for every window position.
 
         Entry ``v`` of the result is the list of ``(coefficient_mask, rhs)``
-        pairs for encoding the cube at window position ``v``.  Results are
-        cached per cube (the equations depend only on the hardware, not on
-        any seed), so repeated queries across seeds are free.
+        pairs for encoding the cube at window position ``v``, split from
+        one :meth:`cube_position_words` block.  The reference scan
+        (``WindowEncoder(batch_trials=False)``) reads these lists.
         """
-        key = (cube.num_cells, cube.care_mask, cube.care_value)
-        cached = self._cube_cache.get(key)
-        if cached is not None:
-            return cached
-        equations = [
-            self._position_equations(cube, v) for v in range(self._window_length)
+        words, num_rows = self.cube_position_words(cube)
+        return [
+            self._position_equations(words, num_rows, v)
+            for v in range(self._window_length)
         ]
-        self._cube_cache.put(key, equations)
-        return equations
 
     def cube_equations_at(self, cube: TestCube, position: int) -> List[Tuple[int, int]]:
         """Equations of a cube at one window position.
 
-        Unlike :meth:`cube_equations` this does not materialise (or cache)
-        the per-position pair lists of the whole window.  Position 0 needs
-        no product at all: its matrix is the identity, so its rows are the
-        specified cells' own rows.
+        Position 0 needs no product at all: its matrix is the identity, so
+        its rows are the specified cells' own rows.
         """
         if not 0 <= position < self._window_length:
             raise IndexError(f"window position {position} out of range")
-        key = (cube.num_cells, cube.care_mask, cube.care_value)
-        cached = self._cube_cache.get(key)
-        if cached is not None:
-            return cached[position]
         if position == 0:
             self._check_width(cube)
             cells = cube.specified_cells()
@@ -390,7 +325,8 @@ class EquationSystem:
                 (int.from_bytes(row.tobytes(), "little"), (value >> cell) & 1)
                 for row, cell in zip(rows, cells)
             ]
-        return self._position_equations(cube, position)
+        words, num_rows = self.cube_position_words(cube)
+        return self._position_equations(words, num_rows, position)
 
     def _check_width(self, cube: TestCube) -> None:
         if cube.num_cells != self._architecture.num_cells:
@@ -399,9 +335,10 @@ class EquationSystem:
                 f"architecture ({self._architecture.num_cells} cells)"
             )
 
-    def _position_equations(self, cube: TestCube, position: int) -> List[Tuple[int, int]]:
-        """The ``(mask, rhs)`` pairs of one position, from the packed words."""
-        words, num_rows = self.cube_position_words(cube)
+    def _position_equations(
+        self, words: np.ndarray, num_rows: int, position: int
+    ) -> List[Tuple[int, int]]:
+        """The ``(mask, rhs)`` pairs of one position of a packed block."""
         rows = _words_to_ints(words[position * num_rows : (position + 1) * num_rows])
         rhs_bit = 1 << self._lfsr_size
         return [(aug & (rhs_bit - 1), 1 if aug & rhs_bit else 0) for aug in rows]
@@ -409,10 +346,6 @@ class EquationSystem:
     # ------------------------------------------------------------------
     # Seed expansion
     # ------------------------------------------------------------------
-    def expand_seed(self, seed: BitVector) -> List[int]:
-        """All ``L`` test vectors of one seed, as packed integers."""
-        return self.expand_seeds([seed])[0]
-
     def expand_seeds_packed(self, seeds: Sequence[BitVector]) -> np.ndarray:
         """Expand seeds into uint64-blocked windows (the packed core form).
 
@@ -420,9 +353,8 @@ class EquationSystem:
         with ``num_words = ceil(num_cells / 64)``; bit ``c`` of word ``w``
         of entry ``[s, v]`` is scan cell ``64*w + c`` of the test vector
         produced by seed ``s`` at window position ``v`` -- the same cell
-        packing as :meth:`repro.testdata.cube.TestCube.packed_words`, so
-        the embedding-matching kernel consumes it directly.  Treat the
-        result as immutable (it is shared through the context cache).
+        packing as :meth:`repro.testdata.test_set.TestSet.packed_matrices`,
+        so the cover kernel consumes it directly.
         """
         n = self._lfsr_size
         num_cells = self._architecture.num_cells
@@ -470,22 +402,15 @@ class EquationSystem:
 
         Entry ``[s][v]`` of the result is the fully specified test vector
         (packed integer over the scan cells) produced by seed ``s`` at window
-        position ``v`` -- the integer view of :meth:`expand_seeds_packed`.
+        position ``v`` -- the integer view of :meth:`expand_seeds_packed`,
+        read by the oracle
+        :func:`~repro.skip.selection.build_embedding_map_reference`.
         """
         if not seeds:
             return []
-        return windows_from_packed(self.expand_seeds_packed(seeds))
-
-    def vector_at(self, seed: BitVector, position: int) -> List[int]:
-        """The test vector of ``seed`` at one window position, as a bit list."""
-        packed = self.expand_seed(seed)[position]
-        return [(packed >> c) & 1 for c in range(self._architecture.num_cells)]
-
-    def cube_matches(self, cube: TestCube, seed: BitVector, position: int) -> bool:
-        """True when the expanded vector at ``position`` covers ``cube``."""
-        return cube.matches_vector(self.expand_seed(seed)[position])
-
-    def clear_cache(self) -> None:
-        """Drop the per-cube equation caches (memory housekeeping)."""
-        self._cube_cache.clear()
-        self._words_cache.clear()
+        packed = self.expand_seeds_packed(seeds)
+        as_bytes = packed.view(np.uint8).reshape(len(seeds), self._window_length, -1)
+        return [
+            [int.from_bytes(vector.tobytes(), "little") for vector in window]
+            for window in as_bytes
+        ]

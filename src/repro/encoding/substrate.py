@@ -5,9 +5,9 @@ the sequence reduction and the verification share: the scan architecture,
 the LFSR, the phase shifter and the precomputed
 :class:`~repro.encoding.equations.EquationSystem`.  It depends only on the
 :class:`SubstrateKey` -- never on the test cubes, the fill seed or the
-State Skip parameters (S, k) -- which is what makes it safe to cache and
-share across campaign grid neighbours
-(:class:`repro.context.CompressionContext` owns that cache).
+State Skip parameters (S, k) -- which is what makes it safe to share across
+campaign grid neighbours: every encode-stage result that
+:class:`repro.context.CompressionContext` caches keeps its substrate.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ class EncoderSubstrate:
     feedback polynomial), the phase shifter and the
     :class:`~repro.encoding.equations.EquationSystem`.  Construction is the
     dominant cost of encode setup (dense conversions plus the BLAS ladders
-    of the position matrices), which is why substrates are what the
-    :class:`~repro.context.CompressionContext` caches.
+    of the position matrices); a cached encode-stage result of the
+    :class:`~repro.context.CompressionContext` keeps the substrate it was
+    encoded on.
     """
 
     def __init__(self, key: SubstrateKey):

@@ -27,9 +27,10 @@ The expensive step is the solvability scan.  Three observations keep it
 tractable: committed constraints only ever grow within a seed, so a position
 found unsolvable for a cube stays unsolvable for that seed and only the
 consistent (cube, position) trials of a scan are kept; the per-(cube,
-position) equations depend only on the hardware, so they are built once for
-the whole test set (chunked numpy products) and cached by the
-:class:`~repro.encoding.equations.EquationSystem`; and a trial's residual
+position) equations depend only on the hardware, so each encode builds them
+once for the whole test set (chunked numpy products,
+:meth:`~repro.encoding.equations.EquationSystem.precompute_cube_words`) and
+holds them until it returns; and a trial's residual
 rows are themselves valid trial input, so each solvable position keeps its
 equations *reduced against the committed basis*, and a later selection step
 re-tries only the positions whose residual support meets a pivot committed
@@ -144,13 +145,13 @@ class WindowEncoder:
                 self._equations.cube_equations_at(cube, 0) for cube in cubes
             ]
             self._precheck_encodability(position0)
-            self._equations.precompute_cube_words(cubes)
+            blocks = self._equations.precompute_cube_words(cubes)
             cube_equations = None
         else:
-            self._equations.reserve_cube_capacity(len(cubes))
             cube_equations = [self._equations.cube_equations(cube) for cube in cubes]
             position0 = [equations[0] for equations in cube_equations]
             self._precheck_encodability(position0)
+            blocks = None
         spec_counts = [cube.specified_count() for cube in cubes]
 
         remaining = set(range(len(cubes)))
@@ -159,7 +160,7 @@ class WindowEncoder:
             record = self._build_seed(
                 seed_index=len(seeds),
                 remaining=remaining,
-                cubes=cubes,
+                blocks=blocks,
                 cube_equations=cube_equations,
                 position0=position0,
                 spec_counts=spec_counts,
@@ -219,7 +220,7 @@ class WindowEncoder:
         self,
         seed_index: int,
         remaining: set,
-        cubes: List,
+        blocks: Optional[List[Tuple[np.ndarray, int]]],
         cube_equations: Optional[List[List[List[Tuple[int, int]]]]],
         position0: List[List[Tuple[int, int]]],
         spec_counts: List[int],
@@ -239,7 +240,7 @@ class WindowEncoder:
 
         while True:
             pick = self._select_candidate(
-                solver, remaining, encoded_here, cubes, cube_equations, spec_counts, scans
+                solver, remaining, encoded_here, blocks, cube_equations, spec_counts, scans
             )
             if pick is None:
                 break
@@ -271,7 +272,7 @@ class WindowEncoder:
         solver: IncrementalSolver,
         remaining: set,
         encoded_here: set,
-        cubes: List,
+        blocks: Optional[List[Tuple[np.ndarray, int]]],
         cube_equations: Optional[List[List[List[Tuple[int, int]]]]],
         spec_counts: List[int],
         scans: Dict[int, _CubeScan],
@@ -291,7 +292,7 @@ class WindowEncoder:
         for count in sorted(by_count, reverse=True):
             group = by_count[count]
             if self._batch_trials:
-                self._scan_group(solver, group, cubes, scans)
+                self._scan_group(solver, group, blocks, scans)
             else:
                 self._scan_group_reference(solver, group, cube_equations, scans)
             best = min(
@@ -310,7 +311,7 @@ class WindowEncoder:
         self,
         solver: IncrementalSolver,
         group: List[int],
-        cubes: List,
+        blocks: List[Tuple[np.ndarray, int]],
         scans: Dict[int, _CubeScan],
     ) -> None:
         """Bring the scans of one specified-bit-count group up to date.
@@ -327,7 +328,7 @@ class WindowEncoder:
         """
         epoch, pivot_mask = solver.epoch, solver.pivot_mask
         fresh: List[_CubeScan] = []
-        blocks = []
+        fresh_blocks = []
         stale: List[Tuple[_CubeScan, int]] = []
         stale_rows: List[List[int]] = []
         for cube_index in group:
@@ -335,7 +336,7 @@ class WindowEncoder:
             if scan is None:
                 scan = scans[cube_index] = _CubeScan(epoch, pivot_mask)
                 fresh.append(scan)
-                blocks.append(self._equations.cube_position_words(cubes[cube_index]))
+                fresh_blocks.append(blocks[cube_index])
                 continue
             if scan.epoch == epoch:
                 continue
@@ -347,9 +348,11 @@ class WindowEncoder:
                     stale_rows.append(scan.trials.pop(position).reduced_rows)
             scan.epoch, scan.pivot_mask = epoch, pivot_mask
         if fresh:
-            words = np.concatenate([block for block, _ in blocks])
+            words = np.concatenate([block for block, _ in fresh_blocks])
             window = self._equations.window_length
-            for candidate, trial in solver.try_positions_packed(words, blocks[0][1]):
+            for candidate, trial in solver.try_positions_packed(
+                words, fresh_blocks[0][1]
+            ):
                 slot, position = divmod(candidate, window)
                 fresh[slot].add(position, trial)
         if stale:
@@ -384,36 +387,28 @@ class WindowEncoder:
 
 
 def verify_encoding(
-    result: EncodingResult,
-    test_set: TestSet,
-    equations: EquationSystem,
-    windows: Optional[List[List[int]]] = None,
+    result: EncodingResult, cover: np.ndarray
 ) -> List[Tuple[int, int, int]]:
-    """Check every deterministic embedding against the expanded windows.
+    """Check every deterministic embedding against the encoding's cover.
 
-    Returns a list of violations ``(seed_index, cube_index, position)``; an
-    empty list means every encoded cube is really produced by its seed at its
-    assigned window position.  This is the ground-truth correctness check the
-    tests and the decompressor simulation rely on.
-
-    ``windows`` may carry the already-expanded seed windows (entry ``[s][v]``
-    = packed vector of seed ``s`` at position ``v``, exactly
-    :meth:`EquationSystem.expand_seeds` output); when omitted the seeds are
-    expanded here.  The staged pipeline passes the
-    :class:`~repro.context.CompressionContext`-cached expansion so that
-    verification, the sequence reducer and any coverage check share one
-    expansion instead of three.
+    ``cover`` is the :func:`~repro.skip.selection.build_cover` of
+    ``result``'s seeds and test set (the staged pipeline reads the
+    :class:`~repro.context.CompressionContext`-cached one): bit ``p`` of
+    ``cover[c, s]`` (``np.packbits`` order, most significant bit first)
+    says whether seed ``s`` produces a vector covering cube ``c`` at window
+    position ``p``.  Returns a list of violations ``(seed_index,
+    cube_index, position)``; an empty list means every encoded cube is
+    really produced by its seed at its assigned window position.
     """
     violations = []
-    if windows is None:
-        windows = equations.expand_seeds([record.seed for record in result.seeds])
-    for record, window in zip(result.seeds, windows):
+    for seed_slot, record in enumerate(result.seeds):
         for embedding in record.embeddings:
             if not embedding.deterministic:
                 continue
-            cube = test_set[embedding.cube_index]
-            if not cube.matches_vector(window[embedding.position]):
+            position = embedding.position
+            byte = cover[embedding.cube_index, seed_slot, position >> 3]
+            if not (byte >> (7 - (position & 7))) & 1:
                 violations.append(
-                    (record.index, embedding.cube_index, embedding.position)
+                    (record.index, embedding.cube_index, position)
                 )
     return violations

@@ -207,9 +207,9 @@ class GF2Matrix:
     def power(self, exponent: int) -> "GF2Matrix":
         """``self`` raised to a non-negative integer power (square matrices).
 
-        Plain square-and-multiply with no memo: the reference the shared
-        :class:`~repro.lfsr.transition.TransitionPowerCache` is tested
-        against.
+        Plain square-and-multiply with no memo;
+        :func:`~repro.lfsr.transition.transition_power` memoizes it per
+        ``(matrix, exponent)``.
         """
         if len(self._rows) != self._ncols:
             raise ValueError("matrix power requires a square matrix")

@@ -338,9 +338,9 @@ class IncrementalSolver:
         """Trial-evaluate pre-packed candidates; return the consistent ones.
 
         ``words`` holds the augmented rows of all candidates, ``rows_each``
-        consecutive rows per candidate; the array is not modified (callers
-        cache it across seeds -- see
-        :meth:`repro.encoding.equations.EquationSystem.cube_position_words`).
+        consecutive rows per candidate; the array is not modified (the
+        encoder re-reads each cube's block across seeds -- see
+        :meth:`repro.encoding.equations.EquationSystem.precompute_cube_words`).
 
         Returns ``(candidate, trial)`` pairs in candidate order, one per
         *consistent* candidate: a candidate absent from the list is

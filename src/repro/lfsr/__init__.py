@@ -12,16 +12,15 @@ The paper's contribution lives in this package:
   spreads the LFSR cells onto the ``m`` scan-chain inputs while breaking the
   structural correlation of adjacent channels.
 * :mod:`~repro.lfsr.transition` -- the Fibonacci transition matrix and the
-  shared, memoized powers ``A^k`` of a transition matrix.
+  process-wide memo of transition-matrix powers ``A^k``
+  (:func:`transition_power`).
 """
 
 from repro.lfsr.lfsr import LFSR, LFSRMode
 from repro.lfsr.phase_shifter import PhaseShifter
 from repro.lfsr.state_skip import StateSkipCircuit, StateSkipLFSR
 from repro.lfsr.transition import (
-    TransitionPowerCache,
     fibonacci_transition_matrix,
-    power_cache,
     state_skip_expressions,
     transition_power,
 )
@@ -32,9 +31,7 @@ __all__ = [
     "PhaseShifter",
     "StateSkipCircuit",
     "StateSkipLFSR",
-    "TransitionPowerCache",
     "fibonacci_transition_matrix",
-    "power_cache",
     "state_skip_expressions",
     "transition_power",
 ]

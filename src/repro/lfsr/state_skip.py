@@ -22,41 +22,19 @@ open work of direction 3 in ``ROADMAP.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import GF2Matrix
 from repro.lfsr.lfsr import LFSR, LFSRMode
 from repro.lfsr.transition import state_skip_expressions
-
-#: Default standard-cell costs in gate equivalents (1 GE = one 2-input NAND).
-XOR2_GE = 2.0
-MUX2_GE = 2.5
-DFF_GE = 5.0
-
-
-@dataclass(frozen=True)
-class StateSkipCost:
-    """Gate-level cost breakdown of a State Skip circuit."""
-
-    xor_gates: int
-    mux_gates: int
-    gate_equivalents: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.xor_gates} XOR2 + {self.mux_gates} MUX2 "
-            f"= {self.gate_equivalents:.1f} GE"
-        )
 
 
 class StateSkipCircuit:
     """The combinational network implementing ``A^k``.
 
     The circuit is characterised entirely by the skip matrix; this class adds
-    the hardware book-keeping (XOR-tree sizes, gate equivalents) and the
-    single-cycle evaluation used by :class:`StateSkipLFSR`.
+    the XOR-tree size and the single-cycle evaluation used by
+    :class:`StateSkipLFSR`.  Its gate-equivalent cost is
+    :func:`repro.decompressor.hardware.state_skip_cost`.
     """
 
     def __init__(self, transition: GF2Matrix, k: int):
@@ -97,18 +75,6 @@ class StateSkipCircuit:
             if weight >= 2:
                 total += weight - 1
         return total
-
-    def cost(
-        self, xor_ge: float = XOR2_GE, mux_ge: float = MUX2_GE
-    ) -> StateSkipCost:
-        """Gate-equivalent cost of the State Skip circuit plus its muxes."""
-        xor_gates = self.xor_gate_count()
-        mux_gates = self.size
-        return StateSkipCost(
-            xor_gates=xor_gates,
-            mux_gates=mux_gates,
-            gate_equivalents=xor_gates * xor_ge + mux_gates * mux_ge,
-        )
 
     def __repr__(self) -> str:
         return f"StateSkipCircuit(size={self.size}, k={self._k})"
@@ -202,20 +168,3 @@ class StateSkipLFSR:
             f"StateSkipLFSR(size={self.size}, k={self.k}, mode={self._mode.value})"
         )
 
-
-def skip_cost_sweep(
-    transition: GF2Matrix,
-    k_values: List[int],
-    xor_ge: float = XOR2_GE,
-    mux_ge: float = MUX2_GE,
-) -> List[StateSkipCost]:
-    """Cost of the State Skip circuit for a sweep of speedup factors.
-
-    Used by the hardware-overhead experiment of Section 4 (State Skip circuit
-    GE as a function of ``k``).
-    """
-    costs = []
-    for k in k_values:
-        circuit = StateSkipCircuit(transition, k)
-        costs.append(circuit.cost(xor_ge=xor_ge, mux_ge=mux_ge))
-    return costs

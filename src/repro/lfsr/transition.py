@@ -22,84 +22,25 @@ algorithm in the library works on the transition matrix alone.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.gf2.matrix import GF2Matrix, identity
+from repro.gf2.matrix import GF2Matrix
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lru import LRUCache
 
-
-class TransitionPowerCache:
-    """Memoized powers ``A^k`` of one transition matrix.
-
-    Square-and-multiply on a shared ladder of ``A^(2^i)`` squares: the
-    ladder is extended once and reused by every exponent, and fully
-    assembled powers are memoized as well.  The equation-system and
-    State Skip layers ask for many related exponents of the same matrix
-    (``A^r``, ``A^(v*r)``, ``A^k`` for every sweep speedup ``k``), which
-    makes both layers of reuse pay off.
-    """
-
-    #: Fully assembled powers memoized per matrix; bounded LRU-style so a
-    #: long-lived process querying many distinct exponents (e.g. decompressor
-    #: replays over many jump distances) cannot grow memory monotonically.
-    #: The square ladder itself is only O(log max_exponent) and is kept.
-    _MAX_MEMOIZED_POWERS = 512
-
-    def __init__(self, matrix: GF2Matrix):
-        if matrix.nrows != matrix.ncols:
-            raise ValueError("matrix powers require a square matrix")
-        self._matrix = matrix
-        self._squares: List[GF2Matrix] = [matrix]
-        self._powers = LRUCache(self._MAX_MEMOIZED_POWERS)
-        self._powers.put(1, matrix)
-
-    def power(self, exponent: int) -> GF2Matrix:
-        """``A^exponent`` (non-negative), memoized."""
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        if exponent == 0:
-            # Not served from the LRU: the square-and-multiply loop below
-            # would produce None for an evicted 0-entry.
-            return identity(self._matrix.ncols)
-        cached = self._powers.get(exponent)
-        if cached is not None:
-            return cached
-        while (1 << len(self._squares)) <= exponent:
-            last = self._squares[-1]
-            self._squares.append(last @ last)
-        result = None
-        e = exponent
-        index = 0
-        while e:
-            if e & 1:
-                square = self._squares[index]
-                result = square if result is None else result @ square
-            e >>= 1
-            index += 1
-        self._powers.put(exponent, result)
-        return result
-
-
-#: Process-wide power caches, keyed by matrix, bounded LRU-style.  The flows
-#: touch a handful of distinct transition matrices (one per LFSR size in a
-#: campaign), so a small bound keeps memory flat without losing reuse.
-_POWER_CACHE_LIMIT = 16
-_POWER_CACHES: LRUCache = LRUCache(_POWER_CACHE_LIMIT)
-
-
-def power_cache(matrix: GF2Matrix) -> TransitionPowerCache:
-    """The shared :class:`TransitionPowerCache` of ``matrix``."""
-    cache = _POWER_CACHES.get(matrix)
-    if cache is None:
-        cache = TransitionPowerCache(matrix)
-        _POWER_CACHES.put(matrix, cache)
-    return cache
+#: Process-wide memo of ``A^k`` keyed by ``(matrix, exponent)``.  The
+#: equation system (``A^r``) and the State Skip circuits (``A^k`` for every
+#: swept speedup) ask for a handful of distinct powers per run; a miss is
+#: one square-and-multiply (:meth:`GF2Matrix.power`).
+_POWERS: LRUCache = LRUCache(512)
 
 
 def transition_power(matrix: GF2Matrix, exponent: int) -> GF2Matrix:
-    """``matrix ** exponent`` through the shared power cache."""
-    return power_cache(matrix).power(exponent)
+    """``matrix ** exponent`` (non-negative), memoized process-wide."""
+    key = (matrix, exponent)
+    power = _POWERS.get(key)
+    if power is None:
+        power = matrix.power(exponent)
+        _POWERS.put(key, power)
+    return power
 
 
 def _validate_polynomial(poly: GF2Polynomial) -> int:

@@ -1,16 +1,15 @@
 """A minimal bounded mapping with least-recently-used eviction.
 
-Shared by the :class:`~repro.context.CompressionContext` caches (substrates,
-encodings, expanded windows) and the per-cube caches of
-:class:`~repro.encoding.equations.EquationSystem`.  Kept deliberately tiny:
-``get`` refreshes recency, ``put`` evicts the oldest entries beyond the
-bound, and the bound itself is adjustable at runtime (the equation system
-raises it to fit a whole test set; see
-:meth:`~repro.encoding.equations.EquationSystem.reserve_cube_capacity`).
+Backs the two :class:`~repro.context.CompressionContext` caches (encodings
+and covers), the process-wide ``A^k`` memo of
+:func:`~repro.lfsr.transition.transition_power` and the ternary state
+tables of :mod:`repro.circuits.ternary`.  Kept deliberately tiny: ``get``
+refreshes recency, ``put`` evicts the oldest entries beyond the bound the
+cache was built with.
 
 This module is a leaf -- it imports nothing from the package -- so both the
-low-level encoding layer and the high-level context layer can use it
-without import cycles.
+low-level layers and the high-level context layer can use it without import
+cycles.
 
 Every module-level cache of the package must be an instance of this class
 (or a ``weakref`` dictionary): the tier-1 ``bounded-cache`` test checks
@@ -29,21 +28,14 @@ class LRUCache:
     """
 
     def __init__(self, bound: int):
-        self._bound = 0
-        self.bound = bound  # validated by the setter
+        if bound < 1:
+            raise ValueError("cache bounds must be at least 1")
+        self._bound = bound
         self._data: OrderedDict = OrderedDict()
 
     @property
     def bound(self) -> int:
         return self._bound
-
-    @bound.setter
-    def bound(self, value: int) -> None:
-        if value < 1:
-            raise ValueError("cache bounds must be at least 1")
-        self._bound = value
-        if hasattr(self, "_data"):
-            self._evict()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -62,11 +54,5 @@ class LRUCache:
         """Insert (or refresh) ``key``, evicting the oldest beyond bound."""
         self._data[key] = value
         self._data.move_to_end(key)
-        self._evict()
-
-    def _evict(self) -> None:
         while len(self._data) > self._bound:
             self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()

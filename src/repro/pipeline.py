@@ -1,12 +1,13 @@
 """The State-Skip-LFSR compression flow: staged API plus the one-call façade.
 
 The flow is decomposed into four first-class **stages**, each threaded
-through a :class:`~repro.context.CompressionContext` that caches the
-expensive invariants (the algebraic substrate, the encode-stage results, the
-expanded seed windows and the cube cover they give):
+through a :class:`~repro.context.CompressionContext` that caches the two
+results grid neighbours share (the encode-stage result and the cube cover
+of its seeds):
 
 1. :func:`encode` -- window-based LFSR-reseeding seed computation
-   (Section 2), plus the algebraic verification of every embedding;
+   (Section 2), plus the verification of every embedding against the
+   cover;
 2. :func:`reduce` -- the State Skip test-sequence reduction (Section 3.2);
 3. :func:`hardware` -- the gate-equivalent hardware model of the
    decompressor (Section 3.3 / 4);
@@ -169,9 +170,8 @@ class StagedEncoding:
     and :func:`reduce` / :func:`hardware` many times.
 
     ``context`` is the context the stage ran with; it is the default
-    context of the downstream stages, which is how the cached seed-window
-    expansion travels from verification to the reducer without the caller
-    re-threading it.
+    context of the downstream stages, which is how the cover verification
+    built travels to the reducer without the caller re-threading it.
     """
 
     test_set: TestSet
@@ -195,7 +195,9 @@ def encode(
     alignment, force_first_segment_useful)`` are excluded from the key, so
     every grid neighbour that shares the encode parameters reuses the
     substrate *and* the computed seeds.  Verification runs at most once per
-    cached encoding and uses the context-cached window expansion.
+    cached encoding: it checks every deterministic embedding against the
+    context-cached cover of the seeds, which every later :func:`reduce` of
+    the encoding reads.
     """
     config = config or CompressionConfig()
     context = context or CompressionContext()
@@ -231,12 +233,12 @@ def encode(
                 fingerprint, encode_key, substrate, encoding, verified=False
             )
         if verify and not entry.verified:
-            windows = context.expanded_windows(
-                entry.substrate, [record.seed for record in entry.encoding.seeds]
+            cover = context.cover(
+                entry.substrate,
+                [record.seed for record in entry.encoding.seeds],
+                test_set,
             )
-            violations = verify_encoding(
-                entry.encoding, test_set, entry.substrate.equations, windows=windows
-            )
+            violations = verify_encoding(entry.encoding, cover)
             if violations:
                 raise RuntimeError(
                     f"encoding verification failed for {len(violations)} "
@@ -276,8 +278,8 @@ def reduce(
     to sweep (S, k) points over one encoding.  The embedding map is derived
     from the context-cached cover of the encoding (one bit per cube, seed
     and window position), so the cubes are matched against the windows
-    once per encoding, not once per point; the cover itself is built on
-    the window expansion verification already cached.
+    once per encoding, not once per point; a verified encoding's cover was
+    built by its verification.
     """
     config = config or encoded.config
     context = context or encoded.context
@@ -338,7 +340,7 @@ def simulate(
 ) -> SimulationOutcome:
     """Stage 4: decompressor replay (end-to-end delivery check).
 
-    The simulation is deliberately *not* served from the window cache: it
+    The simulation is deliberately *not* served from the cover: it
     re-generates every vector through the State Skip datapath (one segment
     at a time, all seeds in lockstep, useless segments through the State
     Skip circuit's own matrix; bit-identical to the clock-by-clock
@@ -389,8 +391,8 @@ def compress(
         Flow parameters; defaults to :class:`CompressionConfig` defaults
         (L=200, S=10, k=10 -- the paper's SoC setting).
     verify:
-        Re-expand every seed and check each encoded cube against its window
-        position (cheap, algebraic).
+        Expand every seed and check each encoded cube against its window
+        position, through the cover that the reduction reads next.
     simulate:
         Additionally replay the schedule through the clock-level decompressor
         simulation and check cube delivery end to end (slower; great for
@@ -400,10 +402,11 @@ def compress(
     context:
         A shared :class:`~repro.context.CompressionContext`.  Reports are
         bit-identical with or without one; a warm context skips the
-        substrate construction, the seed computation and the seed-window
-        expansion for every (test set, encode-config) point it has seen.
-        When omitted, an ephemeral context still shares the window
-        expansion between verification and reduction within this call.
+        substrate construction, the seed computation, the seed expansion
+        and the cover build for every (test set, encode-config) point it
+        has seen.  When omitted, an
+        ephemeral context still shares the cover between verification and
+        reduction within this call.
     """
     config = config or CompressionConfig()
     context = context or CompressionContext()

@@ -91,12 +91,14 @@ def build_cover(windows_packed: np.ndarray, test_set: TestSet) -> np.ndarray:
     ``windows_packed`` is the ``(seeds, L, words)`` uint64 expansion of
     :meth:`EquationSystem.expand_seeds_packed`.  A cube is embedded in a
     vector iff ``(vector & care) == value`` over the uint64 blocks of
-    :meth:`TestCube.packed_words`, tested for cube chunks x all positions
+    :meth:`TestSet.packed_matrices`, tested for cube chunks x all positions
     at once.  Row ``[c, s]`` of the result holds the ``L`` position bits of
     seed ``s`` for cube ``c``, ``np.packbits``-packed.  The cover depends
     only on the encoding:
-    :meth:`repro.context.CompressionContext.cover` caches it, and every
-    segmentation derives its :class:`EmbeddingMap` from it.
+    :meth:`repro.context.CompressionContext.cover` caches it,
+    :func:`repro.encoding.window.verify_encoding` checks the deterministic
+    embeddings against it, and every segmentation derives its
+    :class:`EmbeddingMap` from it.
     """
     num_seeds, window_length, num_words = windows_packed.shape
     num_cubes = len(test_set)
@@ -104,7 +106,7 @@ def build_cover(windows_packed: np.ndarray, test_set: TestSet) -> np.ndarray:
     if num_seeds and num_cubes:
         flat = windows_packed.reshape(num_seeds * window_length, num_words)
         words = np.ascontiguousarray(flat.T)  # (W, P): word-major scan
-        # Stacked once per test set and cached on it (fingerprint-keyed).
+        # Packed once per test set instance and memoised on it.
         cares, values = test_set.packed_matrices()
         chunk = max(1, _MATCH_CHUNK_BUDGET // flat.shape[0])
         for start in range(0, num_cubes, chunk):

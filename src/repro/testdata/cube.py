@@ -12,9 +12,7 @@ values) because realistic cubes specify only a few percent of their bits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 
 class TestCube:
@@ -23,7 +21,7 @@ class TestCube:
     #: Tell pytest this domain class is not a test-case class.
     __test__ = False
 
-    __slots__ = ("_num_cells", "_care_mask", "_care_value", "_packed_words")
+    __slots__ = ("_num_cells", "_care_mask", "_care_value")
 
     def __init__(self, num_cells: int, care_mask: int = 0, care_value: int = 0):
         if num_cells < 1:
@@ -33,7 +31,6 @@ class TestCube:
         self._num_cells = num_cells
         self._care_mask = care_mask
         self._care_value = care_value & care_mask
-        self._packed_words: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -154,27 +151,6 @@ class TestCube:
     def matches_vector(self, vector_bits: int) -> bool:
         """True when a fully specified vector (packed int) covers this cube."""
         return (vector_bits ^ self._care_value) & self._care_mask == 0
-
-    def packed_words(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(care, value)`` as little-endian uint64 blocks, cached.
-
-        Word ``w`` holds cells ``64*w .. 64*w+63`` (cell index = bit index,
-        the same layout as
-        :meth:`repro.encoding.equations.EquationSystem.expand_seeds_packed`),
-        so cube-vs-vector containment is ``(vector & care) == value`` over
-        ``ceil(num_cells / 64)`` words -- the numpy embedding-matching
-        kernel broadcasts exactly this test over cubes x window positions.
-        The arrays are read-only views; treat them as immutable.
-        """
-        cached = self._packed_words
-        if cached is None:
-            nbytes = ((self._num_cells + 63) // 64) * 8
-            cached = (
-                np.frombuffer(self._care_mask.to_bytes(nbytes, "little"), dtype="<u8"),
-                np.frombuffer(self._care_value.to_bytes(nbytes, "little"), dtype="<u8"),
-            )
-            self._packed_words = cached
-        return cached
 
     def _check_width(self, other: "TestCube") -> None:
         if self._num_cells != other._num_cells:

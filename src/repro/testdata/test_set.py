@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gf2.solve import _pack_ints_to_words
-from repro.lru import LRUCache
 from repro.testdata.cube import TestCube
 
 
@@ -65,12 +64,6 @@ class TestSet:
     #: Tell pytest this domain class is not a test-case class.
     __test__ = False
 
-    #: Shared cache of stacked packed matrices, keyed by
-    #: ``(fingerprint, num_cells)`` so re-parsed copies of one test set
-    #: (common across campaign configs) reuse one matrix pair.  Bounded
-    #: LRU; see :meth:`packed_matrices`.
-    _PACKED_MATRIX_CACHE_SIZE = 8
-    _PACKED_MATRIX_CACHE: LRUCache = LRUCache(_PACKED_MATRIX_CACHE_SIZE)
     #: Boolean-entry budget of one (cubes x vectors) coverage chunk.
     _COVER_CHUNK_BUDGET = 4_000_000
 
@@ -196,32 +189,26 @@ class TestSet:
     def packed_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
         """The stacked ``(cares, values)`` uint64 matrices of all cubes.
 
-        Row ``i`` is cube ``i``'s :meth:`TestCube.packed_words` pair, so
-        the broadcast containment tests (:func:`~repro.skip.selection.build_cover`,
-        :meth:`uncovered_cubes`) read the whole test set as two
-        ``(num_cubes, num_words)`` arrays without re-stacking them per
-        call -- an (S, k) sweep replays many schedules over one test
-        set.  Cached on the instance and, keyed by ``(fingerprint,
-        num_cells)``, in a small class-level LRU shared across
-        equal-content instances.  The arrays are read-only; treat them as
-        immutable.
+        Row ``i`` holds cube ``i``'s care mask (``cares``) and care values
+        (``values``) as little-endian uint64 words: word ``w`` carries
+        cells ``64*w .. 64*w+63`` (cell index = bit index, the layout of
+        :meth:`~repro.encoding.equations.EquationSystem.expand_seeds_packed`),
+        so containment is ``(vector & care) == value`` word by word.  The
+        broadcast containment tests (:func:`~repro.skip.selection.build_cover`,
+        :meth:`uncovered_cubes`) read the whole test set as these two
+        ``(num_cubes, num_words)`` arrays -- an (S, k) sweep replays many
+        schedules over one test set, so they are packed once per instance.
+        The arrays are read-only; treat them as immutable.
         """
         cached = self._packed_matrices
         if cached is None:
-            key = (self.fingerprint(), self._num_cells)
-            cache = TestSet._PACKED_MATRIX_CACHE
-            cached = cache.get(key)
-            if cached is None:
-                cares = np.stack(
-                    [cube.packed_words()[0] for cube in self._cubes]
-                )
-                values = np.stack(
-                    [cube.packed_words()[1] for cube in self._cubes]
-                )
-                cares.setflags(write=False)
-                values.setflags(write=False)
-                cached = (cares, values)
-                cache.put(key, cached)
+            num_words = (self._num_cells + 63) // 64
+            cached = (
+                _pack_ints_to_words([c.care_mask for c in self._cubes], num_words),
+                _pack_ints_to_words([c.care_value for c in self._cubes], num_words),
+            )
+            for matrix in cached:
+                matrix.setflags(write=False)
             self._packed_matrices = cached
         return cached
 

@@ -20,8 +20,7 @@ from repro.campaign.runner import (
 from repro.campaign.spec import CampaignSpec, TestSource
 from repro.campaign.store import ResultStore
 from repro.config import CompressionConfig
-from repro.context import CompressionContext, ContextStats, SubstrateKey
-from repro.encoding.substrate import EncoderSubstrate
+from repro.context import CompressionContext, ContextStats
 from repro.pipeline import compress
 from repro.testdata.profiles import custom_profile
 from repro.testdata.synthetic import generate_test_set
@@ -124,13 +123,11 @@ class TestStagedPipeline:
             reduction = pipeline.reduce(encoded, swept)
             reference = compress(test_set, swept, verify=True)
             assert reduction.to_dict() == reference.reduction.to_dict()
-        # the sweep never re-encoded and never re-expanded the windows: the
-        # packed expansion ran once (for verify's integer view), the first
-        # reduce built the cover on it and the other two hit the cover
+        # the sweep never re-encoded and never re-expanded the windows:
+        # verification built the cover and all three reductions hit it
         assert context.stats.counters["encoding_misses"] == 1
-        assert context.stats.counters["packed_window_misses"] == 1
         assert context.stats.counters["cover_misses"] == 1
-        assert context.stats.counters["cover_hits"] == 2
+        assert context.stats.counters["cover_hits"] == 3
 
     def test_stage_timings_are_recorded(self, test_set):
         context = CompressionContext()
@@ -147,8 +144,9 @@ class TestStagedPipeline:
         assert first.verified
         again = pipeline.encode(test_set, config, context=context, verify=True)
         assert again.verified
-        # window expansion happened once (verify) and was reused
-        assert context.stats.counters["packed_window_misses"] == 1
+        # the cover (and the window expansion under it) was built once,
+        # by the first verification
+        assert context.stats.counters["cover_misses"] == 1
 
     def test_stats_delta(self):
         before = {"encoding_hits": 1, "encode_s": 0.5}
@@ -161,27 +159,22 @@ class TestStagedPipeline:
 # Context caches and the substrate
 # ----------------------------------------------------------------------
 class TestContextCaches:
-    def test_substrate_cache_is_bounded_lru(self, test_set):
-        context = CompressionContext(max_substrates=2)
-        keys = [
-            SubstrateKey(test_set.num_cells, 8, 16, window)
-            for window in (8, 10, 12)
-        ]
-        for key in keys:
-            context.substrate(key)
-        assert context.stats.counters["substrate_misses"] == 3
-        context.substrate(keys[0])  # evicted by the LRU bound
-        assert context.stats.counters["substrate_misses"] == 4
-        context.substrate(keys[2])  # still resident
-        assert context.stats.counters["substrate_hits"] == 1
-
     def test_disabled_caching_recomputes(self, test_set):
         context = CompressionContext(caching=False)
-        key = SubstrateKey(test_set.num_cells, 8, 16, 10)
-        first = context.substrate(key)
-        second = context.substrate(key)
-        assert first is not second
-        assert context.stats.counters["substrate_misses"] == 2
+        config = _config()
+        first = pipeline.encode(test_set, config, context=context)
+        second = pipeline.encode(test_set, config, context=context)
+        assert first.encoding is not second.encoding
+        assert first.encoding.to_dict() == second.encoding.to_dict()
+        seeds = [record.seed for record in first.encoding.seeds]
+        cover = context.cover(first.substrate, seeds, test_set)
+        assert context.cover(first.substrate, seeds, test_set) is not cover
+        counters = context.stats.counters
+        assert counters["encoding_misses"] == 2
+        assert counters["substrate_misses"] == 2
+        # one cover per verification plus the two direct queries
+        assert counters["cover_misses"] == 4
+        assert "encoding_hits" not in counters and "cover_hits" not in counters
 
     def test_encode_cache_key_ignores_reduction_knobs(self):
         base = _config()
@@ -234,9 +227,10 @@ class TestCampaignSubstrateSharing:
         assert cache["encoding_misses"] == 1
         assert cache["encoding_hits"] == 3
         assert cache["substrate_misses"] == 1
-        # ... and one cover, built by the first job's reduce
+        # ... and one cover, built by the encode's verification and read
+        # by all four reductions
         assert cache["cover_misses"] == 1
-        assert cache["cover_hits"] == 3
+        assert cache["cover_hits"] == 4
         # every computed outcome carries its per-stage timings
         for outcome in result.outcomes:
             assert outcome.stage_timings is not None
@@ -329,27 +323,6 @@ class TestCampaignSubstrateSharing:
         assert statuses[0] == "ok"  # completed work is returned...
         assert set(statuses[1:]) == {"timeout"}  # ...the rest is retried
         assert "not started" in results[1]["error"]
-
-    def test_equation_cube_caches_are_bounded(self, test_set):
-        substrate = EncoderSubstrate(
-            SubstrateKey(test_set.num_cells, 8, 16, 10)
-        )
-        equations = substrate.equations
-        equations._words_cache.bound = 5
-        equations._cube_cache.bound = 5
-        for cube in test_set.cubes:
-            equations.cube_position_words(cube)
-            equations.cube_equations(cube)
-        assert len(equations._words_cache) <= 5
-        assert len(equations._cube_cache) <= 5
-        # an encoding run reserves capacity for its whole working set, so a
-        # test set larger than the current bound never thrashes
-        equations.precompute_cube_words(test_set.cubes)
-        distinct = len(
-            {(c.num_cells, c.care_mask, c.care_value) for c in test_set.cubes}
-        )
-        assert len(equations._words_cache) == distinct
-        assert equations._words_cache.bound >= 2 * len(test_set.cubes)
 
     def test_distinct_windows_form_distinct_groups(self, tmp_path, cube_file):
         spec = CampaignSpec(

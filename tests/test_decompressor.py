@@ -151,7 +151,7 @@ class TestSimulation:
         seed = encoding.seeds[0].seed
         decompressor.load_seed(seed)
         chain_length = substrate.architecture.chain_length
-        window = substrate.equations.expand_seed(seed)
+        (window,) = substrate.equations.expand_seeds([seed])
         for _ in range(chain_length):
             decompressor.shift_clock()
         assert decompressor.captured_vector() == window[0]

@@ -46,7 +46,7 @@ class TestExpansion:
         system, lfsr, ps, arch = make_system(num_cells=30, chains=5, lfsr_size=12,
                                              window=4)
         seed = BitVector(12, 0b101101110010)
-        window = system.expand_seed(seed)
+        (window,) = system.expand_seeds([seed])
         # Direct simulation: for each window vector, run r cycles; the value
         # scanned into cell c is the phase-shifter output of c's chain at
         # cycle v*r + load_cycle(c).
@@ -67,8 +67,8 @@ class TestExpansion:
         windows = system.expand_seeds(seeds)
         assert len(windows) == 2
         assert len(windows[0]) == 6
-        assert windows[0] == system.expand_seed(seeds[0])
-        assert windows[1] == system.expand_seed(seeds[1])
+        assert windows[0] == system.expand_seeds([seeds[0]])[0]
+        assert windows[1] == system.expand_seeds([seeds[1]])[0]
 
     def test_expand_empty(self):
         system, *_ = make_system()
@@ -77,15 +77,19 @@ class TestExpansion:
     def test_expand_length_check(self):
         system, *_ = make_system()
         with pytest.raises(ValueError):
-            system.expand_seed(BitVector(5, 0b10101))
+            system.expand_seeds([BitVector(5, 0b10101)])
 
     def test_vector_at(self):
         system, *_ = make_system()
         seed = BitVector(16, 0xACE1)
-        bits = system.vector_at(seed, 2)
-        packed = system.expand_seed(seed)[2]
-        assert len(bits) == 40
-        assert all(bits[c] == ((packed >> c) & 1) for c in range(40))
+        (window,) = system.expand_seeds([seed])
+        vector = window[2]
+        assert vector >> 40 == 0  # one bit per scan cell, nothing beyond
+        packed = system.expand_seeds_packed([seed])[0, 2]
+        assert all(
+            (vector >> c) & 1 == (int(packed[c // 64]) >> (c % 64)) & 1
+            for c in range(40)
+        )
 
 
 class TestCubeEquations:
@@ -95,7 +99,7 @@ class TestCubeEquations:
         cube = TestCube.from_assignments(30, {0: 1, 7: 0, 13: 1, 29: 0})
         equations = system.cube_equations(cube)
         seed = BitVector(14, 0b10011011100101)
-        window = system.expand_seed(seed)
+        (window,) = system.expand_seeds([seed])
         cells = cube.specified_cells()
         for v in range(5):
             for (mask, rhs), cell in zip(equations[v], cells):
@@ -111,13 +115,6 @@ class TestCubeEquations:
         assert len(equations) == system.window_length
         assert all(len(eqs) == 3 for eqs in equations)
 
-    def test_cache_returns_same_object(self):
-        system, *_ = make_system()
-        cube = TestCube.from_assignments(40, {3: 1})
-        assert system.cube_equations(cube) is system.cube_equations(cube)
-        system.clear_cache()
-        assert len(system.cube_equations(cube)) == system.window_length
-
     def test_width_check(self):
         system, *_ = make_system()
         with pytest.raises(ValueError):
@@ -132,12 +129,13 @@ class TestCubeEquations:
     def test_cube_matches_consistency(self):
         system, *_ = make_system()
         seed = BitVector(16, 0x7B31)
-        window = system.expand_seed(seed)
+        (window,) = system.expand_seeds([seed])
         # Build a cube straight from the expanded bits of position 3: it must
         # match there.
         bits = {c: (window[3] >> c) & 1 for c in (0, 9, 17, 33)}
         cube = TestCube.from_assignments(40, bits)
-        assert system.cube_matches(cube, seed, 3)
+        assert cube.matches_vector(window[3])
+        assert not cube.matches_vector(window[3] ^ (1 << 17))
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +159,7 @@ def test_equations_consistent_with_expansion_property(data):
     cube = TestCube.from_assignments(24, assignments)
     seed = BitVector(10, data.draw(st.integers(min_value=0, max_value=(1 << 10) - 1)))
     position = data.draw(st.integers(min_value=0, max_value=3))
-    window = system.expand_seed(seed)
+    (window,) = system.expand_seeds([seed])
     equations = system.cube_equations_at(cube, position)
     satisfied = all(
         ((mask & seed.value).bit_count() & 1) == ((window[position] >> cell) & 1)

@@ -1,13 +1,18 @@
 """Tests for the window-based reseeding encoder, classical (L = 1) included."""
 
 
+import dataclasses
+
 import pytest
 
 from repro import pipeline
 from repro.config import CompressionConfig
+from repro.context import CompressionContext
 from repro.encoding.equations import EquationSystem
+from repro.encoding.results import CubeEmbedding
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.encoding.window import EncodingError, WindowEncoder, verify_encoding
+from repro.skip.selection import build_cover
 from repro.testdata.cube import TestCube
 from repro.testdata.profiles import custom_profile
 from repro.testdata.synthetic import generate_test_set
@@ -48,7 +53,9 @@ class TestWindowEncoder:
         result = WindowEncoder(substrate.equations).encode(ts)
         assert all_cubes_encoded(result)
         assert result.num_cubes == len(ts)
-        assert verify_encoding(result, ts, substrate.equations) == []
+        seeds = [record.seed for record in result.seeds]
+        cover = build_cover(substrate.equations.expand_seeds_packed(seeds), ts)
+        assert verify_encoding(result, cover) == []
 
     def test_first_embedding_of_every_seed_is_position_zero(self):
         ts = small_test_set(seed=11)
@@ -205,3 +212,112 @@ class TestEncodingEdgeCases:
             EncoderSubstrate(key).equations, batch_trials=False
         ).encode(ts)
         assert batched.to_dict() == reference.to_dict()
+
+
+# ----------------------------------------------------------------------
+# Verification against the cover, and its failure path
+# ----------------------------------------------------------------------
+def _oracle_violations(result, test_set, equations):
+    """Integer oracle: re-expand every seed, match each deterministic cube."""
+    windows = equations.expand_seeds([record.seed for record in result.seeds])
+    return [
+        (record.index, embedding.cube_index, embedding.position)
+        for record, window in zip(result.seeds, windows)
+        for embedding in record.embeddings
+        if embedding.deterministic
+        and not test_set[embedding.cube_index].matches_vector(
+            window[embedding.position]
+        )
+    ]
+
+
+def _moved(result, seed_slot, embedding_slot, position, deterministic):
+    """A copy of ``result`` with one embedding moved to ``position``."""
+    seeds = list(result.seeds)
+    record = seeds[seed_slot]
+    embeddings = list(record.embeddings)
+    embeddings[embedding_slot] = CubeEmbedding(
+        embeddings[embedding_slot].cube_index, position, deterministic
+    )
+    seeds[seed_slot] = dataclasses.replace(record, embeddings=embeddings)
+    return dataclasses.replace(result, seeds=seeds)
+
+
+class TestVerification:
+    WINDOW = 24
+
+    @pytest.fixture(scope="class")
+    def encoded(self):
+        ts = small_test_set(num_cubes=40, seed=19)
+        config = CompressionConfig(
+            window_length=self.WINDOW,
+            segment_size=4,
+            num_scan_chains=8,
+            lfsr_size=ts.max_specified() + 6,
+        )
+        return pipeline.encode(ts, config, context=CompressionContext(), verify=False)
+
+    def _cover(self, encoded):
+        seeds = [record.seed for record in encoded.encoding.seeds]
+        return build_cover(
+            encoded.substrate.equations.expand_seeds_packed(seeds), encoded.test_set
+        )
+
+    def _corrupted(self, encoded, position, deterministic=True):
+        """The encoding with one cube moved to a ``position`` not covering it."""
+        result, test_set = encoded.encoding, encoded.test_set
+        windows = encoded.substrate.equations.expand_seeds(
+            [record.seed for record in result.seeds]
+        )
+        for seed_slot, (record, window) in enumerate(zip(result.seeds, windows)):
+            for embedding_slot, embedding in enumerate(record.embeddings):
+                cube = test_set[embedding.cube_index]
+                if embedding.position != position and not cube.matches_vector(
+                    window[position]
+                ):
+                    return _moved(
+                        result, seed_slot, embedding_slot, position, deterministic
+                    )
+        raise AssertionError(f"every cube is covered at position {position}")
+
+    def test_true_encoding_matches_the_integer_oracle(self, encoded):
+        result = encoded.encoding
+        assert result.window_length >= 20
+        assert any(
+            embedding.position >= 8
+            for record in result.seeds
+            for embedding in record.embeddings
+        )
+        equations = encoded.substrate.equations
+        assert _oracle_violations(result, encoded.test_set, equations) == []
+        assert verify_encoding(result, self._cover(encoded)) == []
+
+    @pytest.mark.parametrize("position", [7, 8, 15, 16, WINDOW - 1])
+    def test_moved_embedding_is_a_violation(self, encoded, position):
+        corrupted = self._corrupted(encoded, position)
+        expected = _oracle_violations(
+            corrupted, encoded.test_set, encoded.substrate.equations
+        )
+        assert len(expected) == 1 and expected[0][2] == position
+        assert verify_encoding(corrupted, self._cover(encoded)) == expected
+
+    def test_fortuitous_embeddings_are_not_checked(self, encoded):
+        moved = self._corrupted(encoded, 7, deterministic=False)
+        assert verify_encoding(moved, self._cover(encoded)) == []
+
+    def test_pipeline_encode_raises_on_a_corrupted_cached_entry(self, encoded):
+        config = encoded.config
+        test_set = encoded.test_set
+        context = CompressionContext()
+        context.put_encoding(
+            test_set.fingerprint(),
+            config.encode_cache_key(),
+            encoded.substrate,
+            self._corrupted(encoded, self.WINDOW - 1),
+            verified=False,
+        )
+        with pytest.raises(RuntimeError, match="encoding verification failed for 1 "):
+            pipeline.encode(test_set, config, context=context, verify=True)
+        # an unverified flow takes the cached entry as it is
+        unchecked = pipeline.encode(test_set, config, context=context, verify=False)
+        assert not unchecked.verified

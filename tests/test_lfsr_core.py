@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfsr_fixtures import paper_example_matrix
+from repro.decompressor.hardware import GateCostModel, state_skip_cost
 from repro.gf2.bitvec import BitVector
 from repro.gf2.primitive import primitive_polynomial
 from repro.lfsr.lfsr import LFSR, LFSRMode
 from repro.lfsr.phase_shifter import PhaseShifter
-from repro.lfsr.state_skip import (
-    StateSkipCircuit,
-    StateSkipLFSR,
-    skip_cost_sweep,
-)
+from repro.lfsr.state_skip import StateSkipCircuit, StateSkipLFSR
 from repro.lfsr.transition import transition_power
 
 
@@ -118,10 +115,10 @@ class TestStateSkipCircuit:
 
     def test_cost_includes_muxes(self):
         circuit = StateSkipCircuit(paper_example_matrix(), 2)
-        cost = circuit.cost(xor_ge=2.0, mux_ge=2.5)
-        assert cost.xor_gates == 4
-        assert cost.mux_gates == 4
-        assert cost.gate_equivalents == pytest.approx(4 * 2.0 + 4 * 2.5)
+        assert circuit.xor_gate_count() == 4
+        assert circuit.size == 4  # one Normal/Skip multiplexer per cell
+        model = GateCostModel(xor2=2.0, mux2=2.5)
+        assert state_skip_cost(circuit, model) == pytest.approx(4 * 2.0 + 4 * 2.5)
 
     def test_evaluate_matches_power(self):
         circuit = StateSkipCircuit(paper_example_matrix(), 3)
@@ -170,14 +167,18 @@ class TestStateSkipLFSR:
         ss = StateSkipLFSR.of_size(16, k=8)
         assert ss.size == 16
         assert ss.k == 8
-        assert ss.skip_circuit.cost().gate_equivalents > 0
+        assert state_skip_cost(ss.skip_circuit, GateCostModel()) > 0
 
     def test_cost_grows_with_k_on_average(self):
         # For a sparse feedback polynomial, A^k fills in as k grows, so the
         # State Skip circuit cost at k=16 exceeds the cost at k=2.
         lfsr = LFSR.of_size(24)
-        sweep = skip_cost_sweep(lfsr.transition, [2, 16])
-        assert sweep[1].gate_equivalents > sweep[0].gate_equivalents
+        model = GateCostModel()
+        small, large = (
+            state_skip_cost(StateSkipCircuit(lfsr.transition, k), model)
+            for k in (2, 16)
+        )
+        assert large > small
 
 
 class TestPhaseShifter:

@@ -12,9 +12,9 @@ from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import identity
 from repro.gf2.polynomial import GF2Polynomial, _prime_divisors
 from repro.gf2.primitive import primitive_polynomial
+from repro.lfsr import transition
 from repro.lfsr.lfsr import LFSR
 from repro.lfsr.transition import (
-    TransitionPowerCache,
     fibonacci_transition_matrix,
     state_skip_expressions,
     transition_power,
@@ -28,28 +28,31 @@ def bits(text):
 class TestTransitionPowerCache:
     def test_matches_direct_matrix_power(self):
         matrix = paper_example_matrix()
-        cache = TransitionPowerCache(matrix)
         for exponent in [0, 1, 2, 3, 7, 15, 64, 1000]:
-            assert cache.power(exponent) == matrix.power(exponent)
+            assert transition_power(matrix, exponent) == matrix.power(exponent)
 
     def test_shared_cache_returns_same_objects(self):
         matrix = paper_example_matrix()
         assert transition_power(matrix, 12) == matrix.power(12)
         assert transition_power(matrix, 12) is transition_power(matrix, 12)
+        # The memo is keyed by matrix content, not identity.
+        assert transition_power(paper_example_matrix(), 12) is transition_power(
+            matrix, 12
+        )
 
     def test_power_zero_survives_lru_eviction(self):
         matrix = paper_example_matrix()
-        cache = TransitionPowerCache(matrix)
-        # Query more distinct exponents than the memo bound retains, then
-        # power(0) must still be the identity (regression: the evicted
-        # 0-entry used to fall through the ladder loop and return None).
-        for exponent in range(2, cache._MAX_MEMOIZED_POWERS + 10):
-            cache.power(exponent)
-        assert cache.power(0) == identity(matrix.ncols)
+        # Query more distinct exponents than the memo retains (more than
+        # 512), then power 0 must still be the identity.
+        bound = transition._POWERS.bound
+        assert bound >= 512
+        for exponent in range(2, bound + 10):
+            transition_power(matrix, exponent)
+        assert transition_power(matrix, 0) == identity(matrix.ncols)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            TransitionPowerCache(paper_example_matrix()).power(-1)
+            transition_power(paper_example_matrix(), -1)
 
 
 class TestPaperExample:

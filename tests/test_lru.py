@@ -37,16 +37,8 @@ class TestLRUCache:
         assert 1 not in cache
         assert cache.get(0) == "again"
 
-    def test_lowering_bound_evicts_oldest(self):
-        cache = _filled(5, 5)
-        cache.get(0)
-        cache.bound = 2
-        assert len(cache) == 2
-        assert 0 in cache and 4 in cache
-
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             LRUCache(0)
-        cache = LRUCache(2)
         with pytest.raises(ValueError, match="at least 1"):
-            cache.bound = 0
+            LRUCache(-3)

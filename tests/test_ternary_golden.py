@@ -67,6 +67,7 @@ from repro.skip.selection import (
 from repro.testdata.cube import TestCube
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
+from repro.testdata.test_set import TestSet
 from ternary_adapters import seed_ternary_inputs, split_states, ternary_state_to_dict
 
 
@@ -700,13 +701,20 @@ class TestPackedWindowsGolden:
                 assert rebuilt == vector
 
     def test_cube_packed_words_match_masks(self):
-        cube = TestCube.from_string("1X0" * 50)  # 150 cells -> 3 words
-        care, value = cube.packed_words()
-        assert care.dtype == np.uint64 and len(care) == 3
-        assert sum(int(w) << (64 * i) for i, w in enumerate(care)) == cube.care_mask
-        assert (
-            sum(int(w) << (64 * i) for i, w in enumerate(value)) == cube.care_value
-        )
+        # 150 cells -> 3 words per row
+        ts = TestSet("wide", [TestCube.from_string("1X0" * 50),
+                              TestCube.from_string("X1" * 74 + "01")])
+        cares, values = ts.packed_matrices()
+        assert cares.dtype == np.uint64 and cares.shape == (2, 3)
+        for row, cube in enumerate(ts):
+            assert (
+                sum(int(w) << (64 * i) for i, w in enumerate(cares[row]))
+                == cube.care_mask
+            )
+            assert (
+                sum(int(w) << (64 * i) for i, w in enumerate(values[row]))
+                == cube.care_value
+            )
 
 
 def _assert_maps_identical(encoded, segment_size):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.testdata import literature
@@ -33,26 +34,29 @@ class TestPackedMatrices:
 
         ts = small_set()
         cares, values = ts.packed_matrices()
-        assert cares.shape == (len(ts), 1)
+        assert cares.shape == values.shape == (len(ts), 1)
+        assert cares.dtype == values.dtype == np.uint64
         for i, cube in enumerate(ts):
-            assert (cares[i] == cube.packed_words()[0]).all()
-            assert (values[i] == cube.packed_words()[1]).all()
+            assert int(cares[i, 0]) == cube.care_mask
+            assert int(values[i, 0]) == cube.care_value
         assert not cares.flags.writeable
         assert not values.flags.writeable
 
     def test_cached_per_instance_and_across_equal_sets(self):
         ts = small_set()
         first = ts.packed_matrices()
-        assert ts.packed_matrices() is first
+        assert ts.packed_matrices() is first  # packed once per instance
         # A re-parsed copy (same name, cells and cubes -> same
-        # fingerprint) shares the exact same matrix pair via the
-        # class-level cache.
+        # fingerprint) packs its own, equal pair.
         copy = TestSet.from_text(ts.to_text())
         assert copy.fingerprint() == ts.fingerprint()
-        assert copy.packed_matrices() is first
-        # A different set gets its own pair.
+        copied = copy.packed_matrices()
+        assert copied is not first
+        for mine, theirs in zip(first, copied):
+            assert np.array_equal(mine, theirs)
+        # A different set gets a different pair.
         other = TestSet("other", [TestCube.from_string("01XX")])
-        assert other.packed_matrices() is not first
+        assert not np.array_equal(other.packed_matrices()[0], first[0])
 
     def test_fingerprint_memoised(self):
         ts = small_set()
