@@ -12,7 +12,8 @@ exactly for the useful segments.
   decompressor that replays a reduction schedule and checks that every test
   cube really reaches the scan chains.  ``simulate_decompression`` replays
   it one segment at a time, all seeds in lockstep, through the State Skip
-  circuit's own matrix; ``DecompressionController`` is the clock-by-clock
+  circuit's own matrix, reading the hardware constants a substrate keeps
+  (``ReplayTables``); ``DecompressionController`` is the clock-by-clock
   reference it is tested against.
 * :mod:`~repro.decompressor.hardware` -- the gate-equivalent cost model used
   to reproduce the Section 4 hardware-overhead figures.

@@ -26,18 +26,23 @@ Two models replay the schedule and produce identical
   seeds in lockstep: each step applies one transfer matrix per segment
   shape (``A^(v*r)`` if useful, ``A^(clocks - skip) K^skip`` if useless,
   ``K`` being the State Skip circuit's own matrix).  Four Russians tables
-  of the scan-capture map, built from the transition and phase-shifter
-  matrices rather than the encoder's equations, then turn the start state
-  of every useful vector into the packed vector;
+  of the scan-capture map then turn the start state of every useful vector
+  into the packed vector.  Both read the substrate's :class:`ReplayTables`,
+  built from the transition and phase-shifter matrices rather than the
+  encoder's equations; K and the transfer matrices are built per replay;
 * the **per-clock** :class:`DecompressionController` calls
   :meth:`Decompressor.shift_clock` once per cycle and is the oracle of the
   segment-level replay.
+
+The captured vectors stay uint64 words (cell ``c`` is bit ``c mod 64`` of
+word ``c // 64``) through the coverage check; the integer form is built
+only for callers that read :attr:`SimulationOutcome.useful_vectors`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from repro.encoding.equations import _matrix_to_numpy
 from repro.encoding.results import EncodingResult
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import GF2Matrix
-from repro.gf2.solve import _words_to_ints, byte_tables
+from repro.gf2.solve import _pack_ints_to_words, _words_to_ints, byte_tables
 from repro.lfsr.lfsr import LFSR, LFSRMode
 from repro.lfsr.phase_shifter import PhaseShifter
 from repro.lfsr.state_skip import StateSkipLFSR
@@ -57,18 +62,41 @@ from repro.testdata.test_set import TestSet
 
 @dataclass
 class SimulationOutcome:
-    """What the decompressor produced when replaying a reduction schedule."""
+    """What the decompressor produced when replaying a reduction schedule.
+
+    ``vector_words`` holds the fully shifted useful vectors in capture
+    order, one ``(vectors, ceil(cells / 64))`` uint64 row each (cell ``c``
+    is bit ``c mod 64`` of word ``c // 64``).  Two outcomes are equal when
+    those words and every scalar field are.
+    """
 
     seeds_applied: int
     vectors_applied: int
-    useful_vectors: List[int]
+    vector_words: np.ndarray
     lfsr_clocks: int
     skip_clocks: int
     group_sizes: Dict[int, int] = field(default_factory=dict)
 
+    @property
+    def useful_vectors(self) -> List[int]:
+        """The captured vectors as packed ints (cell ``c`` = bit ``c``)."""
+        return _words_to_ints(self.vector_words)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationOutcome):
+            return NotImplemented
+        return (
+            self.seeds_applied == other.seeds_applied
+            and self.vectors_applied == other.vectors_applied
+            and self.lfsr_clocks == other.lfsr_clocks
+            and self.skip_clocks == other.skip_clocks
+            and self.group_sizes == other.group_sizes
+            and np.array_equal(self.vector_words, other.vector_words)
+        )
+
     def uncovered_cubes(self, test_set: TestSet) -> List[int]:
         """Cubes not covered by any fully generated useful vector."""
-        return test_set.uncovered_cubes(self.useful_vectors)
+        return test_set.uncovered_cubes_packed(self.vector_words)
 
     def covers(self, test_set: TestSet) -> bool:
         """True when every cube of the test set was applied to the CUT."""
@@ -211,7 +239,9 @@ class DecompressionController:
         return SimulationOutcome(
             seeds_applied=seeds_applied,
             vectors_applied=vectors_applied,
-            useful_vectors=useful_vectors,
+            vector_words=_pack_ints_to_words(
+                useful_vectors, -(-decompressor.architecture.num_cells // 64)
+            ),
             lfsr_clocks=lfsr_clocks,
             skip_clocks=skip_clocks,
             group_sizes={count: len(seeds) for count, seeds in groups.items()},
@@ -236,7 +266,9 @@ def _gf2_power(matrix: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _capture_tables(
-    transition: np.ndarray, phase: np.ndarray, architecture: ScanArchitecture
+    square: Callable[[int], np.ndarray],
+    phase: np.ndarray,
+    architecture: ScanArchitecture,
 ) -> np.ndarray:
     """Four Russians tables of the scan-capture map.
 
@@ -244,17 +276,17 @@ def _capture_tables(
     phase-shifter output ``c mod m`` of clock ``r - 1 - floor(c / m)``: row
     ``c mod m`` of ``P A^(r-1-floor(c/m)) s``.  Table ``i`` maps byte ``i``
     of the packed ``s`` to its share of the vector, packed into uint64
-    words over the cells.
+    words over the cells.  ``square(i)`` is ``A^(2^i)``.
     """
     m = architecture.num_chains
     r = architecture.chain_length
-    n = len(transition)
+    n = phase.shape[1]
     # Blocks t = 0 .. r-1 of P A^t, doubled with one product per step.
     outputs = phase[:m]
-    power = transition
+    step = 0
     while len(outputs) < r * m:
-        outputs = np.concatenate([outputs, _gf2(outputs @ power)])
-        power = _gf2(power @ power)
+        outputs = np.concatenate([outputs, _gf2(outputs @ square(step))])
+        step += 1
     outputs = outputs[: r * m].reshape(r, m, n)
     cells = np.arange(architecture.num_cells)
     capture = outputs[r - 1 - cells // m, cells % m]
@@ -265,6 +297,66 @@ def _capture_tables(
     columns = np.packbits(capture.T.astype(np.uint8), axis=1, bitorder="little")
     bit_rows[:n, : columns.shape[1]] = columns
     return byte_tables(bit_rows.view("<u8").reshape(num_bytes, 8, num_words))
+
+
+class ReplayTables:
+    """The replay's hardware constants of one substrate, built once.
+
+    Built from the transition matrix A, the phase shifter P and the scan
+    architecture only -- never from the encoder's equations, cover or
+    windows -- so a replay that reads them stays an independent check of
+    the encoding.  They hold:
+
+    * ``normal``: A as a float32 0/1 matrix;
+    * A's squaring ladder ``A^(2^i)``, grown on demand, from which
+      :meth:`power` multiplies ``A^r`` and every transfer's ``A^clocks``
+      without squaring A again;
+    * ``per_vector``: ``A^r``, the move of one vector load;
+    * ``capture``: the Four Russians tables of the scan-capture map.
+
+    :attr:`~repro.encoding.substrate.EncoderSubstrate.replay_tables` builds
+    them on a substrate's first replay and keeps them for every later (S, k)
+    point; K and the transfer matrices are built per replay.  The arrays
+    are shared, so they are read-only.
+    """
+
+    def __init__(
+        self,
+        transition: GF2Matrix,
+        phase_shifter: PhaseShifter,
+        architecture: ScanArchitecture,
+    ):
+        self.transition = transition
+        self.phase_shifter = phase_shifter
+        self.architecture = architecture
+        self.normal = _matrix_to_numpy(transition).astype(np.float32)
+        self.normal.setflags(write=False)
+        self._ladder = [self.normal]
+        self.per_vector = self.power(architecture.chain_length)
+        self.per_vector.setflags(write=False)
+        phase = _matrix_to_numpy(phase_shifter.matrix).astype(np.float32)
+        self.capture = _capture_tables(self._square, phase, architecture)
+        self.capture.setflags(write=False)
+
+    def _square(self, index: int) -> np.ndarray:
+        """``A^(2^index)``, squaring the ladder up to it on first use."""
+        ladder = self._ladder
+        while len(ladder) <= index:
+            square = _gf2(ladder[-1] @ ladder[-1])
+            square.setflags(write=False)
+            ladder.append(square)
+        return ladder[index]
+
+    def power(self, exponent: int) -> np.ndarray:
+        """``A^exponent``: one product per set bit above the lowest."""
+        result = None
+        for index in range(exponent.bit_length()):
+            if exponent >> index & 1:
+                square = self._square(index)
+                result = square if result is None else _gf2(result @ square)
+        if result is None:
+            return np.eye(len(self.normal), dtype=np.float32)
+        return result
 
 
 def _lockstep(
@@ -292,8 +384,8 @@ def _lockstep(
 
 def _capture(
     starts: np.ndarray, counts: np.ndarray, per_vector: np.ndarray, tables: np.ndarray
-) -> List[int]:
-    """The packed vectors of useful segments, in segment order.
+) -> np.ndarray:
+    """The ``(vectors, words)`` packed vectors of useful segments, in order.
 
     Segment ``u`` starts in state ``starts[u]`` and captures ``counts[u]``
     vectors, vector ``j`` from state ``A^(j r)`` of its start
@@ -308,24 +400,27 @@ def _capture(
     vectors = np.zeros((len(packed), tables.shape[2]), dtype=np.uint64)
     for table, state_bytes in zip(tables, packed.T):
         vectors ^= table[state_bytes]
-    return _words_to_ints(vectors)
+    return vectors
 
 
 def simulate_decompression(
-    encoding: EncodingResult,
-    reduction: ReductionResult,
-    transition: GF2Matrix,
-    phase_shifter: PhaseShifter,
-    architecture: ScanArchitecture,
+    encoding: EncodingResult, reduction: ReductionResult, tables: ReplayTables
 ) -> SimulationOutcome:
     """Replay a schedule one segment at a time, every seed in lockstep.
 
+    ``tables`` are the substrate's :class:`ReplayTables`; the State Skip
+    circuit (with its matrix K), the Mode Select unit and the transfer
+    matrices of the schedule's segment shapes are built here, per replay.
     The per-clock :class:`DecompressionController` gives the identical
     outcome; the golden tests and the decompressor differential property
     enforce this.
     """
+    architecture = tables.architecture
     decompressor = Decompressor(
-        transition, phase_shifter, architecture, reduction.config.speedup
+        tables.transition,
+        tables.phase_shifter,
+        architecture,
+        reduction.config.speedup,
     )
     mode_select = _mode_select_unit(reduction, decompressor.lfsr.k)
     r = architecture.chain_length
@@ -359,29 +454,25 @@ def simulate_decompression(
 
     # Transfer matrix of a shape: A^normal K^skip, with K the State Skip
     # circuit's own matrix.
-    normal = _matrix_to_numpy(transition).astype(np.float32)
+    n = len(tables.normal)
     skip = _matrix_to_numpy(decompressor.lfsr.skip_circuit.matrix).astype(np.float32)
-    transfers = np.empty((len(shapes) + 1,) + normal.shape, dtype=np.float32)
-    transfers[0] = np.eye(len(normal))
+    transfers = np.empty((len(shapes) + 1, n, n), dtype=np.float32)
+    transfers[0] = np.eye(n)
     for (clocks, jumps), index in shapes.items():
-        transfers[index] = _gf2(_gf2_power(normal, clocks) @ _gf2_power(skip, jumps))
+        transfers[index] = _gf2(tables.power(clocks) @ _gf2_power(skip, jumps))
     starts = _lockstep(seed_states, transfers, shape_of)
 
-    useful_vectors: List[int] = []
+    vector_words = np.zeros((0, tables.capture.shape[2]), dtype=np.uint64)
     if useful:
         at_step, at_row, counts = (np.array(column) for column in zip(*useful))
-        phase = _matrix_to_numpy(phase_shifter.matrix).astype(np.float32)
-        useful_vectors = _capture(
-            starts[at_step, at_row],
-            counts,
-            _gf2_power(normal, r),
-            _capture_tables(normal, phase, architecture),
+        vector_words = _capture(
+            starts[at_step, at_row], counts, tables.per_vector, tables.capture
         )
 
     return SimulationOutcome(
         seeds_applied=len(order),
         vectors_applied=vectors_applied,
-        useful_vectors=useful_vectors,
+        vector_words=vector_words,
         lfsr_clocks=lfsr_clocks,
         skip_clocks=skip_clocks,
         group_sizes={count: len(seeds) for count, seeds in groups.items()},

@@ -1,10 +1,12 @@
 """The algebraic substrate of one decompressor setup.
 
 The substrate is everything about the hardware that the seed computation,
-the sequence reduction and the verification share: the scan architecture,
-the LFSR, the phase shifter and the precomputed
-:class:`~repro.encoding.equations.EquationSystem`.  It depends only on the
-:class:`SubstrateKey` -- never on the test cubes, the fill seed or the
+the sequence reduction, the verification and the decompressor replay share:
+the scan architecture, the LFSR, the phase shifter, the precomputed
+:class:`~repro.encoding.equations.EquationSystem` and, from the first
+replay on, the replay's
+:class:`~repro.decompressor.architecture.ReplayTables`.  It depends only on
+the :class:`SubstrateKey` -- never on the test cubes, the fill seed or the
 State Skip parameters (S, k) -- which is what makes it safe to share across
 campaign grid neighbours: every encode-stage result that
 :class:`repro.context.CompressionContext` caches keeps its substrate.
@@ -13,12 +15,17 @@ campaign grid neighbours: every encode-stage result that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.encoding.equations import EquationSystem
 from repro.gf2.primitive import default_feedback_polynomial
 from repro.lfsr.lfsr import LFSR
 from repro.lfsr.phase_shifter import PhaseShifter
 from repro.scan.architecture import ScanArchitecture
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.decompressor.architecture import ReplayTables
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,8 @@ class EncoderSubstrate:
     dominant cost of encode setup (dense conversions plus the BLAS ladders
     of the position matrices); a cached encode-stage result of the
     :class:`~repro.context.CompressionContext` keeps the substrate it was
-    encoded on.
+    encoded on, and with it the :attr:`replay_tables` that its first
+    replay builds.
     """
 
     def __init__(self, key: SubstrateKey):
@@ -68,3 +76,16 @@ class EncoderSubstrate:
             architecture=self.architecture,
             window_length=key.window_length,
         )
+
+    @cached_property
+    def replay_tables(self) -> "ReplayTables":
+        """The decompressor replay's hardware tables, built on first use.
+
+        Derived from the transition matrix, the phase shifter and the scan
+        architecture, never from :attr:`equations`; lazy, so an encode that
+        is never replayed (a rejected phase-shifter attempt) does not pay.
+        """
+        # The decompressor package imports this one; import on first use.
+        from repro.decompressor.architecture import ReplayTables
+
+        return ReplayTables(self.lfsr.transition, self.phase_shifter, self.architecture)

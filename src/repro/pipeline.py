@@ -345,17 +345,18 @@ def simulate(
     at a time, all seeds in lockstep, useless segments through the State
     Skip circuit's own matrix; bit-identical to the clock-by-clock
     reference), which is what makes it an independent check of the whole
-    flow.  Raises when any cube of the test set is left unapplied.
+    flow.  What it keeps across (S, k) points is hardware only: the
+    substrate's :attr:`~repro.encoding.substrate.EncoderSubstrate.replay_tables`,
+    built from A and the phase shifter on the encoding's first replay; it
+    never reads the encoder's equations, cover or windows.  The captured
+    words go straight to the coverage check.  Raises when any cube of the
+    test set is left unapplied.
     """
     context = context or encoded.context
     start = time.perf_counter()
     with get_recorder().span("stage.simulate", circuit=encoded.test_set.name):
         outcome = simulate_decompression(
-            encoded.encoding,
-            reduction,
-            encoded.substrate.lfsr.transition,
-            encoded.substrate.phase_shifter,
-            encoded.substrate.architecture,
+            encoded.encoding, reduction, encoded.substrate.replay_tables
         )
         uncovered = outcome.uncovered_cubes(encoded.test_set)
         if uncovered:

@@ -140,21 +140,27 @@ class TestSet:
     # Coverage checking
     # ------------------------------------------------------------------
     def uncovered_cubes(self, vectors: Iterable[int]) -> List[int]:
-        """Indices of cubes not covered by any of the given packed vectors.
+        """Indices of cubes not covered by any of the given packed vectors."""
+        num_words = (self._num_cells + 63) // 64
+        return self.uncovered_cubes_packed(_pack_ints_to_words(list(vectors), num_words))
 
-        Runs the embedding matcher's containment test, :func:`cover_matrix`,
-        in chunks of at most ``_COVER_CHUNK_BUDGET`` cube x vector entries.
+    def uncovered_cubes_packed(self, words: np.ndarray) -> List[int]:
+        """Indices of cubes not covered by any row of ``words``.
+
+        ``words`` holds one vector per row as the ``(vectors, num_words)``
+        uint64 layout of :meth:`packed_matrices`.  Runs the embedding
+        matcher's containment test, :func:`cover_matrix`, in chunks of at
+        most ``_COVER_CHUNK_BUDGET`` cube x vector entries.
         """
         cares, values = self.packed_matrices()
-        num_cubes, num_words = cares.shape
+        num_cubes = len(cares)
         covered = np.zeros(num_cubes, dtype=bool)
-        vector_list = list(vectors)
-        if vector_list:
-            words = _pack_ints_to_words(vector_list, num_words).T.copy()
-            chunk = max(1, self._COVER_CHUNK_BUDGET // len(vector_list))
+        if len(words):
+            columns = np.ascontiguousarray(words.T)
+            chunk = max(1, self._COVER_CHUNK_BUDGET // len(words))
             for start in range(0, num_cubes, chunk):
                 stop = start + chunk
-                matches = cover_matrix(cares[start:stop], values[start:stop], words)
+                matches = cover_matrix(cares[start:stop], values[start:stop], columns)
                 covered[start:stop] = matches.any(axis=1)
         return np.flatnonzero(~covered).tolist()
 
@@ -195,9 +201,10 @@ class TestSet:
         :meth:`~repro.encoding.equations.EquationSystem.expand_seeds_packed`),
         so containment is ``(vector & care) == value`` word by word.  The
         broadcast containment tests (:func:`~repro.skip.selection.build_cover`,
-        :meth:`uncovered_cubes`) read the whole test set as these two
+        :meth:`uncovered_cubes_packed`) read the whole test set as these two
         ``(num_cubes, num_words)`` arrays -- an (S, k) sweep replays many
-        schedules over one test set, so they are packed once per instance.
+        schedules over one test set, so they are packed once per instance
+        and memoised on it.
         The arrays are read-only; treat them as immutable.
         """
         cached = self._packed_matrices

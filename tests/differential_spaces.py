@@ -8,7 +8,9 @@ and the embedding, selection and decompressor
 (``tests/test_ternary_golden.py``) properties encode test sets drawn from
 ``ENCODING_SPACE``.  The
 solver-packed property (``tests/test_perf_golden.py``) draws raw GF(2)
-bases and trial batches from ``SOLVER_SPACE``.
+bases and trial batches from ``SOLVER_SPACE``, and the replay-coverage
+property (``tests/test_perf_golden.py``) draws cubes and vectors from
+``COVERAGE_SPACE``.
 """
 
 from hypothesis import strategies as st
@@ -52,6 +54,21 @@ SOLVER_SPACE = dict(
     ),
     rows_each=st.integers(min_value=1, max_value=12),
     extra_candidates=st.integers(min_value=0, max_value=8),
+)
+
+#: Cells per vector (one to four uint64 words, mostly no multiple of 64),
+#: cubes and their most specified bits, vectors (zero included) and the
+#: cube x vector budget of one coverage chunk (small enough that most
+#: draws split the cubes into several chunks).
+COVERAGE_SPACE = dict(
+    seed=SEEDS,
+    num_cells=st.one_of(
+        st.sampled_from([63, 64, 65, 128]), st.integers(min_value=1, max_value=200)
+    ),
+    num_cubes=st.integers(min_value=1, max_value=24),
+    max_specified=st.integers(min_value=1, max_value=16),
+    num_vectors=st.integers(min_value=0, max_value=300),
+    chunk_budget=st.integers(min_value=1, max_value=64),
 )
 
 

@@ -5,9 +5,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro import pipeline
+from repro.config import CompressionConfig
+from repro.context import CompressionContext
+from repro.decompressor import architecture
 from repro.decompressor.architecture import (
     DecompressionController,
     Decompressor,
+    ReplayTables,
     simulate_decompression,
 )
 from repro.decompressor.counters import counter_width
@@ -51,6 +56,13 @@ def flow():
         substrate.equations, ReductionConfig(segment_size=5, speedup=6)
     ).reduce(encoding, test_set)
     return substrate, test_set, encoding, reduction
+
+
+def _tables(substrate):
+    """Replay tables built from a substrate's matrices."""
+    return ReplayTables(
+        substrate.lfsr.transition, substrate.phase_shifter, substrate.architecture
+    )
 
 
 class TestCounters:
@@ -115,13 +127,7 @@ class TestModeSelect:
 class TestSimulation:
     def test_simulation_matches_reduction_accounting(self, flow):
         substrate, test_set, encoding, reduction = flow
-        outcome = simulate_decompression(
-            encoding,
-            reduction,
-            substrate.lfsr.transition,
-            substrate.phase_shifter,
-            substrate.architecture,
-        )
+        outcome = simulate_decompression(encoding, reduction, _tables(substrate))
         assert outcome.seeds_applied == encoding.num_seeds
         assert outcome.vectors_applied == reduction.test_sequence_length
         assert outcome.skip_clocks > 0
@@ -129,13 +135,7 @@ class TestSimulation:
     def test_simulation_covers_every_cube(self, flow):
         """End-to-end correctness: the hardware really applies every cube."""
         substrate, test_set, encoding, reduction = flow
-        outcome = simulate_decompression(
-            encoding,
-            reduction,
-            substrate.lfsr.transition,
-            substrate.phase_shifter,
-            substrate.architecture,
-        )
+        outcome = simulate_decompression(encoding, reduction, _tables(substrate))
         assert outcome.uncovered_cubes(test_set) == []
         assert outcome.covers(test_set)
 
@@ -165,13 +165,7 @@ class TestSimulation:
             substrate.equations, ReductionConfig(5, 6, alignment="ideal")
         ).reduce(encoding, test_set)
         with pytest.raises(ValueError):
-            simulate_decompression(
-                encoding,
-                ideal,
-                substrate.lfsr.transition,
-                substrate.phase_shifter,
-                substrate.architecture,
-            )
+            simulate_decompression(encoding, ideal, _tables(substrate))
 
     def test_speedup_mismatch_rejected(self, flow):
         substrate, test_set, encoding, reduction = flow
@@ -199,13 +193,7 @@ class TestSimulation:
         with pytest.raises(ValueError, match=message):
             DecompressionController(decompressor).run(narrow, reduction)
         with pytest.raises(ValueError, match=message):
-            simulate_decompression(
-                narrow,
-                reduction,
-                substrate.lfsr.transition,
-                substrate.phase_shifter,
-                substrate.architecture,
-            )
+            simulate_decompression(narrow, reduction, _tables(substrate))
 
     def test_useless_segments_run_through_the_skip_circuit(self, flow, monkeypatch):
         """A faulty State Skip circuit (A^(k+1)) changes both replays alike.
@@ -214,16 +202,18 @@ class TestSimulation:
         the circuit's own matrix would still deliver every cube here.
         """
         substrate, test_set, encoding, reduction = flow
+        # One set of tables for both replays: K is not among them.
+        tables = _tables(substrate)
 
         def replay_both():
-            args = (
+            decompressor = Decompressor(
                 substrate.lfsr.transition,
                 substrate.phase_shifter,
                 substrate.architecture,
+                reduction.config.speedup,
             )
-            decompressor = Decompressor(*args, reduction.config.speedup)
             return (
-                simulate_decompression(encoding, reduction, *args),
+                simulate_decompression(encoding, reduction, tables),
                 DecompressionController(decompressor).run(encoding, reduction),
             )
 
@@ -239,6 +229,75 @@ class TestSimulation:
         assert faulty_segment.useful_vectors != true_segment.useful_vectors
         assert not faulty_segment.covers(test_set)
         assert true_segment.covers(test_set)
+
+
+#: Four (S, k) points replayed over one encoding of the ``flow`` test set.
+_POINTS = [(5, 6), (3, 3), (10, 8), (6, 12)]
+
+
+class TestReplayTables:
+    @pytest.fixture()
+    def sweep(self, flow, monkeypatch):
+        """Replay ``_POINTS`` over one context-cached encoding, counting
+        the capture-table builds: ``([(encoded, reduction, outcome)], builds)``."""
+        _, test_set, _, _ = flow
+        builds = []
+        capture_tables = architecture._capture_tables
+
+        def counted(*args):
+            builds.append(args)
+            return capture_tables(*args)
+
+        monkeypatch.setattr(architecture, "_capture_tables", counted)
+        config = CompressionConfig(window_length=30, num_scan_chains=6, lfsr_size=14)
+        context = CompressionContext()
+        replays = []
+        for segment_size, speedup in _POINTS:
+            point = config.with_updates(segment_size=segment_size, speedup=speedup)
+            encoded = pipeline.encode(test_set, point, context=context)
+            reduction = pipeline.reduce(encoded)
+            replays.append((encoded, reduction, pipeline.simulate(encoded, reduction)))
+        return replays, builds
+
+    def test_replays_of_one_encoding_build_the_tables_once(self, sweep):
+        replays, builds = sweep
+        assert len({id(encoded.substrate) for encoded, _, _ in replays}) == 1
+        assert len(builds) == 1
+
+    def test_replays_equal_per_clock_and_uncached_replays(self, sweep):
+        """Tables kept across points change no outcome: each point equals
+        the per-clock replay and a replay on a fresh, uncached substrate
+        (which builds its own tables)."""
+        replays, builds = sweep
+        for encoded, reduction, outcome in replays:
+            substrate = encoded.substrate
+            decompressor = Decompressor(
+                substrate.lfsr.transition,
+                substrate.phase_shifter,
+                substrate.architecture,
+                reduction.config.speedup,
+            )
+            per_clock = DecompressionController(decompressor).run(
+                encoded.encoding, reduction
+            )
+            uncached = pipeline.encode(
+                encoded.test_set, encoded.config, context=CompressionContext(caching=False)
+            )
+            assert uncached.substrate is not substrate
+            fresh = pipeline.simulate(uncached, pipeline.reduce(uncached))
+            assert outcome == per_clock
+            assert outcome == fresh
+        assert len(builds) == 1 + len(replays)
+
+    def test_outcomes_differing_in_one_captured_bit_are_unequal(self, flow):
+        substrate, test_set, encoding, reduction = flow
+        outcome = simulate_decompression(encoding, reduction, _tables(substrate))
+        same = replace(outcome, vector_words=outcome.vector_words.copy())
+        flipped = replace(outcome, vector_words=outcome.vector_words.copy())
+        flipped.vector_words[-1, -1] ^= 1
+        assert outcome == same
+        assert outcome != flipped
+        assert flipped.useful_vectors != outcome.useful_vectors
 
 
 class TestHardwareModel:

@@ -13,16 +13,24 @@ random inputs.
 import random
 from collections import Counter, namedtuple
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
 from circuit_library import carry_ripple_adder, parity_tree
-from differential_spaces import ENCODING_SPACE, NETLIST_SPACE, SOLVER_SPACE, drawn_test_set
+from differential_spaces import (
+    COVERAGE_SPACE,
+    ENCODING_SPACE,
+    NETLIST_SPACE,
+    SOLVER_SPACE,
+    drawn_test_set,
+)
 from repro.circuits.atpg import generate_test_set_for_netlist
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
 from repro.circuits.simulator import simulate_parallel
 from repro.circuits.ternary import packed_plan
+from repro.decompressor.architecture import SimulationOutcome
 from repro.encoding.substrate import EncoderSubstrate, SubstrateKey
 from repro.encoding.window import EncodingError, WindowEncoder
 from repro.gf2 import solve
@@ -480,6 +488,55 @@ def test_solver_packed_differential(
             right.commit(bat)
             assert left._pivots == right._pivots
             assert left.epoch == right.epoch
+
+
+# ----------------------------------------------------------------------
+# Replay coverage check: word matrix vs integer scan
+# ----------------------------------------------------------------------
+@settings(max_examples=50, deadline=None)
+@given(**COVERAGE_SPACE)
+def test_replay_coverage_differential(
+    seed, num_cells, num_cubes, max_specified, num_vectors, chunk_budget
+):
+    """The chunked word-matrix coverage check vs a per-cube integer scan."""
+    rng = random.Random(seed)
+    cubes = []
+    for _ in range(num_cubes):
+        cells = rng.sample(range(num_cells), rng.randint(1, min(max_specified, num_cells)))
+        mask = sum(1 << cell for cell in cells)
+        cubes.append(TestCube(num_cells, mask, rng.getrandbits(num_cells) & mask))
+    test_set = TestSet("coverage", cubes)
+    # Half the vectors fill the don't-cares of a cube from a drawn subset,
+    # so most draws cover some cubes and leave others.
+    targets = rng.sample(cubes, rng.randint(0, num_cubes))
+    vectors = []
+    for _ in range(num_vectors):
+        vector = rng.getrandbits(num_cells)
+        if targets and rng.getrandbits(1):
+            cube = rng.choice(targets)
+            vector = vector & ~cube.care_mask | cube.care_value
+        vectors.append(vector)
+    num_words = -(-num_cells // 64)
+    words = np.array(
+        [[vector >> 64 * w & (1 << 64) - 1 for w in range(num_words)] for vector in vectors],
+        dtype=np.uint64,
+    ).reshape(num_vectors, num_words)
+    outcome = SimulationOutcome(
+        seeds_applied=0,
+        vectors_applied=num_vectors,
+        vector_words=words,
+        lfsr_clocks=0,
+        skip_clocks=0,
+    )
+    expected = [
+        index
+        for index, cube in enumerate(cubes)
+        if not any(cube.matches_vector(vector) for vector in vectors)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TestSet, "_COVER_CHUNK_BUDGET", chunk_budget)
+        assert outcome.uncovered_cubes(test_set) == expected
+        assert test_set.uncovered_cubes(vectors) == expected
 
 
 def test_solver_epoch_and_pivot_mask_track_commits():

@@ -54,6 +54,7 @@ from repro.context import CompressionContext
 from repro.decompressor.architecture import (
     DecompressionController,
     Decompressor,
+    ReplayTables,
     simulate_decompression,
 )
 from repro.encoding.window import EncodingError
@@ -795,13 +796,10 @@ class TestUsefulSegmentSelectionGolden:
 def _replay_both(encoded, reduction):
     """Replay a reduction segment by segment and clock by clock."""
     substrate = encoded.substrate
-    by_segment = simulate_decompression(
-        encoded.encoding,
-        reduction,
-        substrate.lfsr.transition,
-        substrate.phase_shifter,
-        substrate.architecture,
+    tables = ReplayTables(
+        substrate.lfsr.transition, substrate.phase_shifter, substrate.architecture
     )
+    by_segment = simulate_decompression(encoded.encoding, reduction, tables)
     per_clock = DecompressionController(
         Decompressor(
             substrate.lfsr.transition,
@@ -874,3 +872,42 @@ class TestSegmentReplayGolden:
         encoded = _drawn_encoding(**params)
         by_segment, reference = _replay_both(encoded, pipeline.reduce(encoded))
         assert by_segment == reference
+
+    @settings(max_examples=5, deadline=None)
+    @given(**_REDUCTION_SPACE)
+    def test_replay_invariants(self, **params):
+        """The replay of a drawn reduction keeps the schedule's invariants.
+
+        State Skip TSL <= window TSL = seeds x L; the replay applies the
+        schedule's vectors and clocks; and its captured vectors, which the
+        replay tables derive from A and P, are exactly the encoder's window
+        vectors of the useful segments in replay order -- two independent
+        derivations -- and cover every cube.
+        """
+        encoded = _drawn_encoding(**params)
+        encoding = encoded.encoding
+        reduction = pipeline.reduce(encoded)
+        window_tsl = encoding.num_seeds * encoding.window_length
+        assert reduction.original_tsl == window_tsl
+        assert reduction.test_sequence_length <= window_tsl
+
+        outcome = pipeline.simulate(encoded, reduction)
+        plans = [plan for schedule in reduction.schedules for plan in schedule.segments]
+        assert outcome.vectors_applied == reduction.test_sequence_length
+        assert outcome.lfsr_clocks == sum(plan.lfsr_clocks for plan in plans)
+        assert outcome.skip_clocks == sum(plan.skip_clocks for plan in plans)
+
+        windows = encoded.substrate.equations.expand_seeds(
+            [record.seed for record in encoding.seeds]
+        )
+        schedules = {schedule.seed_index: schedule for schedule in reduction.schedules}
+        expected = [
+            windows[seed_index][vector]
+            for seeds in reduction.seed_groups().values()
+            for seed_index in seeds
+            for plan in schedules[seed_index].segments
+            if plan.useful
+            for vector in range(*plan.vector_range)
+        ]
+        assert outcome.useful_vectors == expected
+        assert outcome.uncovered_cubes(encoded.test_set) == []
